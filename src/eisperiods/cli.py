@@ -300,15 +300,37 @@ def cmd_relations(args, config: RunConfig, parser) -> int:
     return EXIT_TOLERANCE if bad else EXIT_OK
 
 
+def _load_data(path: str, parser, build):
+    """build(payload) for the JSON payload of a --data file; a missing file,
+    malformed JSON or a bad entry is a configuration error."""
+    if not os.path.exists(path):
+        parser.error(f"data file not found: {path}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return build(json.load(fh))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        parser.error(f"bad data file {path}: {type(exc).__name__}: {exc}")
+
+
 def _load_lattice(args, parser) -> QuadLatticeData:
     if args.preset:
         return QuadLatticeData.preset(args.preset)
     if not args.data:
         parser.error("need --preset or --data")
-    if not os.path.exists(args.data):
-        parser.error(f"data file not found: {args.data}")
-    with open(args.data, "r", encoding="utf-8") as fh:
-        return QuadLatticeData.from_json(json.load(fh))
+    return _load_data(args.data, parser, QuadLatticeData.from_json)
+
+
+def _hecke_classes(payload: dict):
+    """The ideal-class terms and w_f of a hecke --data payload."""
+    classes = [
+        IdealClassTerm(
+            QuadLatticeData.from_json(entry["lattice"]),
+            qq(entry.get("norm_b", "1/1")),
+            mpc(mpf(entry.get("chi", {}).get("re", "1")), mpf(entry.get("chi", {}).get("im", "0"))),
+        )
+        for entry in payload["classes"]
+    ]
+    return classes, payload.get("w_f", 1)
 
 
 def cmd_invariant(args, config: RunConfig, parser) -> int:
@@ -362,19 +384,7 @@ def cmd_invariant(args, config: RunConfig, parser) -> int:
 def cmd_hecke(args, config: RunConfig, parser) -> int:
     _check_weight(parser, 2 * args.m, 1, m=args.m)
     if args.data:
-        if not os.path.exists(args.data):
-            parser.error(f"data file not found: {args.data}")
-        with open(args.data, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        classes = [
-            IdealClassTerm(
-                QuadLatticeData.from_json(entry["lattice"]),
-                qq(entry.get("norm_b", "1/1")),
-                mpc(mpf(entry.get("chi", {}).get("re", "1")), mpf(entry.get("chi", {}).get("im", "0"))),
-            )
-            for entry in payload["classes"]
-        ]
-        w_f = payload.get("w_f", 1)
+        classes, w_f = _load_data(args.data, parser, _hecke_classes)
     elif args.preset:
         data = QuadLatticeData.preset(args.preset)
         classes = [IdealClassTerm(data, QQ(1), mpc(1))]
@@ -415,7 +425,11 @@ def _add_global_options(parser: argparse.ArgumentParser, suppress: bool):
     def default(value):
         return argparse.SUPPRESS if suppress else value
 
-    default_prec = int(os.environ.get("EISP_PREC", "192"))
+    env_prec = os.environ.get("EISP_PREC", "192")
+    try:
+        default_prec = int(env_prec)
+    except ValueError:
+        parser.error(f"EISP_PREC must be an integer number of bits, got {env_prec!r}")
     parser.add_argument("--prec", type=int, default=default(default_prec), help="working precision in bits")
     parser.add_argument("--trunc", type=int, default=default(None), help="Fourier truncation order M")
     parser.add_argument("--radius", type=int, default=default(400), help="lattice-sum radius R")
@@ -440,7 +454,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=_parse_lambda, required=True)
     p.add_argument("--kind", choices=["e", "g", "maass", "elliptic"], default=None)
-    p.add_argument("--tau", type=_parse_tau, default=None)
+    p.add_argument(
+        "--tau",
+        type=_parse_tau,
+        default=None,
+        help="evaluation point 're,im' (default 0,1); write --tau=-0.3,1.5 when re < 0",
+    )
     p.add_argument("--check-lattice", action="store_true")
     p.set_defaults(func=cmd_fourier)
 
@@ -506,7 +525,10 @@ def main(argv=None) -> int:
     if trunc is None:
         trunc = 400 if args.command in ("invariant", "hecke") else 200
     if args.tol is not None:
-        tol = mpf(args.tol)
+        try:
+            tol = mpf(args.tol)
+        except ValueError:
+            parser.error(f"--tol must be a number, got {args.tol!r}")
     elif args.command == "invariant":
         tol = mpf(10) ** -30
     else:

@@ -11,7 +11,9 @@ evaluation cost is logarithmic in the matrix entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from functools import lru_cache
+from math import comb, factorial
+from typing import List, Optional, Tuple
 
 from mpmath import mpc
 
@@ -20,34 +22,14 @@ from .lseries import lvalue_closed
 from .modgroup import (
     IndexSetError,
     S,
-    T,
     CosetTable,
     Mat2,
     ResiduePair,
-    act_residue,
     decompose_ST,
     enumerate_sl2,
     in_index_set,
-    index_set,
-    t_power,
 )
 from .numerics import DEFAULT_PREC, ext_scalar_value
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
-def _binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 class PeriodPoly:
@@ -126,7 +108,7 @@ class PeriodPoly:
                 continue
             npow = 1
             for l in range(m, -1, -1):
-                out[l] = out[l] + pm * (_binomial(m, m - l) * npow)
+                out[l] = out[l] + pm * (comb(m, m - l) * npow)
                 npow *= n
         return PeriodPoly(self.k, out)
 
@@ -162,18 +144,20 @@ def _int_poly_powers(p: int, q: int, max_pow: int) -> List[List[int]]:
     return pows
 
 
-def _canonical(lam: ResiduePair, N: int) -> ResiduePair:
-    return ResiduePair(N, lam.l1, lam.l2)
+def _admissible(k: int, lam: ResiduePair, N: int) -> ResiduePair:
+    """lam reduced mod N; raises IndexSetError outside the index set."""
+    lam = ResiduePair(N, lam.l1, lam.l2)
+    if not in_index_set(lam, k):
+        raise IndexSetError(f"parameter {lam} not admissible for weight {k}")
+    return lam
 
 
 def period_T(k: int, lam: ResiduePair, N: int) -> PeriodPoly:
     """Value of the base-point-at-infinity period at T: the rational
     polynomial -(B_k(l1/N)/(k!(k-1))) ((X+1)^{k-1} - X^{k-1})."""
-    lam = _canonical(lam, N)
-    if not in_index_set(lam, k):
-        raise IndexSetError(f"parameter {lam} not admissible for weight {k}")
-    front = -bernoulli_value(k, QQ(lam.l1, N)) / (_factorial(k) * (k - 1))
-    coeffs = [ExtScalar(front * _binomial(k - 1, j)) for j in range(k - 1)]
+    lam = _admissible(k, lam, N)
+    front = -bernoulli_value(k, QQ(lam.l1, N)) / (factorial(k) * (k - 1))
+    coeffs = [ExtScalar(front * comb(k - 1, j)) for j in range(k - 1)]
     return PeriodPoly(k, coeffs)
 
 
@@ -181,15 +165,13 @@ def period_S(k: int, lam: ResiduePair, N: int) -> PeriodPoly:
     """Value of the period at S: a Bernoulli-product polynomial plus polylog
     symbols in the X^0 coefficient (when l1 = 0) and the X^{k-2} coefficient
     (when l2 = 0), each with rational coefficient of size 1/(k-1)."""
-    lam = _canonical(lam, N)
-    if not in_index_set(lam, k):
-        raise IndexSetError(f"parameter {lam} not admissible for weight {k}")
+    lam = _admissible(k, lam, N)
     l1, l2 = lam.l1, lam.l2
-    denom = _factorial(k) * (k - 1)
+    denom = factorial(k) * (k - 1)
     coeffs = [ExtScalar.zero() for _ in range(k - 1)]
     for r in range(k - 1):
         val = (
-            -_binomial(k, r + 1)
+            -comb(k, r + 1)
             * bernoulli_value(k - r - 1, QQ(l1, N))
             * bernoulli_value(r + 1, QQ(l2, N))
             / denom
@@ -219,31 +201,24 @@ class InducedCochain:
             self.k, self.N, self.lam, self.table, list(self.val_T), list(self.val_S)
         )
 
-    def coset_parameters(self) -> List[ResiduePair]:
-        return [
-            act_residue(self.lam, self.table.representative(i))
-            for i in range(len(self.table))
-        ]
+    @staticmethod
+    def coset_parameters(lam: ResiduePair, table: CosetTable, value) -> list:
+        """value(lam sigma) for every coset sigma of table, in table order,
+        evaluated once per distinct transported parameter lam sigma."""
+        value = lru_cache(maxsize=None)(value)
+        return [value(lam.act(table.representative(i))) for i in range(len(table))]
 
 
 def build_induced(k: int, lam: ResiduePair, N: int) -> InducedCochain:
     """Cochain whose value at gamma on the coset of sigma is the period of
     the series with parameter transported by sigma."""
-    lam = _canonical(lam, N)
-    if not in_index_set(lam, k):
-        raise IndexSetError(f"parameter {lam} not admissible for weight {k}")
+    lam = _admissible(k, lam, N)
     table = enumerate_sl2(N)
-    cache_T: Dict[Tuple[int, int], PeriodPoly] = {}
-    cache_S: Dict[Tuple[int, int], PeriodPoly] = {}
-    val_T, val_S = [], []
-    for i in range(len(table)):
-        mu = act_residue(lam, table.representative(i))
-        key = mu.pair()
-        if key not in cache_T:
-            cache_T[key] = period_T(k, mu, N)
-            cache_S[key] = period_S(k, mu, N)
-        val_T.append(cache_T[key])
-        val_S.append(cache_S[key])
+    periods = InducedCochain.coset_parameters(
+        lam, table, lambda mu: (period_T(k, mu, N), period_S(k, mu, N))
+    )
+    val_T = [t for t, _ in periods]
+    val_S = [s for _, s in periods]
     return InducedCochain(k, N, lam, table, val_T, val_S)
 
 
@@ -262,26 +237,15 @@ def coboundary(k: int, lam: ResiduePair, N: int) -> CoboundaryData:
     """Exact coboundary data from the closed L-values: i^{3-k} L*(., k-1) per
     coset for k >= 3; for k = 2 the value i L*(., 1), gated to the cosets
     whose transported parameter has first coordinate 0."""
-    lam = _canonical(lam, N)
-    if not in_index_set(lam, k):
-        raise IndexSetError(f"parameter {lam} not admissible for weight {k}")
-    table = enumerate_sl2(N)
-    cache: Dict[Tuple[int, int], PeriodPoly] = {}
-    values = []
-    for i in range(len(table)):
-        mu = act_residue(lam, table.representative(i))
-        key = mu.pair()
-        if key not in cache:
-            if k == 2:
-                if mu.l1 != 0:
-                    cache[key] = PeriodPoly.zero(k)
-                else:
-                    scal = lvalue_closed(2, mu, N, 1).value.times_i_power(1).pure_part()
-                    cache[key] = PeriodPoly.constant(k, scal)
-            else:
-                scal = lvalue_closed(k, mu, N, k - 1).value.times_i_power(3 - k).pure_part()
-                cache[key] = PeriodPoly.constant(k, scal)
-        values.append(cache[key])
+    lam = _admissible(k, lam, N)
+
+    def value(mu: ResiduePair) -> PeriodPoly:
+        if k == 2 and mu.l1 != 0:
+            return PeriodPoly.zero(k)
+        scal = lvalue_closed(k, mu, N, k - 1).value.times_i_power(3 - k).pure_part()
+        return PeriodPoly.constant(k, scal)
+
+    values = InducedCochain.coset_parameters(lam, enumerate_sl2(N), value)
     return CoboundaryData(k, N, lam, values)
 
 
@@ -318,21 +282,14 @@ class RationalityReport:
         return out
 
 
-def _transported(values: List[PeriodPoly], table: CosetTable, letter: str) -> List[PeriodPoly]:
-    """(F|_gamma)(sigma) = F(sigma gamma^{-1})|_gamma for a single generator
-    letter."""
-    inv = {"T": "T^-1", "S": "S^-1", "T^-1": "T", "S^-1": "S"}[letter]
-    mats = {"T": T, "S": S, "T^-1": t_power(-1), "S^-1": S.inverse()}
-    out = []
-    for i in range(len(values)):
-        src = table.rmul_index(i, inv)
-        if letter == "T":
-            out.append(values[src].shift(1))
-        elif letter == "T^-1":
-            out.append(values[src].shift(-1))
-        else:
-            out.append(values[src].act(mats[letter]))
-    return out
+def _transport_T(values: List[PeriodPoly], table: CosetTable, n: int) -> List[PeriodPoly]:
+    """Right transport by T^n: (F|T^n)(sigma) = F(sigma T^{-n})|T^n."""
+    return [values[table.rmul_t_power(i, -n)].shift(n) for i in range(len(table))]
+
+
+def _transport_S(values: List[PeriodPoly], table: CosetTable) -> List[PeriodPoly]:
+    """Right transport by S: (F|S)(sigma) = F(sigma S^{-1})|S."""
+    return [values[table.rmul_S_inv[i]].act(S) for i in range(len(table))]
 
 
 def modify_and_certify(
@@ -346,11 +303,11 @@ def modify_and_certify(
     table = cochain.table
     new_T = [
         a + b - f
-        for a, b, f in zip(cochain.val_T, _transported(cob.values, table, "T"), cob.values)
+        for a, b, f in zip(cochain.val_T, _transport_T(cob.values, table, 1), cob.values)
     ]
     new_S = [
         a + b - f
-        for a, b, f in zip(cochain.val_S, _transported(cob.values, table, "S"), cob.values)
+        for a, b, f in zip(cochain.val_S, _transport_S(cob.values, table), cob.values)
     ]
     modified = InducedCochain(cochain.k, cochain.N, cochain.lam, table, new_T, new_S)
     failures = []
@@ -381,16 +338,15 @@ def _ap_power_sum(r: int, step: int, terms: int, p: int) -> QQ:
     return val * step ** p
 
 
-def _poly_ap_shift_sum(poly: PeriodPoly, r: int, step: int, terms: int) -> PeriodPoly:
-    """sum_{i=0}^{terms-1} P(X + r + i step)."""
-    w = poly.k - 2
-    psums = [_ap_power_sum(r, step, terms, p) for p in range(w + 1)]
-    out = [ExtScalar.zero() for _ in range(w + 1)]
+def _poly_ap_shift_sum(poly: PeriodPoly, psums: List[QQ]) -> PeriodPoly:
+    """sum_{i=0}^{terms-1} P(X + r + i step), given the power sums
+    psums[p] = _ap_power_sum(r, step, terms, p) for p <= k-2."""
+    out = [ExtScalar.zero() for _ in range(poly.k - 1)]
     for m, pm in enumerate(poly.coeffs):
         if pm.is_zero():
             continue
         for l in range(m + 1):
-            out[l] = out[l] + pm * (_binomial(m, l) * psums[m - l])
+            out[l] = out[l] + pm * (comb(m, l) * psums[m - l])
     return PeriodPoly(poly.k, out)
 
 
@@ -403,20 +359,19 @@ def _t_run_value(cochain: InducedCochain, n: int) -> List[PeriodPoly]:
     N = cochain.N
     if n < 0:
         # c(T^n) = -c(T^{-n})|_{T^n}
-        pos = _t_run_value(cochain, -n)
-        out = []
-        for i in range(len(table)):
-            src = table.rmul_t_power(i, -n)
-            out.append(-pos[src].shift(n))
-        return out
+        return [-p for p in _transport_T(_t_run_value(cochain, -n), table, n)]
+    # residue class r of j < n holds (n - 1 - r) // N + 1 terms
+    psums = [
+        [_ap_power_sum(r, N, (n - 1 - r) // N + 1, p) for p in range(cochain.k - 1)]
+        for r in range(min(N, n))
+    ]
     out = []
     for i in range(len(table)):
         acc = PeriodPoly.zero(cochain.k)
         idx = i
-        for r in range(min(N, n)):
+        for ps in psums:
             # idx now points at sigma T^{-r}
-            terms = (n - 1 - r) // N + 1
-            acc = acc + _poly_ap_shift_sum(cochain.val_T[idx], r, N, terms)
+            acc = acc + _poly_ap_shift_sum(cochain.val_T[idx], ps)
             idx = table.rmul_T_inv[idx]
         out.append(acc)
     return out
@@ -430,19 +385,13 @@ def evaluate_word(cochain: InducedCochain, tokens) -> List[PeriodPoly]:
         if kind == "T":
             gen_val = _t_run_value(cochain, n)
             if acc is not None:
-                acc = [
-                    acc[table.rmul_t_power(i, -n)].shift(n) + gen_val[i]
-                    for i in range(len(table))
-                ]
+                acc = [a + g for a, g in zip(_transport_T(acc, table, n), gen_val)]
             else:
                 acc = gen_val
         elif kind == "S":
             for _ in range(n):
                 if acc is not None:
-                    acc = [
-                        acc[table.rmul_S_inv[i]].act(S) + cochain.val_S[i]
-                        for i in range(len(table))
-                    ]
+                    acc = [a + s for a, s in zip(_transport_S(acc, table), cochain.val_S)]
                 else:
                     acc = list(cochain.val_S)
         else:
@@ -480,13 +429,3 @@ def certify_parameter(k: int, lam: ResiduePair, N: int) -> Tuple[InducedCochain,
     cob = coboundary(k, lam, N)
     modified, report = modify_and_certify(cochain, cob)
     return cochain, modified, report
-
-
-def rationality_sweep(k_max: int, n_max: int, k_min: int = 2, n_min: int = 1):
-    """Certification records over every admissible (k, N, lambda) with
-    k <= k_max and N <= n_max, in deterministic order."""
-    for N in range(n_min, n_max + 1):
-        for k in range(k_min, k_max + 1):
-            for lam in index_set(N, k):
-                _, _, report = certify_parameter(k, lam, N)
-                yield report

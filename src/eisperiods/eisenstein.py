@@ -16,16 +16,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 from typing import Dict, List, Union
 
 from mpmath import mp, mpc, mpf
 
-from .exact import QQ, bernoulli_value, cyclo_canonical, formal_binomial, qq, qq_str
+from .exact import QQ, bernoulli_value, cyclo_canonical, formal_binomial, qq_str
 from .modgroup import IndexSetError, ResiduePair, in_index_set
 from .numerics import (
     DEFAULT_PREC,
     GUARD_BITS,
-    cyclo_value,
+    _mpf_ratio,
+    _to_mp,
     e_of,
     hurwitz_zeta,
     mpc_json,
@@ -36,15 +38,8 @@ try:
     import gmpy2
 
     _HAVE_GMPY2_MPC = hasattr(gmpy2, "mpc")
-except ImportError:  # pragma: no cover
+except ImportError:
     _HAVE_GMPY2_MPC = False
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 @lru_cache(maxsize=16)
@@ -85,13 +80,6 @@ class HoloFourier:
     coeffs: list
     nonholo: Union[QQ, mpc]
 
-    @property
-    def is_nonholomorphic(self) -> bool:
-        return self.nonholo != 0
-
-    def constant_term(self):
-        return self.const
-
     def to_json(self) -> dict:
         if self.kind == "e":
             coeffs = [c.to_json() for c in self.coeffs]
@@ -130,8 +118,8 @@ def e_fourier(k: int, lam: ResiduePair, N: int, M: int) -> HoloFourier:
         else:
             raise IndexSetError(f"parameter {lam} not admissible for weight {k}")
     l1, l2 = lam.l1, lam.l2
-    const = -bernoulli_value(k, QQ(l1, N)) / _factorial(k)
-    scale = QQ(1, _factorial(k - 1) * N ** (k - 1))
+    const = -bernoulli_value(k, QQ(l1, N)) / factorial(k)
+    scale = QQ(1, factorial(k - 1) * N ** (k - 1))
     sign = (-1) ** k
     pairs = _divisor_pairs(M)
     coeffs = []
@@ -156,7 +144,7 @@ def _two_sided_class_sum(l2: int, N: int, w: int, prec: int) -> mpc:
     """sum over nonzero n = l2 mod N of n^-w."""
     with mp.workprec(prec + GUARD_BITS):
         val = _hurwitz_sum_over_class(l2, N, w, prec) + (-1) ** w * _hurwitz_sum_over_class(-l2, N, w, prec)
-    return mpc(val)
+        return mpc(val)
 
 
 def g_fourier(k: int, lam: ResiduePair, N: int, M: int, prec: int = DEFAULT_PREC) -> HoloFourier:
@@ -189,7 +177,7 @@ def g_fourier(k: int, lam: ResiduePair, N: int, M: int, prec: int = DEFAULT_PREC
         if k == 2:
             # C_0 = -pi/(N^2 v) expressed against the unit 1/(4 pi v)
             nonholo = mpc(-4 * mp.pi ** 2 / mpf(N) ** 2)
-    return HoloFourier("g", k, N, lam, M, mpc(const), coeffs, nonholo)
+        return HoloFourier("g", k, N, lam, M, mpc(const), coeffs, nonholo)
 
 
 @dataclass
@@ -275,12 +263,11 @@ def maass_fourier(
         A, C = _kernel_divisor_sums(
             k, l, N, M, prec, m_class=l1, twist=l2, twist_on="n", extra_N_power=0
         )
-    return MaassFourier(k, l, N, lam, M, mpc(A0), C0, A, C)
+        return MaassFourier(k, l, N, lam, M, mpc(A0), C0, A, C)
 
 
 def _fb(t: int, n: int) -> mpf:
-    q = formal_binomial(t, n)
-    return mpf(int(q.numerator)) / int(q.denominator)
+    return _to_mp(formal_binomial(t, n))
 
 
 def _kernel_divisor_sums(k, l, N, M, prec, m_class, twist, twist_on, extra_N_power):
@@ -350,6 +337,8 @@ def elliptic_maass_fourier(
         lam = ResiduePair(N, lam.l1, lam.l2)
     l1, l2 = lam.l1, lam.l2
     with mp.workprec(prec + GUARD_BITS):
+        # numerator and denominator apply one at a time: dividing by the
+        # rational first would round differently and change the reports
         bw = bernoulli_value(w, QQ(l1, N))
         A0 = -((-2j * mp.pi) ** w) * mpf(int(bw.numerator)) / int(bw.denominator) / mp.factorial(w)
         C0: Dict[int, mpc] = {}
@@ -367,7 +356,7 @@ def elliptic_maass_fourier(
         A, C = _kernel_divisor_sums(
             k, l, N, M, prec, m_class=l1, twist=l2, twist_on="m", extra_N_power=1
         )
-    return MaassFourier(k, l, N, lam, M, mpc(A0), C0, A, C)
+        return MaassFourier(k, l, N, lam, M, mpc(A0), C0, A, C)
 
 
 @dataclass(frozen=True)
@@ -417,8 +406,10 @@ def _annulus_points(rho: int):
 
 def _lattice_sum_gmpy2(params: LatticeParams, tau, prec: int) -> mpc:
     with gmpy2.context(precision=prec + GUARD_BITS):
-        re = gmpy2.mpfr(int(_ratio(tau.real)[0])) / _ratio(tau.real)[1]
-        im = gmpy2.mpfr(int(_ratio(tau.imag)[0])) / _ratio(tau.imag)[1]
+        p, q = _mpf_ratio(tau.real)
+        re = gmpy2.mpfr(int(p)) / q
+        p, q = _mpf_ratio(tau.imag)
+        im = gmpy2.mpfr(int(p)) / q
         t = gmpy2.mpc(re, im)
         tb = gmpy2.mpc(re, -im)
         N, k, l = params.N, params.k, params.l
@@ -445,14 +436,6 @@ def _lattice_sum_gmpy2(params: LatticeParams, tau, prec: int) -> mpc:
     return out
 
 
-def _ratio(x):
-    sign, man, exp, _ = mpf(x)._mpf_
-    man = -man if sign else man
-    if exp >= 0:
-        return man * (1 << exp), 1
-    return man, 1 << (-exp)
-
-
 def _lattice_sum_mpmath(params: LatticeParams, tau, prec: int) -> mpc:
     with mp.workprec(prec + GUARD_BITS):
         t = mpc(tau)
@@ -463,12 +446,23 @@ def _lattice_sum_mpmath(params: LatticeParams, tau, prec: int) -> mpc:
         phases = [e_of(QQ(j, N), prec) for j in range(N)] if elliptic else None
         acc = mpc(0)
         for rho in range(1, params.R + 1):
+            # (-c, -d) follows (c, d) on the same annulus and (-z)^-n is
+            # (-1)^n z^-n: its powers are negated copies, bit for bit, and
+            # the terms are still added in the same order
+            powers = {}
             for c, d in _annulus_points(rho):
+                if not elliptic and (c % N != l1 or d % N != l2):
+                    continue
+                if (-c, -d) in powers:
+                    a, b = powers.pop((-c, -d))
+                    a, b = (-a if k % 2 else a), (-b if l % 2 else b)
+                else:
+                    a, b = powers[c, d] = (c * t + d) ** (-k), (c * tb + d) ** (-l)
                 if elliptic:
-                    acc += phases[(c * l2 - d * l1) % N] * (c * t + d) ** (-k) * (c * tb + d) ** (-l)
-                elif c % N == l1 and d % N == l2:
-                    acc += (c * t + d) ** (-k) * (c * tb + d) ** (-l)
-    return mpc(acc)
+                    acc += phases[(c * l2 - d * l1) % N] * a * b
+                else:
+                    acc += a * b
+        return mpc(acc)
 
 
 def eval_fourier(series, tau, prec: int = DEFAULT_PREC) -> mpc:
@@ -484,13 +478,13 @@ def eval_fourier(series, tau, prec: int = DEFAULT_PREC) -> mpc:
             q = mp.expjpi(2 * tau / N)
             if series.kind == "e":
                 mu = [e_of(QQ(i, N), prec) for i in range(len(series.coeffs[0].coeffs) if series.coeffs else 1)]
-                acc = mpc(_q2mp(series.const))
+                acc = mpc(_to_mp(series.const))
                 qp = mpc(1)
                 for c in series.coeffs:
                     qp *= q
-                    acc += sum(_q2mp(x) * mu[i] for i, x in enumerate(c.coeffs) if x != 0) * qp
+                    acc += sum(_to_mp(x) * mu[i] for i, x in enumerate(c.coeffs) if x != 0) * qp
                 if series.nonholo != 0:
-                    acc += _q2mp(series.nonholo) / (4 * mp.pi * v)
+                    acc += _to_mp(series.nonholo) / (4 * mp.pi * v)
             else:
                 acc = mpc(series.const)
                 qp = mpc(1)
@@ -517,14 +511,9 @@ def eval_fourier(series, tau, prec: int = DEFAULT_PREC) -> mpc:
     raise TypeError(f"cannot evaluate series of type {type(series)!r}")
 
 
-def _q2mp(x) -> mpf:
-    q = qq(x)
-    return mpf(int(q.numerator)) / int(q.denominator)
-
-
 def raw_scale(k: int, prec: int = DEFAULT_PREC) -> mpc:
     """(-2 pi i)^k, the factor between the normalized and raw holomorphic
     series."""
     with mp.workprec(prec + GUARD_BITS):
         val = (-2j * mp.pi) ** k
-    return mpc(val)
+        return mpc(val)

@@ -7,12 +7,12 @@ so the whole layer is safe for unrestricted concurrent use.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import factorial, gcd
 from typing import Dict, List, Sequence, Tuple, Union
 
 try:
     from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover
+except ImportError:
     from fractions import Fraction as QQ
 
 RatLike = Union[int, str, "QQ"]
@@ -22,8 +22,8 @@ def qq(x: RatLike, den: int | None = None) -> QQ:
     """Coerce to an exact rational."""
     if den is not None:
         return QQ(x, den)
-    if isinstance(x, str):
-        return QQ(x)
+    if type(x) is QQ:  # rationals are immutable: no copy needed
+        return x
     return QQ(x)
 
 
@@ -75,12 +75,6 @@ def _bernoulli_numbers(n: int) -> tuple:
         s += binom * prev[j]
         binom = binom * (n + 1 - j) // (j + 1)
     return prev + (-s / (n + 1),)
-
-
-def bernoulli_number(n: int) -> QQ:
-    if n < 0:
-        raise ValueError("Bernoulli index must be >= 0")
-    return _bernoulli_numbers(n)[n]
 
 
 class BernoulliPoly:
@@ -291,11 +285,6 @@ class Cyclo:
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 
-    def rational_value(self) -> QQ:
-        if not self.is_rational():
-            raise ValueError("element is not rational")
-        return self.coeffs[0]
-
     def __eq__(self, other):
         if isinstance(other, Cyclo):
             return self.N == other.N and self.coeffs == other.coeffs
@@ -423,18 +412,8 @@ class PolylogSymbol:
     def __hash__(self):
         return hash(self.key())
 
-    def __lt__(self, other):
-        return self.key() < other.key()
-
     def __repr__(self):
         return f"PL({self.w}; {self.num}/{self.den})"
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def _reduce_one_symbol(w: int, arg) -> Tuple[QQ, "PolylogSymbol | None", QQ]:
@@ -451,7 +430,7 @@ def _reduce_one_symbol(w: int, arg) -> Tuple[QQ, "PolylogSymbol | None", QQ]:
     if is_integer(two):  # arg is 0 or 1/2: self-paired under x -> 1-x
         if w % 2 == 0:
             # 2 PL(w; arg) = -B_w(arg)/w! forces a rational value
-            return (-bernoulli_value(w, arg) / (2 * _factorial(w)), None, QQ(0))
+            return (-bernoulli_value(w, arg) / (2 * factorial(w)), None, QQ(0))
         sym = PolylogSymbol(w, int(arg.numerator), int(arg.denominator))
         return (QQ(0), sym, QQ(1))
     if two < 1:
@@ -459,7 +438,7 @@ def _reduce_one_symbol(w: int, arg) -> Tuple[QQ, "PolylogSymbol | None", QQ]:
         return (QQ(0), sym, QQ(1))
     # reflect: PL(w; 1-x) = -B_w(x)/w! - (-1)^w PL(w; x) with x = 1 - arg
     x = 1 - arg
-    rat = -bernoulli_value(w, x) / _factorial(w)
+    rat = -bernoulli_value(w, x) / factorial(w)
     sym = PolylogSymbol(w, int(x.numerator), int(x.denominator))
     return (rat, sym, QQ(-1) if w % 2 == 0 else QQ(1))
 

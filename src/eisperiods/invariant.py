@@ -10,7 +10,7 @@ other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import factorial, gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpc, mpf
@@ -26,15 +26,8 @@ from .eisenstein import (
     raw_scale,
 )
 from .lseries import lvalue_closed
-from .modgroup import Mat2, ResiduePair, act_residue, in_index_set
-from .numerics import DEFAULT_PREC, GUARD_BITS, PrecisionError, cyclo_value, e_of
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+from .modgroup import Mat2, ResiduePair, in_index_set
+from .numerics import DEFAULT_PREC, GUARD_BITS, PrecisionError, _to_mp, cyclo_value, e_of
 
 
 class SymmetryError(ValueError):
@@ -87,13 +80,8 @@ class BiPoly:
         with mp.workprec(prec + GUARD_BITS):
             acc = mpc(0)
             for (a, b), c in sorted(self.terms.items()):
-                acc += _q2mp(c) * tau ** a * taubar ** b
-        return mpc(acc)
-
-
-def _q2mp(x) -> mpf:
-    x = qq(x)
-    return mpf(int(x.numerator)) / int(x.denominator)
+                acc += _to_mp(c) * tau ** a * taubar ** b
+            return mpc(acc)
 
 
 def maass_raise(k: int, p: BiPoly) -> BiPoly:
@@ -126,7 +114,7 @@ def dd_m_poly(m: int, n: int) -> BiPoly:
     if not 0 <= n <= 2 * m - 1:
         raise ValueError("exponent out of range")
     sign = (-1) ** (m - 1)
-    fac = _factorial(m - 1)
+    fac = factorial(m - 1)
     terms: Dict[Tuple[int, int], QQ] = {}
     for r in range(m):
         coeff = sign * fac * formal_binomial(n, r) * formal_binomial(2 * m - 2 - n, m - 1 - r)
@@ -137,7 +125,7 @@ def dd_m_poly(m: int, n: int) -> BiPoly:
 
 def dd_m_constant(m: int) -> QQ:
     """Action on constants: (-1)^{m-1} (2m-2)!/(m-1)!."""
-    return QQ((-1) ** (m - 1) * _factorial(2 * m - 2), _factorial(m - 1))
+    return QQ((-1) ** (m - 1) * factorial(2 * m - 2), factorial(m - 1))
 
 
 def dd_m_symmetric_form(m: int, n: int) -> Dict[Tuple[int, int, int], QQ]:
@@ -212,17 +200,12 @@ class QuadLatticeData:
     def tau(self, prec: int = DEFAULT_PREC) -> mpc:
         with mp.workprec(prec + GUARD_BITS):
             val = mpc(-self.b, mp.sqrt(-self.disc)) / (2 * self.a)
-        return mpc(val)
+            return mpc(val)
 
     def im_tau(self, prec: int = DEFAULT_PREC) -> mpf:
         with mp.workprec(prec + GUARD_BITS):
             val = mp.sqrt(-self.disc) / (2 * self.a)
-        return mpf(val)
-
-    def volume(self, prec: int = DEFAULT_PREC) -> mpf:
-        with mp.workprec(prec + GUARD_BITS):
-            val = _q2mp(self.omega2) ** 2 * self.im_tau(prec)
-        return mpf(val)
+            return mpf(val)
 
     @staticmethod
     def preset(name: str) -> "QuadLatticeData":
@@ -258,7 +241,7 @@ def _raw_fourier_coeffs(k: int, lam: ResiduePair, N: int, M: int, prec: int):
     f = e_fourier(k, lam, N, M)
     with mp.workprec(prec + GUARD_BITS):
         scale = raw_scale(k, prec)
-        a0 = scale * _q2mp(f.const)
+        a0 = scale * _to_mp(f.const)
         coeffs = [scale * cyclo_value(c, prec) for c in f.coeffs]
     return a0, coeffs
 
@@ -277,7 +260,7 @@ def eichler_integral(k: int, lam: ResiduePair, N: int, tau, M: int, prec: int = 
             qp *= q
             if aj != 0:
                 acc += fac * aj * mpf(N) ** (k - 1) / (2j * mp.pi * j) ** (k - 1) * qp
-    return mpc(acc)
+        return mpc(acc)
 
 
 def eichler_integral_dtau(k: int, lam: ResiduePair, N: int, tau, M: int, prec: int = DEFAULT_PREC) -> mpc:
@@ -293,7 +276,7 @@ def eichler_integral_dtau(k: int, lam: ResiduePair, N: int, tau, M: int, prec: i
             qp *= q
             if aj != 0:
                 acc += fac * aj * mpf(N) ** (k - 2) / (2j * mp.pi * j) ** (k - 2) * qp
-    return mpc(acc)
+        return mpc(acc)
 
 
 @dataclass
@@ -315,7 +298,7 @@ def _lvalue_shift(m: int, lam: ResiduePair, N: int, prec: int) -> mpc:
     with mp.workprec(prec + GUARD_BITS):
         lv = lvalue_closed(2 * m, lam, N, 2 * m - 1).numeric(prec) * raw_scale(2 * m, prec)
         val = mpc(1j) ** (3 - 2 * m) * lv
-    return mpc(val)
+        return mpc(val)
 
 
 def psi(
@@ -363,7 +346,7 @@ def psi(
         fm1 = mp.factorial(m - 1)
         q = mp.expjpi(2 * tau / N)
         qp = mpc(1)
-        binoms = [_q2mp(formal_binomial(-m, r)) for r in range(m)]
+        binoms = [_to_mp(formal_binomial(-m, r)) for r in range(m)]
         for j, aj in enumerate(coeffs, start=1):
             qp *= q
             if aj == 0:
@@ -375,18 +358,18 @@ def psi(
             mult *= fm1
             acc += fac * aj * mpf(N) ** (k - 1) / (2j * mp.pi * j) ** (k - 1) * mult * qp
         # anchoring constant
-        acc += _lvalue_shift(m, lam, N, prec) * _q2mp(dd_m_constant(m))
+        acc += _lvalue_shift(m, lam, N, prec) * _to_mp(dd_m_constant(m))
         front = mpc(1j) * mp.power(-data.disc, mpf(m - 1) / 2) / (
             mp.pi ** m * vdiff ** (m - 1)
         )
         val = front * acc
-    return PsiValue(m, data, lam, tau, mpc(val), prec, M)
+        return PsiValue(m, data, lam, tau, mpc(val), prec, M)
 
 
 def mobius(gamma: Mat2, tau: mpc, prec: int = DEFAULT_PREC) -> mpc:
     with mp.workprec(prec + GUARD_BITS):
         val = (gamma.a * tau + gamma.b) / (gamma.c * tau + gamma.d)
-    return mpc(val)
+        return mpc(val)
 
 
 def psi_gamma_shift(
@@ -401,10 +384,10 @@ def psi_gamma_shift(
     lam = data.lam
     tau = data.tau(prec)
     with mp.workprec(prec + GUARD_BITS):
-        shifted = psi(m, data, act_residue(lam, gamma.inverse()), mobius(gamma, tau, prec), M, prec)
+        shifted = psi(m, data, lam.act(gamma.inverse()), mobius(gamma, tau, prec), M, prec)
         base = psi(m, data, lam, tau, M, prec)
         val = (shifted.value - base.value) / (2j * mp.pi) ** m
-    return mpc(val)
+        return mpc(val)
 
 
 def re_m(z: mpc, m: int) -> mpf:
@@ -439,8 +422,8 @@ def psi_r_value(
             e_val = lattice_sum(LatticeParams(m, m, N, lam, "elliptic", radius), tau, prec)
         else:
             raise ValueError("route must be fourier or lattice")
-        val = e_val / _q2mp(qq(data.omega2)) ** (2 * m)
-    return mpc(val)
+        val = e_val / _to_mp(qq(data.omega2)) ** (2 * m)
+        return mpc(val)
 
 
 def psi_value_ratio(
@@ -459,7 +442,7 @@ def psi_value_ratio(
         val = re_m(p.value, m) * mp.pi ** m / (
             mp.power(-data.disc, m - mpf(1) / 2) * pr
         )
-    return mpc(val)
+        return mpc(val)
 
 
 @dataclass(frozen=True)
@@ -500,7 +483,7 @@ def hecke_assemble(
                     phase = e_of(QQ(bilinear_exponent(data.lam, lam), N), prec)
                     inner += phase * psi_r_value(m, data, lam, M, prec, route=route)
             total += (
-                _q2mp(qq(term.norm_b)) ** (m + delta) / mpc(term.chi) * inner / N ** 2
+                _to_mp(qq(term.norm_b)) ** (m + delta) / mpc(term.chi) * inner / N ** 2
             )
         val = total / w_f
-    return mpc(val)
+        return mpc(val)

@@ -13,37 +13,30 @@ holomorphic Eisenstein family, by three mutually independent routes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import factorial
 from typing import Dict, Tuple
 
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpc
 
 from .exact import (
     QQ,
     ExtScalar,
     bernoulli_value,
-    qq,
     symbol_term,
 )
 from .eisenstein import HoloFourier, e_fourier
-from .modgroup import S, ResiduePair, act_residue, in_index_set
+from .modgroup import S, ResiduePair, in_index_set
 from .numerics import (
     DEFAULT_PREC,
     GUARD_BITS,
     PoleError,
+    _to_mp,
     cyclo_value,
-    e_of,
     ext_scalar_value,
     hurwitz_zeta,
     hurwitz_zeta_ds,
     polylog_s,
 )
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 class IExt:
@@ -90,7 +83,7 @@ class IExt:
     def numeric(self, prec: int = DEFAULT_PREC) -> mpc:
         with mp.workprec(prec + GUARD_BITS):
             val = ext_scalar_value(self.one, prec) + 1j * ext_scalar_value(self.ipart, prec)
-        return mpc(val)
+            return mpc(val)
 
 
 @dataclass
@@ -127,7 +120,7 @@ def lvalue_closed(k: int, lam: ResiduePair, N: int, r: int) -> LValueClosed:
     beta = (
         bernoulli_value(k - r, QQ(l1, N))
         * bernoulli_value(r, QQ(l2, N))
-        / (_factorial(k - 1) * r * (k - r))
+        / (factorial(k - 1) * r * (k - r))
     )
     val = IExt().add_i_power(r, ExtScalar(beta))
     if l1 == 0 and r == k - 1:
@@ -157,7 +150,7 @@ class LFunctionSpec:
     def for_e_series(cls, k: int, lam: ResiduePair, N: int, M: int) -> "LFunctionSpec":
         lam = ResiduePair(N, lam.l1, lam.l2)
         f = e_fourier(k, lam, N, M)
-        lam_s = act_residue(lam, S.inverse())
+        lam_s = lam.act(S.inverse())
         fs = e_fourier(k, lam_s, N, M)
         return cls(k, N, f, fs, f.const, fs.const)
 
@@ -175,12 +168,9 @@ class LFunctionSpec:
 
 
 def _coeff_value(c, prec: int):
-    if isinstance(c, (mpc, mpf, int, float)):
-        return mpc(c)
     if hasattr(c, "coeffs"):  # Cyclo
         return cyclo_value(c, prec)
-    q = qq(c)
-    return mpc(mpf(int(q.numerator)) / int(q.denominator))
+    return mpc(_to_mp(c))
 
 
 _GAMMA_CACHE: Dict[tuple, mpc] = {}
@@ -196,7 +186,7 @@ def _exp_mellin(s, j: int, N: int, prec: int) -> mpc:
     with mp.workprec(prec + GUARD_BITS):
         a = 2 * mp.pi * j / N
         val = mp.power(a, -s) * mp.gammainc(s, a, mp.inf)
-    _GAMMA_CACHE[key] = mpc(val)
+        _GAMMA_CACHE[key] = mpc(val)
     return _GAMMA_CACHE[key]
 
 
@@ -225,7 +215,7 @@ def lvalue_numeric(spec: LFunctionSpec, s, prec: int = DEFAULT_PREC) -> mpc:
         )
         ik = mpc(1j) ** (-k)
         val = i1 + ik * i2 + ik * fs_inf / (s - k) - f_inf / s
-    return mpc(val)
+        return mpc(val)
 
 
 def lvalue_lerch_product(k: int, lam: ResiduePair, N: int, s, prec: int = DEFAULT_PREC) -> mpc:
@@ -269,4 +259,4 @@ def lvalue_lerch_product(k: int, lam: ResiduePair, N: int, s, prec: int = DEFAUL
             )
         front = mp.gamma(s) * mp.power(2 * mp.pi, -s)
         val = front * (-2j * mp.pi) ** k / mp.factorial(k - 1) * combined
-    return mpc(val)
+        return mpc(val)

@@ -39,9 +39,6 @@ class Mat2:
     def entries(self) -> Tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 
-    def max_entry(self) -> int:
-        return max(abs(x) for x in self.entries())
-
     def is_congruent_to_identity(self, N: int) -> bool:
         return (
             self.a % N == 1 % N
@@ -160,10 +157,6 @@ class ResiduePair:
         return f"({self.l1},{self.l2}) mod {self.N}"
 
 
-def act_residue(lam: ResiduePair, gamma: Mat2) -> ResiduePair:
-    return lam.act(gamma)
-
-
 def sl2_order(N: int) -> int:
     """|SL2(Z/N)| = N^3 prod_{p | N} (1 - p^-2)."""
     order = N ** 3
@@ -229,15 +222,6 @@ class CosetTable:
 
     def identity_index(self) -> int:
         return self.index_of(IDENTITY)
-
-    def rmul_index(self, i: int, letter: str) -> int:
-        table = {
-            "T": self.rmul_T,
-            "S": self.rmul_S,
-            "T^-1": self.rmul_T_inv,
-            "S^-1": self.rmul_S_inv,
-        }[letter]
-        return table[i]
 
     def rmul_t_power(self, i: int, n: int) -> int:
         table = self.rmul_T if n >= 0 else self.rmul_T_inv

@@ -11,7 +11,6 @@ caches (pi, Euler gamma, ...) are write-once per precision.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from mpmath import mp, mpc, mpf
@@ -28,25 +27,6 @@ class PoleError(ValueError):
 
 class PrecisionError(ValueError):
     """The requested tolerance is unattainable at the given precision budget."""
-
-
-@dataclass(frozen=True)
-class PrecisionBudget:
-    """Working precision (bits), Fourier truncation, lattice radius, tolerance.
-
-    The recommended defaults keep every documented numeric error bound in
-    this package at or below tol.
-    """
-
-    prec: int = DEFAULT_PREC
-    fourier_terms: int = 200
-    lattice_radius: int = 400
-    tol: float = 2.0 ** -128
-
-    def validate(self):
-        if self.tol < 2.0 ** (16 - self.prec):
-            raise PrecisionError("tolerance below what the working precision supports")
-        return self
 
 
 def _to_mp(x):
@@ -83,7 +63,7 @@ def hurwitz_zeta(a, s, prec: int = DEFAULT_PREC) -> mpc:
         if mp.im(s) == 0:
             s = mp.re(s)
         val = mp.zeta(s, _to_mp(a))
-    return mpc(val)
+        return mpc(val)
 
 
 def hurwitz_zeta_ds(a, s, prec: int = DEFAULT_PREC) -> mpc:
@@ -91,7 +71,7 @@ def hurwitz_zeta_ds(a, s, prec: int = DEFAULT_PREC) -> mpc:
     a = qq(a)
     with mp.workprec(prec + GUARD_BITS):
         val = mp.zeta(mpc(s), _to_mp(a), 1)
-    return mpc(val)
+        return mpc(val)
 
 
 def polylog(w: int, x, prec: int = DEFAULT_PREC) -> mpc:
@@ -123,7 +103,7 @@ def _polylog_cached(w: int, num: int, den: int, prec: int) -> mpc:
             for j in range(1, den + 1):
                 acc += e_of(QQ(j * num, den), prec) * mp.zeta(w, mpf(j) / den)
             val = acc / mpf(den) ** w
-    return mpc(val)
+        return mpc(val)
 
 
 def polylog_s(s, x, prec: int = DEFAULT_PREC) -> mpc:
@@ -136,7 +116,7 @@ def polylog_s(s, x, prec: int = DEFAULT_PREC) -> mpc:
             raise PoleError("Li_1(1) diverges")
         with mp.workprec(prec + GUARD_BITS):
             val = mp.zeta(s if mp.im(s) else mp.re(s))
-        return mpc(val)
+            return mpc(val)
     if s == 1:
         return polylog(1, x, prec)
     den = int(x.denominator)
@@ -145,7 +125,7 @@ def polylog_s(s, x, prec: int = DEFAULT_PREC) -> mpc:
         for j in range(1, den + 1):
             acc += e_of(j * x, prec) * hurwitz_zeta(QQ(j, den), s, prec)
         val = acc * mp.power(den, -s)
-    return mpc(val)
+        return mpc(val)
 
 
 def lerch_phi(x, a, s, prec: int = DEFAULT_PREC) -> mpc:
@@ -176,7 +156,7 @@ def lerch_phi(x, a, s, prec: int = DEFAULT_PREC) -> mpc:
             for j in range(den):
                 acc += e_of(j * x, prec) * hurwitz_zeta((QQ(j) + a) / den, s, prec)
             val = acc * mp.power(den, -s)
-    return mpc(val)
+        return mpc(val)
 
 
 def rational_reconstruct(z, den_bound: int, eps, prec: int = DEFAULT_PREC):
@@ -254,7 +234,7 @@ def cyclo_value(c, prec: int = DEFAULT_PREC) -> mpc:
         acc = mpc(0)
         for coeff in reversed(c.coeffs):
             acc = acc * mu + _to_mp(coeff)
-    return mpc(acc)
+        return mpc(acc)
 
 
 def polylog_symbol_value(sym, prec: int = DEFAULT_PREC) -> mpc:
@@ -262,7 +242,7 @@ def polylog_symbol_value(sym, prec: int = DEFAULT_PREC) -> mpc:
     with mp.workprec(prec + GUARD_BITS):
         li = polylog(sym.w, QQ(sym.num, sym.den), prec)
         val = li / minus_two_pi_i(prec) ** sym.w
-    return mpc(val)
+        return mpc(val)
 
 
 def ext_scalar_value(x, prec: int = DEFAULT_PREC) -> mpc:
@@ -270,7 +250,7 @@ def ext_scalar_value(x, prec: int = DEFAULT_PREC) -> mpc:
         acc = mpc(_to_mp(x.rational))
         for sym, coeff in x.sorted_symbols():
             acc += _to_mp(coeff) * polylog_symbol_value(sym, prec)
-    return mpc(acc)
+        return mpc(acc)
 
 
 def raw_symbol_sum_value(w: int, raw_terms: dict, prec: int = DEFAULT_PREC) -> mpc:
@@ -282,4 +262,4 @@ def raw_symbol_sum_value(w: int, raw_terms: dict, prec: int = DEFAULT_PREC) -> m
             a = qq(arg)
             a = a - (a.numerator // a.denominator)
             acc += _to_mp(qq(coeff)) * polylog(w, a, prec) / m2pi
-    return mpc(acc)
+        return mpc(acc)

@@ -46,7 +46,7 @@ from eisperiods.lseries import (
     lvalue_lerch_product,
     lvalue_numeric,
 )
-from eisperiods.modgroup import S, T, ResiduePair, act_residue, index_set, t_power
+from eisperiods.modgroup import S, T, ResiduePair, index_set, t_power
 from eisperiods.numerics import (
     e_of,
     hurwitz_zeta,
@@ -243,7 +243,7 @@ def test_criterion_4_functional_equation():
     for k, N, lam_pair, s in samples:
         lam = ResiduePair(N, *lam_pair)
         spec_f = LFunctionSpec.for_e_series(k, lam, N, 200)
-        spec_fs = LFunctionSpec.for_e_series(k, act_residue(lam, S), N, 200)
+        spec_fs = LFunctionSpec.for_e_series(k, lam.act(S), N, 200)
         lhs = lvalue_numeric(spec_f, s, PREC)
         rhs = mpc(1j) ** k * lvalue_numeric(spec_fs, k - s, PREC)
         worst = max(worst, abs(lhs - rhs))

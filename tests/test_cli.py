@@ -184,3 +184,35 @@ class TestTolValidation:
             main(["--prec", "64", "--tol", "1e-40",
                   "periods", "--k", "4", "--N", "1", "--lambda", "0,0"])
         assert exc.value.code == 2
+
+
+class TestBadConfiguration:
+    """Malformed configuration exits 2 through the argument parser."""
+
+    def exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        return err
+
+    def test_non_numeric_tol(self, capsys):
+        err = self.exits_2(capsys, ["--tol", "abc", "periods", "--k", "4", "--N", "1", "--lambda", "0,0"])
+        assert "--tol" in err
+
+    def test_non_integer_env_precision(self, capsys, monkeypatch):
+        monkeypatch.setenv("EISP_PREC", "xx")
+        err = self.exits_2(capsys, ["periods", "--k", "4", "--N", "1", "--lambda", "0,0"])
+        assert "EISP_PREC" in err
+
+    def test_invariant_data_not_json(self, capsys, tmp_path):
+        path = tmp_path / "lattice.json"
+        path.write_text("not json")
+        self.exits_2(capsys, ["invariant", "--m", "2", "--data", str(path)])
+
+    def test_hecke_data_lattice_without_level(self, capsys, tmp_path):
+        path = tmp_path / "classes.json"
+        path.write_text(json.dumps({"classes": [{"lattice": {"minpoly": [1, 0, 1]}}]}))
+        err = self.exits_2(capsys, ["hecke", "--m", "2", "--data", str(path)])
+        assert "KeyError" in err

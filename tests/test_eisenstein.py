@@ -17,7 +17,7 @@ from eisperiods.eisenstein import (
     maass_fourier,
     raw_scale,
 )
-from eisperiods.modgroup import S, T, ResiduePair, act_residue
+from eisperiods.modgroup import S, T, ResiduePair
 from eisperiods.numerics import cyclo_value, e_of
 
 PREC = 192
@@ -90,7 +90,7 @@ class TestEFourier:
                 if (l1, l2) == (0, 0):
                     l1 = 1
                 f1 = e_fourier(4, lam(N, l1, l2), N, 220)
-                f2 = e_fourier(4, act_residue(lam(N, l1, l2), g), N, 220)
+                f2 = e_fourier(4, lam(N, l1, l2).act(g), N, 220)
                 gt = (g.a * tau + g.b) / (g.c * tau + g.d)
                 lhs = eval_fourier(f2, tau, PREC)
                 rhs = (g.c * tau + g.d) ** -4 * eval_fourier(f1, gt, PREC)

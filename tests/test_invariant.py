@@ -132,13 +132,6 @@ class TestQuadLattice:
         assert e.disc == -3
         assert abs(e.tau(128) - mpc(mpf(1) / 2, mp.sqrt(3) / 2)) < mpf(2) ** -100
 
-    def test_volume_identity(self):
-        d = QuadLatticeData(2, 1, 3, QQ(5, 7), 2, lam(2, 1, 0))
-        assert d.disc == 1 - 24
-        v = d.volume(128)
-        want = (mpf(5) / 7) ** 2 * mp.sqrt(23) / 4
-        assert abs(v - want) < mpf(2) ** -100
-
     def test_validation(self):
         with pytest.raises(ValueError):
             QuadLatticeData(-1, 0, -1, QQ(1), 1, lam(1, 0, 0))

@@ -1,11 +1,13 @@
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
+from eisperiods.eisenstein import LatticeParams, g_fourier, lattice_sum, raw_scale
 from eisperiods.exact import QQ, bernoulli_value
+from eisperiods.invariant import QuadLatticeData, psi
+from eisperiods.lseries import lvalue_closed, lvalue_lerch_product
+from eisperiods.modgroup import ResiduePair
 from eisperiods.numerics import (
     PoleError,
-    PrecisionBudget,
-    PrecisionError,
     e_of,
     hurwitz_zeta,
     lerch_phi,
@@ -134,8 +136,35 @@ class TestRationalReconstruct:
         assert rational_reconstruct(mpf(1) / 541, 1000, 1e-30, PREC) == QQ(1, 541)
 
 
-class TestBudget:
-    def test_validation(self):
-        PrecisionBudget().validate()
-        with pytest.raises(PrecisionError):
-            PrecisionBudget(prec=64, tol=2.0 ** -128).validate()
+_EIS = QuadLatticeData.preset("eisenstein")
+AMBIENT_CASES = {
+    "hurwitz_zeta": lambda: hurwitz_zeta(QQ(1, 3), 3, PREC),
+    "polylog_s": lambda: polylog_s(mpc(2.5, 1), QQ(1, 5), PREC),
+    "raw_scale": lambda: raw_scale(12, PREC),
+    "lattice_sum": lambda: lattice_sum(
+        LatticeParams(12, 0, 1, ResiduePair(1, 0, 0), "congruence", 3), mpc(0.1, 1.2), PREC
+    ),
+    "g_fourier": lambda: g_fourier(4, ResiduePair(3, 0, 1), 3, 2, PREC).const,
+    "lvalue_closed": lambda: lvalue_closed(4, ResiduePair(1, 0, 0), 1, 2).numeric(PREC),
+    "lvalue_lerch_product": lambda: lvalue_lerch_product(4, ResiduePair(3, 1, 2), 3, 2, PREC),
+    "tau": lambda: _EIS.tau(PREC),
+    "psi": lambda: psi(2, _EIS, _EIS.lam, mpc(0.25, 1.5), M=60, prec=PREC).value,
+}
+
+
+@pytest.mark.parametrize("name", sorted(AMBIENT_CASES))
+def test_result_precision_ignores_ambient(name):
+    """A result asked for at PREC bits carries them even when the caller's
+    mpmath precision is the 53-bit default."""
+    call = AMBIENT_CASES[name]
+    with mp.workprec(4 * PREC):
+        want = call()
+    saved = mp.prec
+    mp.prec = 53
+    try:
+        got = call()
+    finally:
+        mp.prec = saved
+    bits = max(got.real._mpf_[3], got.imag._mpf_[3])
+    assert bits >= PREC
+    assert got == want
