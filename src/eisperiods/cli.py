@@ -49,6 +49,8 @@ from .modgroup import S, T, ResiduePair, in_index_set, index_set
 from .numerics import mpc_json, mpf_hex, rational_reconstruct
 
 MAX_WEIGHT = 16
+MIN_PREC = 32
+MAX_PREC = 4096  # bits, for --prec and EISP_PREC; every documented run needs at most 256
 MAX_LEVEL = 12
 MAX_ORDER = 6
 
@@ -66,10 +68,12 @@ class RunConfig:
     out: str | None
 
     def validate(self, parser: argparse.ArgumentParser):
-        if self.prec < 32:
-            parser.error("--prec must be at least 32 bits")
+        if not MIN_PREC <= self.prec <= MAX_PREC:
+            parser.error(f"--prec (or EISP_PREC) must be in [{MIN_PREC}, {MAX_PREC}] bits, got {self.prec}")
         if self.trunc < 1 or self.radius < 1:
             parser.error("--trunc and --radius must be positive")
+        if not mp.isfinite(self.tol):
+            parser.error(f"--tol must be a finite number, got {mp.nstr(self.tol)}")
         if self.tol < mpf(2) ** (16 - self.prec):
             parser.error("--tol below what --prec supports (need tol >= 2^(16-prec))")
         return self
@@ -168,7 +172,7 @@ def cmd_fourier(args, config: RunConfig, parser) -> int:
                 "tolerance": mp.nstr(config.tol, 8),
                 "pass": bool(residual < config.tol),
             }
-            if residual >= config.tol:
+            if not residual < config.tol:
                 status = EXIT_TOLERANCE
     _emit(report, config)
     return status
@@ -205,7 +209,7 @@ def cmd_lvalues(args, config: RunConfig, parser) -> int:
                     "pass": bool(spread < config.tol),
                 }
             )
-            if spread >= config.tol:
+            if not spread < config.tol:
                 status = EXIT_TOLERANCE
     _emit(
         {

@@ -7,13 +7,23 @@ Cocycles are stored by their values at T and S only; every other value is
 reconstructed through the cocycle rule along an S/T word.  T-power runs are
 evaluated in closed form (Bernoulli sums over arithmetic progressions), so
 evaluation cost is logarithmic in the matrix entries.
+
+Every per-coset loop runs on a quotient of the coset set: the coarsest
+partition on which the stored values are constant and which right
+multiplication by T and S maps class to class.  Every value the cocycle rule
+builds is then constant on the classes too, so it is computed once per class
+and expanded to one entry per coset only when returned.  The values of
+build_induced are shared per transported parameter lambda sigma, so there the
+classes are the lambda-orbit (12, 24 and 24 classes at N = 4, 5, 6 for
+lambda = (0,1), against 48, 120 and 144 cosets), and evaluation cost scales
+with the orbit, not with |SL2(Z/N)|.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from mpmath import mpc
 
@@ -22,6 +32,7 @@ from .lseries import lvalue_closed
 from .modgroup import (
     IndexSetError,
     S,
+    CosetQuotient,
     CosetTable,
     Mat2,
     ResiduePair,
@@ -201,12 +212,46 @@ class InducedCochain:
             self.k, self.N, self.lam, self.table, list(self.val_T), list(self.val_S)
         )
 
+    def quotient(self) -> CosetQuotient:
+        """The coarsest coset quotient on which val_T and val_S are constant
+        and closed under right multiplication; evaluation runs per class."""
+        return _coset_quotient(self.table, self.val_T, self.val_S)
+
     @staticmethod
     def coset_parameters(lam: ResiduePair, table: CosetTable, value) -> list:
         """value(lam sigma) for every coset sigma of table, in table order,
         evaluated once per distinct transported parameter lam sigma."""
         value = lru_cache(maxsize=None)(value)
         return [value(lam.act(table.representative(i))) for i in range(len(table))]
+
+
+def _coset_quotient(table: CosetTable, *per_coset: Sequence[PeriodPoly]) -> CosetQuotient:
+    """The coarsest quotient of table on which every per-coset list is
+    constant, comparing values by object identity: cosets that share one
+    PeriodPoly object share a class, so no polynomial is compared."""
+    return CosetQuotient(table, list(zip(*([id(p) for p in vals] for vals in per_coset))))
+
+
+@dataclass
+class _ClassCochain:
+    """Stored values of a cochain with one entry per class of a quotient."""
+
+    k: int
+    N: int
+    table: CosetQuotient
+    val_T: List[PeriodPoly]
+    val_S: List[PeriodPoly]
+
+
+def _on_classes(quot: CosetQuotient, values: Sequence[PeriodPoly]) -> List[PeriodPoly]:
+    return [values[r] for r in quot.representatives]
+
+
+def _reduce(cochain: InducedCochain) -> _ClassCochain:
+    quot = cochain.quotient()
+    return _ClassCochain(
+        cochain.k, cochain.N, quot, _on_classes(quot, cochain.val_T), _on_classes(quot, cochain.val_S)
+    )
 
 
 def build_induced(k: int, lam: ResiduePair, N: int) -> InducedCochain:
@@ -282,12 +327,12 @@ class RationalityReport:
         return out
 
 
-def _transport_T(values: List[PeriodPoly], table: CosetTable, n: int) -> List[PeriodPoly]:
+def _transport_T(values: List[PeriodPoly], table: CosetQuotient, n: int) -> List[PeriodPoly]:
     """Right transport by T^n: (F|T^n)(sigma) = F(sigma T^{-n})|T^n."""
     return [values[table.rmul_t_power(i, -n)].shift(n) for i in range(len(table))]
 
 
-def _transport_S(values: List[PeriodPoly], table: CosetTable) -> List[PeriodPoly]:
+def _transport_S(values: List[PeriodPoly], table: CosetQuotient) -> List[PeriodPoly]:
     """Right transport by S: (F|S)(sigma) = F(sigma S^{-1})|S."""
     return [values[table.rmul_S_inv[i]].act(S) for i in range(len(table))]
 
@@ -297,23 +342,24 @@ def modify_and_certify(
 ) -> Tuple[InducedCochain, RationalityReport]:
     """Add the coboundary F|_gamma - F to the stored values at T and S and
     report, per coset and coefficient, whether every polylog-symbol
-    coefficient cancelled exactly."""
+    coefficient cancelled exactly.  The sums and the symbol scan run once per
+    class of the quotient on which the cochain and F are constant."""
     if (cochain.k, cochain.N) != (cob.k, cob.N):
         raise ValueError("cochain and coboundary data have incompatible (k, N)")
-    table = cochain.table
-    new_T = [
-        a + b - f
-        for a, b, f in zip(cochain.val_T, _transport_T(cob.values, table, 1), cob.values)
-    ]
-    new_S = [
-        a + b - f
-        for a, b, f in zip(cochain.val_S, _transport_S(cob.values, table), cob.values)
-    ]
-    modified = InducedCochain(cochain.k, cochain.N, cochain.lam, table, new_T, new_S)
+    quot = _coset_quotient(cochain.table, cochain.val_T, cochain.val_S, cob.values)
+    val_T, val_S, cob_values = (
+        _on_classes(quot, vals) for vals in (cochain.val_T, cochain.val_S, cob.values)
+    )
+    new_T = [a + b - f for a, b, f in zip(val_T, _transport_T(cob_values, quot, 1), cob_values)]
+    new_S = [a + b - f for a, b, f in zip(val_S, _transport_S(cob_values, quot), cob_values)]
+    modified = InducedCochain(
+        cochain.k, cochain.N, cochain.lam, cochain.table, quot.expand(new_T), quot.expand(new_S)
+    )
     failures = []
     for gen, vals in (("T", new_T), ("S", new_S)):
-        for i, poly in enumerate(vals):
-            for idx, sym, coeff in poly.symbol_failures():
+        class_failures = [poly.symbol_failures() for poly in vals]
+        for i, c in enumerate(quot.class_of):
+            for idx, sym, coeff in class_failures[c]:
                 failures.append(
                     {"coset": i, "generator": gen, "coeff_index": idx, "symbol": sym, "coeff": coeff}
                 )
@@ -322,10 +368,10 @@ def modify_and_certify(
 
 
 # ---------------------------------------------------------------------------
-# cocycle evaluation along S/T words
+# cocycle evaluation along S/T words, one value per class of the quotient
 
 
-def _zero_values(cochain: InducedCochain) -> List[PeriodPoly]:
+def _zero_values(cochain: _ClassCochain) -> List[PeriodPoly]:
     return [PeriodPoly.zero(cochain.k) for _ in range(len(cochain.table))]
 
 
@@ -350,7 +396,7 @@ def _poly_ap_shift_sum(poly: PeriodPoly, psums: List[QQ]) -> PeriodPoly:
     return PeriodPoly(poly.k, out)
 
 
-def _t_run_value(cochain: InducedCochain, n: int) -> List[PeriodPoly]:
+def _t_run_value(cochain: _ClassCochain, n: int) -> List[PeriodPoly]:
     """c(T^n) in closed form: group the cocycle sum over j < n by the residue
     of j mod N; each class contributes an arithmetic-progression shift sum."""
     if n == 0:
@@ -377,7 +423,7 @@ def _t_run_value(cochain: InducedCochain, n: int) -> List[PeriodPoly]:
     return out
 
 
-def evaluate_word(cochain: InducedCochain, tokens) -> List[PeriodPoly]:
+def _evaluate_classes(cochain: _ClassCochain, tokens) -> List[PeriodPoly]:
     """Cocycle value along a token word via c(uv) = c(u)|_v + c(v)."""
     table = cochain.table
     acc: Optional[List[PeriodPoly]] = None
@@ -399,6 +445,13 @@ def evaluate_word(cochain: InducedCochain, tokens) -> List[PeriodPoly]:
     return acc if acc is not None else _zero_values(cochain)
 
 
+def evaluate_word(cochain: InducedCochain, tokens) -> List[PeriodPoly]:
+    """Cocycle value along a token word, one polynomial per coset (cosets of
+    one class share the object)."""
+    reduced = _reduce(cochain)
+    return reduced.table.expand(_evaluate_classes(reduced, tokens))
+
+
 def evaluate_cocycle(cochain: InducedCochain, gamma: Mat2) -> List[PeriodPoly]:
     """The unique cocycle extension of the stored values to any gamma."""
     return evaluate_word(cochain, decompose_ST(gamma).tokens)
@@ -407,11 +460,12 @@ def evaluate_cocycle(cochain: InducedCochain, gamma: Mat2) -> List[PeriodPoly]:
 def verify_relations(cochain: InducedCochain) -> bool:
     """Exact well-definedness: the values along S^4 must vanish and the
     values along (ST)^3 must equal those along S^2."""
-    s4 = evaluate_word(cochain, [("S", 4)])
+    reduced = _reduce(cochain)
+    s4 = _evaluate_classes(reduced, [("S", 4)])
     if not all(p.is_zero() for p in s4):
         return False
-    st3 = evaluate_word(cochain, [("S", 1), ("T", 1)] * 3)
-    s2 = evaluate_word(cochain, [("S", 2)])
+    st3 = _evaluate_classes(reduced, [("S", 1), ("T", 1)] * 3)
+    s2 = _evaluate_classes(reduced, [("S", 2)])
     return all(a == b for a, b in zip(st3, s2))
 
 

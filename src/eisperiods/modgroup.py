@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import floor, gcd
-from typing import List, Tuple
+from typing import Hashable, List, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -172,7 +172,23 @@ def sl2_order(N: int) -> int:
     return order
 
 
-class CosetTable:
+class _RightMultiplication:
+    """Right multiplication by T and T^-1 on a set of indexed items (the
+    cosets of a CosetTable, or the classes of a CosetQuotient); T^N acts
+    trivially."""
+
+    N: int
+    rmul_T: Tuple[int, ...]
+    rmul_T_inv: Tuple[int, ...]
+
+    def rmul_t_power(self, i: int, n: int) -> int:
+        table = self.rmul_T if n >= 0 else self.rmul_T_inv
+        for _ in range(abs(n) % self.N if self.N > 1 else 0):
+            i = table[i]
+        return i
+
+
+class CosetTable(_RightMultiplication):
     """Enumeration of SL2(Z/N) with right-multiplication tables for T, S and
     their inverses; this indexes the cosets Gamma(N) \\ SL2(Z).
 
@@ -223,11 +239,52 @@ class CosetTable:
     def identity_index(self) -> int:
         return self.index_of(IDENTITY)
 
-    def rmul_t_power(self, i: int, n: int) -> int:
-        table = self.rmul_T if n >= 0 else self.rmul_T_inv
-        for _ in range(abs(n) % self.N if self.N > 1 else 0):
-            i = table[i]
-        return i
+
+def _first_occurrence_ids(keys: Sequence[Hashable]) -> List[int]:
+    """Number the distinct keys 0, 1, ... in order of first occurrence."""
+    ids: dict = {}
+    return [ids.setdefault(key, len(ids)) for key in keys]
+
+
+class CosetQuotient(_RightMultiplication):
+    """The coarsest partition of a coset table that refines the given
+    per-coset keys and is closed under right multiplication by T and S, with
+    the right-multiplication tables on its classes.
+
+    Found by Moore refinement: split classes by the classes of the T^-1 and
+    S^-1 neighbours until the class count stops growing.  Closure under the
+    permutations T^-1 and S^-1 of a finite set gives closure under T and S.
+    Classes are numbered in order of their first coset.
+    """
+
+    def __init__(self, table: CosetTable, keys: Sequence[Hashable]):
+        if len(keys) != len(table):
+            raise ValueError("need one key per coset")
+        self.N = table.N
+        cls = _first_occurrence_ids(keys)
+        while True:
+            refined = _first_occurrence_ids(
+                [(c, cls[t], cls[s]) for c, t, s in zip(cls, table.rmul_T_inv, table.rmul_S_inv)]
+            )
+            if refined == cls:  # no class split: the count stopped growing
+                break
+            cls = refined
+        self.class_of: Tuple[int, ...] = tuple(cls)
+        reps: List[int] = []  # the first coset of each class
+        for i, c in enumerate(cls):
+            if c == len(reps):
+                reps.append(i)
+        self.representatives: Tuple[int, ...] = tuple(reps)
+        self.rmul_T = tuple(cls[table.rmul_T[r]] for r in reps)
+        self.rmul_T_inv = tuple(cls[table.rmul_T_inv[r]] for r in reps)
+        self.rmul_S_inv = tuple(cls[table.rmul_S_inv[r]] for r in reps)
+
+    def __len__(self):
+        return len(self.representatives)
+
+    def expand(self, per_class: Sequence) -> list:
+        """One entry per coset, in table order, from one entry per class."""
+        return [per_class[c] for c in self.class_of]
 
 
 def _lift_to_sl2z(a: int, b: int, c: int, d: int, N: int) -> Mat2:

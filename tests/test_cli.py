@@ -3,7 +3,8 @@ import json
 import pytest
 from mpmath import mp
 
-from eisperiods.cli import main
+from eisperiods import cli
+from eisperiods.cli import MAX_PREC, main
 
 
 def run(capsys, *argv):
@@ -200,6 +201,26 @@ class TestBadConfiguration:
     def test_non_numeric_tol(self, capsys):
         err = self.exits_2(capsys, ["--tol", "abc", "periods", "--k", "4", "--N", "1", "--lambda", "0,0"])
         assert "--tol" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol(self, capsys, tol):
+        # a NaN tolerance would make every "residual < tol" test false and
+        # every "residual >= tol" test false too
+        err = self.exits_2(capsys, ["--tol", tol, "lvalues", "--k", "4", "--N", "1", "--lambda", "0,0"])
+        assert "--tol" in err
+
+    def test_precision_above_cap(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the command ran before the precision was checked")
+
+        argv = ["periods", "--k", "4", "--N", "1", "--lambda", "0,0"]
+        code, doc = run(capsys, "--prec", str(MAX_PREC), *argv)  # exact, no precision-bound work
+        assert code == 0
+        monkeypatch.setattr(cli, "cmd_periods", refuse)
+        assert "--prec" in self.exits_2(capsys, ["--prec", str(MAX_PREC + 1)] + argv)
+        assert "--prec" in self.exits_2(capsys, argv + ["--prec", "100000000"])
+        monkeypatch.setenv("EISP_PREC", str(MAX_PREC + 1))
+        assert "EISP_PREC" in self.exits_2(capsys, argv)
 
     def test_non_integer_env_precision(self, capsys, monkeypatch):
         monkeypatch.setenv("EISP_PREC", "xx")

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from eisperiods.exact import QQ, ExtScalar, PolylogSymbol, qq
@@ -27,8 +29,10 @@ from eisperiods.modgroup import (
     T,
     Mat2,
     ResiduePair,
+    STWord,
     decompose_ST,
     index_set,
+    sl2_order,
     t_power,
 )
 
@@ -255,6 +259,105 @@ class TestEvaluation:
         assert w.to_matrix() == g
         again = evaluate_word(c, [("S", 1), ("S", 1), ("S", 1), ("S", 1)] + w.tokens)
         assert all(a == b for a, b in zip(vals, again))
+
+
+def perturbed(c, gen, i):
+    """Copy of c with 1/7 added to the constant coefficient of its value at
+    gen on coset i only."""
+    bad = c.copy()
+    polys = list(bad.val_T if gen == "T" else bad.val_S)
+    coeffs = list(polys[i].coeffs)
+    coeffs[0] = coeffs[0] + ExtScalar(QQ(1, 7))
+    polys[i] = PeriodPoly(c.k, coeffs)
+    if gen == "T":
+        bad.val_T = polys
+    else:
+        bad.val_S = polys
+    return bad
+
+
+LETTERS = {"S": S, "T": T, "T^-1": t_power(-1)}
+
+
+def naive_evaluate(c, tokens):
+    """c(uv)(sigma) = c(u)(sigma v^-1)|v + c(v)(sigma), one letter v at a time
+    on every coset, with the cosets looked up from matrix products."""
+    table = c.table
+    reps = [table.representative(i) for i in range(len(table))]
+
+    def letter_value(letter, i):
+        if letter == "S":
+            return c.val_S[i]
+        if letter == "T":
+            return c.val_T[i]
+        # c(T^-1)(sigma) = -c(T)(sigma T)|T^-1, from c(T T^-1) = 0
+        return -c.val_T[table.index_of(reps[i] * T)].act(t_power(-1))
+
+    acc = [PeriodPoly.zero(c.k) for _ in reps]
+    for letter in STWord(tokens).letters():
+        v = LETTERS[letter]
+        acc = [
+            acc[table.index_of(rep * v.inverse())].act(v) + letter_value(letter, i)
+            for i, rep in enumerate(reps)
+        ]
+    return acc
+
+
+SMALL_CELLS = [(k, N, lamv) for N in (1, 2, 3, 4) for k in (2, 3, 4, 6) for lamv in index_set(N, k)]
+
+WORDS = st.lists(
+    st.one_of(
+        st.tuples(st.just("S"), st.integers(min_value=1, max_value=3)),
+        st.tuples(st.just("T"), st.integers(min_value=-6, max_value=6).filter(bool)),
+    ),
+    max_size=5,
+)
+
+
+class TestOrbitQuotient:
+    """Evaluation runs once per class of the coset quotient; the results must
+    be those of a per-coset evaluation."""
+
+    @given(
+        cell=st.sampled_from(SMALL_CELLS),
+        tokens=WORDS,
+        perturb=st.one_of(
+            st.none(), st.tuples(st.sampled_from(["T", "S"]), st.integers(min_value=0, max_value=47))
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_naive_per_coset(self, cell, tokens, perturb):
+        k, N, lamv = cell
+        c = build_induced(k, lamv, N)
+        if perturb is not None:
+            c = perturbed(c, perturb[0], perturb[1] % len(c.table))
+        got = evaluate_word(c, tokens)
+        assert len(got) == len(c.table)
+        assert got == naive_evaluate(c, tokens)
+
+    def test_orbit_class_counts(self):
+        for N, classes in ((4, 12), (5, 24), (6, 24)):
+            for k in (2, 3, 4):
+                c = build_induced(k, lam(N, 0, 1), N)
+                assert (len(c.table), len(c.quotient())) == (sl2_order(N), classes)
+
+    def test_perturbed_quotient_is_finer_and_closed(self):
+        c = build_induced(6, lam(4, 2, 1), 4)
+        bad = perturbed(c, "S", 0)
+        quot = bad.quotient()
+        assert len(c.quotient()) < len(quot) <= len(c.table)
+        table = bad.table
+        for i, cls in enumerate(quot.class_of):
+            rep = quot.representatives[cls]
+            assert bad.val_T[i] is bad.val_T[rep] and bad.val_S[i] is bad.val_S[rep]
+            assert quot.rmul_T[cls] == quot.class_of[table.rmul_T[i]]
+            assert quot.rmul_T_inv[cls] == quot.class_of[table.rmul_T_inv[i]]
+            assert quot.rmul_S_inv[cls] == quot.class_of[table.rmul_S_inv[i]]
+
+    def test_modified_cochain_keeps_the_orbit(self):
+        cochain, modified, report = certify_parameter(4, lam(5, 0, 1), 5)
+        assert report.certified
+        assert len(modified.quotient()) == len(cochain.quotient()) == 24
 
 
 class TestRelations:

@@ -1,7 +1,12 @@
 import random
+from math import gcd
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from eisperiods.modgroup import (
     IDENTITY,
+    CosetQuotient,
     S,
     T,
     Mat2,
@@ -94,6 +99,24 @@ class TestDecompose:
             # measured bound for nearest-integer division
             assert len(w.tokens) <= 4 * max(2.0, math.log(max(map(abs, g.entries())) + 1))
 
+    @given(
+        c=st.integers(min_value=-10 ** 4, max_value=10 ** 4),
+        d=st.integers(min_value=-10 ** 4, max_value=10 ** 4),
+        shift=st.integers(min_value=-1, max_value=1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_tokens_multiply_back(self, c, d, shift):
+        # bottom row (c, d) coprime, top row from Bezout shifted by a multiple of it
+        assume(gcd(c, d) == 1)
+        _, a, b = _xgcd(d, -c)
+        g = Mat2(a + shift * c, b + shift * d, c, d)
+        acc = IDENTITY
+        for kind, n in decompose_ST(g).tokens:
+            assert (kind == "S" and n in (1, 2)) or (kind == "T" and n != 0)
+            for _ in range(n if kind == "S" else 1):
+                acc = acc * (S if kind == "S" else t_power(n))
+        assert acc == g
+
     def test_letters_alphabet(self):
         rng = random.Random(1)
         for _ in range(50):
@@ -180,6 +203,32 @@ class TestCosetTable:
         rep = table.representative(i)
         for n in (-7, -1, 0, 1, 3, 9):
             assert table.rmul_t_power(i, n) == table.index_of(rep * t_power(n))
+
+
+class TestCosetQuotient:
+    def test_extremes(self):
+        table = enumerate_sl2(3)
+        n = len(table)
+        one = CosetQuotient(table, [0] * n)
+        assert len(one) == 1 and one.class_of == (0,) * n
+        assert one.rmul_T == one.rmul_T_inv == one.rmul_S_inv == (0,)
+        full = CosetQuotient(table, list(range(n)))
+        assert full.class_of == tuple(range(n))
+        assert (full.rmul_T, full.rmul_T_inv, full.rmul_S_inv) == (
+            table.rmul_T, table.rmul_T_inv, table.rmul_S_inv
+        )
+
+    def test_single_key_refines_to_closed_partition(self):
+        table = enumerate_sl2(4)
+        keys = [0] * len(table)
+        keys[table.identity_index()] = 1
+        quot = CosetQuotient(table, keys)
+        for i, c in enumerate(quot.class_of):
+            assert quot.rmul_T_inv[c] == quot.class_of[table.rmul_T_inv[i]]
+            assert quot.rmul_S_inv[c] == quot.class_of[table.rmul_S_inv[i]]
+            assert quot.rmul_T[c] == quot.class_of[table.rmul_T[i]]
+            for n in (-5, -1, 2, 7):
+                assert quot.rmul_t_power(c, n) == quot.class_of[table.rmul_t_power(i, n)]
 
 
 class TestIndexSet:
