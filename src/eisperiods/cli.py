@@ -46,7 +46,7 @@ from .invariant import (
 )
 from .lseries import LFunctionSpec, lvalue_closed, lvalue_lerch_product, lvalue_numeric
 from .modgroup import S, T, ResiduePair, in_index_set, index_set
-from .numerics import mpc_json, mpf_hex, rational_reconstruct
+from .numerics import GUARD_BITS, mpc_json, mpf_hex, rational_reconstruct
 
 MAX_WEIGHT = 16
 MIN_PREC = 32
@@ -135,7 +135,7 @@ def cmd_fourier(args, config: RunConfig, parser) -> int:
     if kind is None:
         kind = "maass" if args.l is not None else "e"
     l = args.l or 0
-    with mp.workprec(config.prec + 16):
+    with mp.workprec(config.prec + GUARD_BITS):
         if kind == "e":
             series = e_fourier(args.k, lam, args.N, config.trunc)
             mode = "elliptic"
@@ -186,7 +186,7 @@ def cmd_lvalues(args, config: RunConfig, parser) -> int:
     rs = [args.r] if args.r is not None else list(range(1, args.k))
     records = []
     status = EXIT_OK
-    with mp.workprec(config.prec + 16):
+    with mp.workprec(config.prec + GUARD_BITS):
         spec = LFunctionSpec.for_e_series(args.k, lam, args.N, config.trunc)
         scale = raw_scale(args.k, config.prec)
         for r in rs:
@@ -344,7 +344,7 @@ def cmd_invariant(args, config: RunConfig, parser) -> int:
     den_bound = 10 ** 6
     records = []
     failed = 0
-    with mp.workprec(config.prec + 24):
+    with mp.workprec(config.prec + GUARD_BITS):
         for name in gammas:
             gamma = GAMMAS.get(name)
             if gamma is None:
@@ -395,7 +395,7 @@ def cmd_hecke(args, config: RunConfig, parser) -> int:
         w_f = {"gaussian": 4, "eisenstein": 6}[args.preset]
     else:
         parser.error("need --preset or --data")
-    with mp.workprec(config.prec + 24):
+    with mp.workprec(config.prec + GUARD_BITS):
         value = hecke_assemble(
             args.m, args.delta, classes, w_f, prec=config.prec, M=config.trunc
         )

@@ -40,7 +40,7 @@ from .modgroup import (
     enumerate_sl2,
     in_index_set,
 )
-from .numerics import DEFAULT_PREC, ext_scalar_value
+from .numerics import DEFAULT_PREC, ext_scalar_value, prec_guard
 
 
 class PeriodPoly:
@@ -123,6 +123,7 @@ class PeriodPoly:
                 npow *= n
         return PeriodPoly(self.k, out)
 
+    @prec_guard
     def numeric_coeffs(self, prec: int = DEFAULT_PREC) -> List[mpc]:
         return [ext_scalar_value(c, prec) for c in self.coeffs]
 

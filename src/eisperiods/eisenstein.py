@@ -25,21 +25,13 @@ from .exact import QQ, bernoulli_value, cyclo_canonical, formal_binomial, qq_str
 from .modgroup import IndexSetError, ResiduePair, in_index_set
 from .numerics import (
     DEFAULT_PREC,
-    GUARD_BITS,
-    _mpf_ratio,
     _to_mp,
     e_of,
     hurwitz_zeta,
     mpc_json,
     polylog,
+    prec_guard,
 )
-
-try:
-    import gmpy2
-
-    _HAVE_GMPY2_MPC = hasattr(gmpy2, "mpc")
-except ImportError:
-    _HAVE_GMPY2_MPC = False
 
 
 @lru_cache(maxsize=16)
@@ -134,19 +126,20 @@ def e_fourier(k: int, lam: ResiduePair, N: int, M: int) -> HoloFourier:
     return HoloFourier("e", k, N, lam, M, const, coeffs, nonholo)
 
 
+@prec_guard
 def _hurwitz_sum_over_class(a: int, N: int, s, prec: int) -> mpc:
     """sum over n > 0, n = a mod N of n^-s (a taken in (0, N])."""
     a = a % N or N
     return hurwitz_zeta(QQ(a, N), s, prec) * mp.power(N, -mpc(s))
 
 
+@prec_guard
 def _two_sided_class_sum(l2: int, N: int, w: int, prec: int) -> mpc:
     """sum over nonzero n = l2 mod N of n^-w."""
-    with mp.workprec(prec + GUARD_BITS):
-        val = _hurwitz_sum_over_class(l2, N, w, prec) + (-1) ** w * _hurwitz_sum_over_class(-l2, N, w, prec)
-        return mpc(val)
+    return _hurwitz_sum_over_class(l2, N, w, prec) + (-1) ** w * _hurwitz_sum_over_class(-l2, N, w, prec)
 
 
+@prec_guard
 def g_fourier(k: int, lam: ResiduePair, N: int, M: int, prec: int = DEFAULT_PREC) -> HoloFourier:
     """Numeric congruence Eisenstein expansion: A_0 as a congruence zeta sum
     (two-sided over n = l2 mod N), divisor-sum A_j, and for k = 2 the
@@ -156,28 +149,27 @@ def g_fourier(k: int, lam: ResiduePair, N: int, M: int, prec: int = DEFAULT_PREC
     if lam.N != N:
         lam = ResiduePair(N, lam.l1, lam.l2)
     l1, l2 = lam.l1, lam.l2
-    with mp.workprec(prec + GUARD_BITS):
-        if l1 == 0:
-            const = _two_sided_class_sum(l2, N, k, prec)
-        else:
-            const = mpc(0)
-        front = (-2j * mp.pi) ** k / (mp.factorial(k - 1) * mpf(N) ** k)
-        pairs = _divisor_pairs(M)
-        coeffs = []
-        for j in range(1, M + 1):
-            acc = mpc(0)
-            for m, n in pairs[j]:
-                # n runs over divisors of j with j/n = m; both signs of n
-                if m % N == l1:
-                    acc += n ** (k - 1) * e_of(QQ(n * l2, N), prec)
-                if (-m) % N == l1:
-                    acc += (-1) ** k * n ** (k - 1) * e_of(QQ(-n * l2, N), prec)
-            coeffs.append(front * acc)
-        nonholo = mpc(0)
-        if k == 2:
-            # C_0 = -pi/(N^2 v) expressed against the unit 1/(4 pi v)
-            nonholo = mpc(-4 * mp.pi ** 2 / mpf(N) ** 2)
-        return HoloFourier("g", k, N, lam, M, mpc(const), coeffs, nonholo)
+    if l1 == 0:
+        const = _two_sided_class_sum(l2, N, k, prec)
+    else:
+        const = mpc(0)
+    front = (-2j * mp.pi) ** k / (mp.factorial(k - 1) * mpf(N) ** k)
+    pairs = _divisor_pairs(M)
+    coeffs = []
+    for j in range(1, M + 1):
+        acc = mpc(0)
+        for m, n in pairs[j]:
+            # n runs over divisors of j with j/n = m; both signs of n
+            if m % N == l1:
+                acc += n ** (k - 1) * e_of(QQ(n * l2, N), prec)
+            if (-m) % N == l1:
+                acc += (-1) ** k * n ** (k - 1) * e_of(QQ(-n * l2, N), prec)
+        coeffs.append(front * acc)
+    nonholo = mpc(0)
+    if k == 2:
+        # C_0 = -pi/(N^2 v) expressed against the unit 1/(4 pi v)
+        nonholo = mpc(-4 * mp.pi ** 2 / mpf(N) ** 2)
+    return HoloFourier("g", k, N, lam, M, const, coeffs, nonholo)
 
 
 @dataclass
@@ -236,6 +228,7 @@ def _laurent_add(d: Dict[int, mpc], ex: int, val: mpc):
     d[ex] = d.get(ex, mpc(0)) + val
 
 
+@prec_guard
 def maass_fourier(
     k: int, l: int, lam: ResiduePair, N: int, M: int, prec: int = DEFAULT_PREC
 ) -> MaassFourier:
@@ -248,28 +241,28 @@ def maass_fourier(
     if lam.N != N:
         lam = ResiduePair(N, lam.l1, lam.l2)
     l1, l2 = lam.l1, lam.l2
-    with mp.workprec(prec + GUARD_BITS):
-        A0 = _two_sided_class_sum(l2, N, w, prec) if l1 == 0 else mpc(0)
-        # C0 = -2 pi i [ C(-l, k-1) zeta*(l1/N, w-1) + C(-k, l-1) zeta(1 - l1/N, w-1) ] / (N^w (-2iv)^{w-1})
-        zs = hurwitz_zeta(QQ(l1, N) if l1 else QQ(1), w - 1, prec)
-        zo = hurwitz_zeta(1 - QQ(l1, N), w - 1, prec)
-        c0val = (
-            -2j
-            * mp.pi
-            * (_fb(-l, k - 1) * zs + _fb(-k, l - 1) * zo)
-            / (mpf(N) ** w * (-2j) ** (w - 1))
-        )
-        C0 = {1 - w: mpc(c0val)} if c0val != 0 else {}
-        A, C = _kernel_divisor_sums(
-            k, l, N, M, prec, m_class=l1, twist=l2, twist_on="n", extra_N_power=0
-        )
-        return MaassFourier(k, l, N, lam, M, mpc(A0), C0, A, C)
+    A0 = _two_sided_class_sum(l2, N, w, prec) if l1 == 0 else mpc(0)
+    # C0 = -2 pi i [ C(-l, k-1) zeta*(l1/N, w-1) + C(-k, l-1) zeta(1 - l1/N, w-1) ] / (N^w (-2iv)^{w-1})
+    zs = hurwitz_zeta(QQ(l1, N) if l1 else QQ(1), w - 1, prec)
+    zo = hurwitz_zeta(1 - QQ(l1, N), w - 1, prec)
+    c0val = (
+        -2j
+        * mp.pi
+        * (_fb(-l, k - 1) * zs + _fb(-k, l - 1) * zo)
+        / (mpf(N) ** w * (-2j) ** (w - 1))
+    )
+    C0 = {1 - w: c0val} if c0val != 0 else {}
+    A, C = _kernel_divisor_sums(
+        k, l, N, M, prec, m_class=l1, twist=l2, twist_on="n", extra_N_power=0
+    )
+    return MaassFourier(k, l, N, lam, M, A0, C0, A, C)
 
 
 def _fb(t: int, n: int) -> mpf:
     return _to_mp(formal_binomial(t, n))
 
 
+@prec_guard
 def _kernel_divisor_sums(k, l, N, M, prec, m_class, twist, twist_on, extra_N_power):
     """Shared (m, n) divisor-pair sums for both double-index expansions.
 
@@ -324,6 +317,7 @@ def _kernel_divisor_sums(k, l, N, M, prec, m_class, twist, twist_on, extra_N_pow
     return A, C
 
 
+@prec_guard
 def elliptic_maass_fourier(
     k: int, l: int, lam: ResiduePair, N: int, M: int, prec: int = DEFAULT_PREC
 ) -> MaassFourier:
@@ -336,27 +330,26 @@ def elliptic_maass_fourier(
     if lam.N != N:
         lam = ResiduePair(N, lam.l1, lam.l2)
     l1, l2 = lam.l1, lam.l2
-    with mp.workprec(prec + GUARD_BITS):
-        # numerator and denominator apply one at a time: dividing by the
-        # rational first would round differently and change the reports
-        bw = bernoulli_value(w, QQ(l1, N))
-        A0 = -((-2j * mp.pi) ** w) * mpf(int(bw.numerator)) / int(bw.denominator) / mp.factorial(w)
-        C0: Dict[int, mpc] = {}
-        if l1 == 0:
-            li_p = polylog(w - 1, QQ(l2, N), prec)
-            li_m = polylog(w - 1, QQ(-l2, N), prec)
-            c0val = (
-                -2j
-                * mp.pi
-                * (_fb(-l, k - 1) * li_p + _fb(-k, l - 1) * li_m)
-                / (-2j) ** (w - 1)
-            )
-            if c0val != 0:
-                C0[1 - w] = mpc(c0val)
-        A, C = _kernel_divisor_sums(
-            k, l, N, M, prec, m_class=l1, twist=l2, twist_on="m", extra_N_power=1
+    # numerator and denominator apply one at a time: dividing by the
+    # rational first would round differently and change the reports
+    bw = bernoulli_value(w, QQ(l1, N))
+    A0 = -((-2j * mp.pi) ** w) * mpf(int(bw.numerator)) / int(bw.denominator) / mp.factorial(w)
+    C0: Dict[int, mpc] = {}
+    if l1 == 0:
+        li_p = polylog(w - 1, QQ(l2, N), prec)
+        li_m = polylog(w - 1, QQ(-l2, N), prec)
+        c0val = (
+            -2j
+            * mp.pi
+            * (_fb(-l, k - 1) * li_p + _fb(-k, l - 1) * li_m)
+            / (-2j) ** (w - 1)
         )
-        return MaassFourier(k, l, N, lam, M, mpc(A0), C0, A, C)
+        if c0val != 0:
+            C0[1 - w] = c0val
+    A, C = _kernel_divisor_sums(
+        k, l, N, M, prec, m_class=l1, twist=l2, twist_on="m", extra_N_power=1
+    )
+    return MaassFourier(k, l, N, lam, M, A0, C0, A, C)
 
 
 @dataclass(frozen=True)
@@ -381,16 +374,38 @@ class LatticeParams:
             raise ValueError("mode must be congruence or elliptic")
 
 
+@prec_guard
 def lattice_sum(params: LatticeParams, tau, prec: int = DEFAULT_PREC) -> mpc:
     """Direct truncated summation over 0 < max(|c|,|d|) <= R, iterating square
     annuli in a fixed order; tail O(R^{2-w}).  The independent oracle for
     every Fourier expansion in this module."""
-    tau = mpc(tau)
-    if tau.imag <= 0:
+    t = mpc(tau)
+    if t.imag <= 0:
         raise ValueError("tau must lie in the upper half-plane")
-    if _HAVE_GMPY2_MPC:
-        return _lattice_sum_gmpy2(params, tau, prec)
-    return _lattice_sum_mpmath(params, tau, prec)
+    tb = mp.conj(t)
+    N, k, l = params.N, params.k, params.l
+    l1, l2 = params.lam.l1, params.lam.l2
+    elliptic = params.mode == "elliptic"
+    phases = [e_of(QQ(j, N), prec) for j in range(N)] if elliptic else None
+    acc = mpc(0)
+    for rho in range(1, params.R + 1):
+        # (-c, -d) follows (c, d) on the same annulus and (-z)^-n is
+        # (-1)^n z^-n: its powers are negated copies, bit for bit, and
+        # the terms are still added in the same order
+        powers = {}
+        for c, d in _annulus_points(rho):
+            if not elliptic and (c % N != l1 or d % N != l2):
+                continue
+            if (-c, -d) in powers:
+                a, b = powers.pop((-c, -d))
+                a, b = (-a if k % 2 else a), (-b if l % 2 else b)
+            else:
+                a, b = powers[c, d] = (c * t + d) ** (-k), (c * tb + d) ** (-l)
+            if elliptic:
+                acc += phases[(c * l2 - d * l1) % N] * a * b
+            else:
+                acc += a * b
+    return acc
 
 
 def _annulus_points(rho: int):
@@ -404,116 +419,54 @@ def _annulus_points(rho: int):
         yield c, -rho
 
 
-def _lattice_sum_gmpy2(params: LatticeParams, tau, prec: int) -> mpc:
-    with gmpy2.context(precision=prec + GUARD_BITS):
-        p, q = _mpf_ratio(tau.real)
-        re = gmpy2.mpfr(int(p)) / q
-        p, q = _mpf_ratio(tau.imag)
-        im = gmpy2.mpfr(int(p)) / q
-        t = gmpy2.mpc(re, im)
-        tb = gmpy2.mpc(re, -im)
-        N, k, l = params.N, params.k, params.l
-        l1, l2 = params.lam.l1, params.lam.l2
-        elliptic = params.mode == "elliptic"
-        if elliptic:
-            pi2 = 2 * gmpy2.const_pi()
-            phases = [
-                gmpy2.mpc(gmpy2.cos(pi2 * j / N), gmpy2.sin(pi2 * j / N)) for j in range(N)
-            ]
-        acc = gmpy2.mpc(0)
-        for rho in range(1, params.R + 1):
-            for c, d in _annulus_points(rho):
-                if elliptic:
-                    term = (c * t + d) ** (-k) * (c * tb + d) ** (-l)
-                    acc += phases[(c * l2 - d * l1) % N] * term
-                else:
-                    if c % N == l1 and d % N == l2:
-                        acc += (c * t + d) ** (-k) * (c * tb + d) ** (-l)
-        man_re, exp_re = acc.real.as_mantissa_exp()
-        man_im, exp_im = acc.imag.as_mantissa_exp()
-    with mp.workprec(prec + GUARD_BITS):
-        out = mpc(mp.ldexp(int(man_re), int(exp_re)), mp.ldexp(int(man_im), int(exp_im)))
-    return out
-
-
-def _lattice_sum_mpmath(params: LatticeParams, tau, prec: int) -> mpc:
-    with mp.workprec(prec + GUARD_BITS):
-        t = mpc(tau)
-        tb = mp.conj(t)
-        N, k, l = params.N, params.k, params.l
-        l1, l2 = params.lam.l1, params.lam.l2
-        elliptic = params.mode == "elliptic"
-        phases = [e_of(QQ(j, N), prec) for j in range(N)] if elliptic else None
-        acc = mpc(0)
-        for rho in range(1, params.R + 1):
-            # (-c, -d) follows (c, d) on the same annulus and (-z)^-n is
-            # (-1)^n z^-n: its powers are negated copies, bit for bit, and
-            # the terms are still added in the same order
-            powers = {}
-            for c, d in _annulus_points(rho):
-                if not elliptic and (c % N != l1 or d % N != l2):
-                    continue
-                if (-c, -d) in powers:
-                    a, b = powers.pop((-c, -d))
-                    a, b = (-a if k % 2 else a), (-b if l % 2 else b)
-                else:
-                    a, b = powers[c, d] = (c * t + d) ** (-k), (c * tb + d) ** (-l)
-                if elliptic:
-                    acc += phases[(c * l2 - d * l1) % N] * a * b
-                else:
-                    acc += a * b
-        return mpc(acc)
-
-
+@prec_guard
 def eval_fourier(series, tau, prec: int = DEFAULT_PREC) -> mpc:
     """Numeric value of a truncated expansion at tau (v = Im tau,
     q_N = e(tau/N)), including any nonholomorphic term."""
     tau = mpc(tau)
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half-plane")
-    with mp.workprec(prec + GUARD_BITS):
-        v = tau.imag
-        if isinstance(series, HoloFourier):
-            N = series.N
-            q = mp.expjpi(2 * tau / N)
-            if series.kind == "e":
-                mu = [e_of(QQ(i, N), prec) for i in range(len(series.coeffs[0].coeffs) if series.coeffs else 1)]
-                acc = mpc(_to_mp(series.const))
-                qp = mpc(1)
-                for c in series.coeffs:
-                    qp *= q
-                    acc += sum(_to_mp(x) * mu[i] for i, x in enumerate(c.coeffs) if x != 0) * qp
-                if series.nonholo != 0:
-                    acc += _to_mp(series.nonholo) / (4 * mp.pi * v)
-            else:
-                acc = mpc(series.const)
-                qp = mpc(1)
-                for c in series.coeffs:
-                    qp *= q
-                    acc += c * qp
-                if series.nonholo != 0:
-                    acc += series.nonholo / (4 * mp.pi * v)
-            return mpc(acc)
-        if isinstance(series, MaassFourier):
-            q = mp.expjpi(2 * tau / series.N)
-            qb = mp.conj(q)
-            acc = mpc(series.A0)
-            for ex, cf in series.C0.items():
-                acc += cf * v ** ex
+    v = tau.imag
+    if isinstance(series, HoloFourier):
+        N = series.N
+        q = mp.expjpi(2 * tau / N)
+        if series.kind == "e":
+            mu = [e_of(QQ(i, N), prec) for i in range(len(series.coeffs[0].coeffs) if series.coeffs else 1)]
+            acc = mpc(_to_mp(series.const))
             qp = mpc(1)
-            qbp = mpc(1)
-            for j in range(series.M):
+            for c in series.coeffs:
                 qp *= q
-                qbp *= qb
-                acc += sum(cf * v ** ex for ex, cf in series.A[j].items()) * qp
-                acc += sum(cf * v ** ex for ex, cf in series.C[j].items()) * qbp
-            return mpc(acc)
+                acc += sum(_to_mp(x) * mu[i] for i, x in enumerate(c.coeffs) if x != 0) * qp
+            if series.nonholo != 0:
+                acc += _to_mp(series.nonholo) / (4 * mp.pi * v)
+        else:
+            acc = mpc(series.const)
+            qp = mpc(1)
+            for c in series.coeffs:
+                qp *= q
+                acc += c * qp
+            if series.nonholo != 0:
+                acc += series.nonholo / (4 * mp.pi * v)
+        return acc
+    if isinstance(series, MaassFourier):
+        q = mp.expjpi(2 * tau / series.N)
+        qb = mp.conj(q)
+        acc = mpc(series.A0)
+        for ex, cf in series.C0.items():
+            acc += cf * v ** ex
+        qp = mpc(1)
+        qbp = mpc(1)
+        for j in range(series.M):
+            qp *= q
+            qbp *= qb
+            acc += sum(cf * v ** ex for ex, cf in series.A[j].items()) * qp
+            acc += sum(cf * v ** ex for ex, cf in series.C[j].items()) * qbp
+        return acc
     raise TypeError(f"cannot evaluate series of type {type(series)!r}")
 
 
+@prec_guard
 def raw_scale(k: int, prec: int = DEFAULT_PREC) -> mpc:
     """(-2 pi i)^k, the factor between the normalized and raw holomorphic
     series."""
-    with mp.workprec(prec + GUARD_BITS):
-        val = (-2j * mp.pi) ** k
-        return mpc(val)
+    return (-2j * mp.pi) ** k

@@ -118,8 +118,10 @@ def bernoulli_polynomial(n: int) -> BernoulliPoly:
     return BernoulliPoly(n, coeffs)
 
 
+@lru_cache(maxsize=4096)
 def bernoulli_value(n: int, t) -> QQ:
-    """B_n(t) for rational t."""
+    """B_n(t) for rational t; memoised, since the period and Fourier code
+    asks for the same few hundred B_n(l/N) over and over."""
     return bernoulli_polynomial(n)(t)
 
 

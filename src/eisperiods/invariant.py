@@ -27,7 +27,7 @@ from .eisenstein import (
 )
 from .lseries import lvalue_closed
 from .modgroup import Mat2, ResiduePair, in_index_set
-from .numerics import DEFAULT_PREC, GUARD_BITS, PrecisionError, _to_mp, cyclo_value, e_of
+from .numerics import DEFAULT_PREC, PrecisionError, _to_mp, cyclo_value, e_of, prec_guard
 
 
 class SymmetryError(ValueError):
@@ -76,12 +76,12 @@ class BiPoly:
         parts = [f"({c}) t^{a} tb^{b}" for (a, b), c in sorted(self.terms.items())]
         return "BiPoly(" + " + ".join(parts or ["0"]) + ")"
 
+    @prec_guard
     def substitute(self, tau: mpc, taubar: mpc, prec: int = DEFAULT_PREC) -> mpc:
-        with mp.workprec(prec + GUARD_BITS):
-            acc = mpc(0)
-            for (a, b), c in sorted(self.terms.items()):
-                acc += _to_mp(c) * tau ** a * taubar ** b
-            return mpc(acc)
+        acc = mpc(0)
+        for (a, b), c in sorted(self.terms.items()):
+            acc += _to_mp(c) * tau ** a * taubar ** b
+        return acc
 
 
 def maass_raise(k: int, p: BiPoly) -> BiPoly:
@@ -197,15 +197,9 @@ class QuadLatticeData:
     def disc(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
 
+    @prec_guard
     def tau(self, prec: int = DEFAULT_PREC) -> mpc:
-        with mp.workprec(prec + GUARD_BITS):
-            val = mpc(-self.b, mp.sqrt(-self.disc)) / (2 * self.a)
-            return mpc(val)
-
-    def im_tau(self, prec: int = DEFAULT_PREC) -> mpf:
-        with mp.workprec(prec + GUARD_BITS):
-            val = mp.sqrt(-self.disc) / (2 * self.a)
-            return mpf(val)
+        return mpc(-self.b, mp.sqrt(-self.disc)) / (2 * self.a)
 
     @staticmethod
     def preset(name: str) -> "QuadLatticeData":
@@ -235,48 +229,45 @@ class QuadLatticeData:
         }
 
 
+@prec_guard
 def _raw_fourier_coeffs(k: int, lam: ResiduePair, N: int, M: int, prec: int):
     """Constant and q_N coefficients of the raw (unnormalized) holomorphic
     series, numerically."""
     f = e_fourier(k, lam, N, M)
-    with mp.workprec(prec + GUARD_BITS):
-        scale = raw_scale(k, prec)
-        a0 = scale * _to_mp(f.const)
-        coeffs = [scale * cyclo_value(c, prec) for c in f.coeffs]
+    scale = raw_scale(k, prec)
+    a0 = scale * _to_mp(f.const)
+    coeffs = [scale * cyclo_value(c, prec) for c in f.coeffs]
     return a0, coeffs
 
 
+def _eichler_q_series(acc: mpc, k: int, p: int, N: int, tau: mpc, coeffs) -> mpc:
+    """acc + (k-2)! sum_j A_j N^p/(2 pi i j)^p e(j tau/N): the q-series shared
+    by the Eichler integral (p = k-1) and its derivative (p = k-2)."""
+    fac = mp.factorial(k - 2)
+    q = mp.expjpi(2 * tau / N)
+    qp = mpc(1)
+    for j, aj in enumerate(coeffs, start=1):
+        qp *= q
+        if aj != 0:
+            acc += fac * aj * mpf(N) ** p / (2j * mp.pi * j) ** p * qp
+    return acc
+
+
+@prec_guard
 def eichler_integral(k: int, lam: ResiduePair, N: int, tau, M: int, prec: int = DEFAULT_PREC) -> mpc:
     """Base-point-at-infinity Eichler integral of the raw series:
     A_0 tau^{k-1}/(k-1) + (k-2)! sum_j A_j N^{k-1}/(2 pi i j)^{k-1} e(j tau/N)."""
     a0, coeffs = _raw_fourier_coeffs(k, lam, N, M, prec)
     tau = mpc(tau)
-    with mp.workprec(prec + GUARD_BITS):
-        acc = a0 * tau ** (k - 1) / (k - 1)
-        fac = mp.factorial(k - 2)
-        q = mp.expjpi(2 * tau / N)
-        qp = mpc(1)
-        for j, aj in enumerate(coeffs, start=1):
-            qp *= q
-            if aj != 0:
-                acc += fac * aj * mpf(N) ** (k - 1) / (2j * mp.pi * j) ** (k - 1) * qp
-        return mpc(acc)
+    return _eichler_q_series(a0 * tau ** (k - 1) / (k - 1), k, k - 1, N, tau, coeffs)
 
 
+@prec_guard
 def eichler_integral_dtau(k: int, lam: ResiduePair, N: int, tau, M: int, prec: int = DEFAULT_PREC) -> mpc:
     """Holomorphic tau-derivative of the Eichler integral (termwise)."""
     a0, coeffs = _raw_fourier_coeffs(k, lam, N, M, prec)
     tau = mpc(tau)
-    with mp.workprec(prec + GUARD_BITS):
-        acc = a0 * tau ** (k - 2)
-        fac = mp.factorial(k - 2)
-        q = mp.expjpi(2 * tau / N)
-        qp = mpc(1)
-        for j, aj in enumerate(coeffs, start=1):
-            qp *= q
-            if aj != 0:
-                acc += fac * aj * mpf(N) ** (k - 2) / (2j * mp.pi * j) ** (k - 2) * qp
-        return mpc(acc)
+    return _eichler_q_series(a0 * tau ** (k - 2), k, k - 2, N, tau, coeffs)
 
 
 @dataclass
@@ -292,15 +283,15 @@ class PsiValue:
     fourier_terms: int
 
 
+@prec_guard
 def _lvalue_shift(m: int, lam: ResiduePair, N: int, prec: int) -> mpc:
     """i^{3-2m} L*(raw series, 2m-1), the constant that anchors the Eichler
     integral choice."""
-    with mp.workprec(prec + GUARD_BITS):
-        lv = lvalue_closed(2 * m, lam, N, 2 * m - 1).numeric(prec) * raw_scale(2 * m, prec)
-        val = mpc(1j) ** (3 - 2 * m) * lv
-        return mpc(val)
+    lv = lvalue_closed(2 * m, lam, N, 2 * m - 1).numeric(prec) * raw_scale(2 * m, prec)
+    return mpc(1j) ** (3 - 2 * m) * lv
 
 
+@prec_guard
 def psi(
     m: int,
     data: QuadLatticeData,
@@ -328,50 +319,49 @@ def psi(
     tau = mpc(tau)
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half-plane")
-    with mp.workprec(prec + GUARD_BITS):
-        if tol is None:
-            tol = mpf(2) ** (16 - prec)
-        tail = (M + 1) ** k * mp.exp(-2 * mp.pi * tau.imag * (M + 1) / N)
-        if tail > tol:
-            raise PrecisionError(
-                f"Fourier tail bound {mp.nstr(tail, 5)} exceeds tolerance at M={M}"
-            )
-        a0, coeffs = _raw_fourier_coeffs(k, lam, N, M, prec)
-        taubar = mp.conj(tau)
-        vdiff = tau - taubar  # 2 i v
-        # polynomial piece: A0/(2m-1) * dd_m(tau^{2m-1})
-        acc = a0 / (k - 1) * dd_m_poly(m, k - 1).substitute(tau, taubar, prec)
-        # Fourier modes: multiplier (m-1)! sum_r C(-m, r) vdiff^{m-1-r} (2 pi i j/N)^{m-1-r}/(m-1-r)!
-        fac = mp.factorial(k - 2)
-        fm1 = mp.factorial(m - 1)
-        q = mp.expjpi(2 * tau / N)
-        qp = mpc(1)
-        binoms = [_to_mp(formal_binomial(-m, r)) for r in range(m)]
-        for j, aj in enumerate(coeffs, start=1):
-            qp *= q
-            if aj == 0:
-                continue
-            wj = 2j * mp.pi * j / N
-            mult = mpc(0)
-            for r in range(m):
-                mult += binoms[r] * (vdiff * wj) ** (m - 1 - r) / mp.factorial(m - 1 - r)
-            mult *= fm1
-            acc += fac * aj * mpf(N) ** (k - 1) / (2j * mp.pi * j) ** (k - 1) * mult * qp
-        # anchoring constant
-        acc += _lvalue_shift(m, lam, N, prec) * _to_mp(dd_m_constant(m))
-        front = mpc(1j) * mp.power(-data.disc, mpf(m - 1) / 2) / (
-            mp.pi ** m * vdiff ** (m - 1)
+    if tol is None:
+        tol = mpf(2) ** (16 - prec)
+    tail = (M + 1) ** k * mp.exp(-2 * mp.pi * tau.imag * (M + 1) / N)
+    if tail > tol:
+        raise PrecisionError(
+            f"Fourier tail bound {mp.nstr(tail, 5)} exceeds tolerance at M={M}"
         )
-        val = front * acc
-        return PsiValue(m, data, lam, tau, mpc(val), prec, M)
+    a0, coeffs = _raw_fourier_coeffs(k, lam, N, M, prec)
+    taubar = mp.conj(tau)
+    vdiff = tau - taubar  # 2 i v
+    # polynomial piece: A0/(2m-1) * dd_m(tau^{2m-1})
+    acc = a0 / (k - 1) * dd_m_poly(m, k - 1).substitute(tau, taubar, prec)
+    # Fourier modes: multiplier (m-1)! sum_r C(-m, r) vdiff^{m-1-r} (2 pi i j/N)^{m-1-r}/(m-1-r)!
+    fac = mp.factorial(k - 2)
+    fm1 = mp.factorial(m - 1)
+    q = mp.expjpi(2 * tau / N)
+    qp = mpc(1)
+    binoms = [_to_mp(formal_binomial(-m, r)) for r in range(m)]
+    for j, aj in enumerate(coeffs, start=1):
+        qp *= q
+        if aj == 0:
+            continue
+        wj = 2j * mp.pi * j / N
+        mult = mpc(0)
+        for r in range(m):
+            mult += binoms[r] * (vdiff * wj) ** (m - 1 - r) / mp.factorial(m - 1 - r)
+        mult *= fm1
+        acc += fac * aj * mpf(N) ** (k - 1) / (2j * mp.pi * j) ** (k - 1) * mult * qp
+    # anchoring constant
+    acc += _lvalue_shift(m, lam, N, prec) * _to_mp(dd_m_constant(m))
+    front = mpc(1j) * mp.power(-data.disc, mpf(m - 1) / 2) / (
+        mp.pi ** m * vdiff ** (m - 1)
+    )
+    return PsiValue(m, data, lam, tau, front * acc, prec, M)
 
 
+@prec_guard
 def mobius(gamma: Mat2, tau: mpc, prec: int = DEFAULT_PREC) -> mpc:
-    with mp.workprec(prec + GUARD_BITS):
-        val = (gamma.a * tau + gamma.b) / (gamma.c * tau + gamma.d)
-        return mpc(val)
+    tau = mpc(tau)
+    return (gamma.a * tau + gamma.b) / (gamma.c * tau + gamma.d)
 
 
+@prec_guard
 def psi_gamma_shift(
     m: int,
     data: QuadLatticeData,
@@ -383,11 +373,9 @@ def psi_gamma_shift(
     for Heegner tau by the invariance property."""
     lam = data.lam
     tau = data.tau(prec)
-    with mp.workprec(prec + GUARD_BITS):
-        shifted = psi(m, data, lam.act(gamma.inverse()), mobius(gamma, tau, prec), M, prec)
-        base = psi(m, data, lam, tau, M, prec)
-        val = (shifted.value - base.value) / (2j * mp.pi) ** m
-        return mpc(val)
+    shifted = psi(m, data, lam.act(gamma.inverse()), mobius(gamma, tau, prec), M, prec)
+    base = psi(m, data, lam, tau, M, prec)
+    return (shifted.value - base.value) / (2j * mp.pi) ** m
 
 
 def re_m(z: mpc, m: int) -> mpf:
@@ -399,6 +387,7 @@ def re_m(z: mpc, m: int) -> mpf:
     return mpf(((z + (-1) ** (m - 1) * mp.conj(z)) / 2).real)
 
 
+@prec_guard
 def psi_r_value(
     m: int,
     data: QuadLatticeData,
@@ -414,18 +403,17 @@ def psi_r_value(
     N = data.N
     lam = ResiduePair(N, lam.l1, lam.l2)
     tau = data.tau(prec)
-    with mp.workprec(prec + GUARD_BITS):
-        if route == "fourier":
-            series = elliptic_maass_fourier(m, m, lam, N, M, prec)
-            e_val = eval_fourier(series, tau, prec)
-        elif route == "lattice":
-            e_val = lattice_sum(LatticeParams(m, m, N, lam, "elliptic", radius), tau, prec)
-        else:
-            raise ValueError("route must be fourier or lattice")
-        val = e_val / _to_mp(qq(data.omega2)) ** (2 * m)
-        return mpc(val)
+    if route == "fourier":
+        series = elliptic_maass_fourier(m, m, lam, N, M, prec)
+        e_val = eval_fourier(series, tau, prec)
+    elif route == "lattice":
+        e_val = lattice_sum(LatticeParams(m, m, N, lam, "elliptic", radius), tau, prec)
+    else:
+        raise ValueError("route must be fourier or lattice")
+    return e_val / _to_mp(qq(data.omega2)) ** (2 * m)
 
 
+@prec_guard
 def psi_value_ratio(
     m: int,
     data: QuadLatticeData,
@@ -436,13 +424,9 @@ def psi_value_ratio(
     """re_m(psi) pi^m / (|D|^{m-1/2} psi_r): rational when the invariant
     carries the partial-zeta value."""
     tau = data.tau(prec)
-    with mp.workprec(prec + GUARD_BITS):
-        p = psi(m, data, lam, tau, M, prec)
-        pr = psi_r_value(m, data, lam, M, prec)
-        val = re_m(p.value, m) * mp.pi ** m / (
-            mp.power(-data.disc, m - mpf(1) / 2) * pr
-        )
-        return mpc(val)
+    p = psi(m, data, lam, tau, M, prec)
+    pr = psi_r_value(m, data, lam, M, prec)
+    return re_m(p.value, m) * mp.pi ** m / (mp.power(-data.disc, m - mpf(1) / 2) * pr)
 
 
 @dataclass(frozen=True)
@@ -455,6 +439,7 @@ class IdealClassTerm:
     chi: mpc
 
 
+@prec_guard
 def hecke_assemble(
     m: int,
     delta: int,
@@ -471,19 +456,17 @@ def hecke_assemble(
     Norms and character values are caller-supplied data."""
     if w_f <= 0:
         raise ValueError("w_f must be positive")
-    with mp.workprec(prec + GUARD_BITS):
-        total = mpc(0)
-        for term in classes:
-            data = term.lattice
-            N = data.N
-            inner = mpc(0)
-            for l1 in range(N):
-                for l2 in range(N):
-                    lam = ResiduePair(N, l1, l2)
-                    phase = e_of(QQ(bilinear_exponent(data.lam, lam), N), prec)
-                    inner += phase * psi_r_value(m, data, lam, M, prec, route=route)
-            total += (
-                _to_mp(qq(term.norm_b)) ** (m + delta) / mpc(term.chi) * inner / N ** 2
-            )
-        val = total / w_f
-        return mpc(val)
+    total = mpc(0)
+    for term in classes:
+        data = term.lattice
+        N = data.N
+        inner = mpc(0)
+        for l1 in range(N):
+            for l2 in range(N):
+                lam = ResiduePair(N, l1, l2)
+                phase = e_of(QQ(bilinear_exponent(data.lam, lam), N), prec)
+                inner += phase * psi_r_value(m, data, lam, M, prec, route=route)
+        total += (
+            _to_mp(qq(term.norm_b)) ** (m + delta) / mpc(term.chi) * inner / N ** 2
+        )
+    return total / w_f

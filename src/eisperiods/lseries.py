@@ -28,7 +28,6 @@ from .eisenstein import HoloFourier, e_fourier
 from .modgroup import S, ResiduePair, in_index_set
 from .numerics import (
     DEFAULT_PREC,
-    GUARD_BITS,
     PoleError,
     _to_mp,
     cyclo_value,
@@ -36,6 +35,7 @@ from .numerics import (
     hurwitz_zeta,
     hurwitz_zeta_ds,
     polylog_s,
+    prec_guard,
 )
 
 
@@ -80,10 +80,9 @@ class IExt:
             raise ValueError("value has a nonzero i component")
         return self.one
 
+    @prec_guard
     def numeric(self, prec: int = DEFAULT_PREC) -> mpc:
-        with mp.workprec(prec + GUARD_BITS):
-            val = ext_scalar_value(self.one, prec) + 1j * ext_scalar_value(self.ipart, prec)
-            return mpc(val)
+        return ext_scalar_value(self.one, prec) + 1j * ext_scalar_value(self.ipart, prec)
 
 
 @dataclass
@@ -99,6 +98,7 @@ class LValueClosed:
     value: IExt
     bernoulli_coeff: QQ
 
+    @prec_guard
     def numeric(self, prec: int = DEFAULT_PREC) -> mpc:
         return self.value.numeric(prec)
 
@@ -154,19 +154,20 @@ class LFunctionSpec:
         fs = e_fourier(k, lam_s, N, M)
         return cls(k, N, f, fs, f.const, fs.const)
 
+    @prec_guard
     def embedded_coeffs(self, prec: int) -> Tuple[list, list]:
         if prec not in self._embedded:
-            with mp.workprec(prec + GUARD_BITS):
-                ca = [_coeff_value(c, prec) for c in self.f.coeffs]
-                cb = [_coeff_value(c, prec) for c in self.f_s_inv.coeffs]
+            ca = [_coeff_value(c, prec) for c in self.f.coeffs]
+            cb = [_coeff_value(c, prec) for c in self.f_s_inv.coeffs]
             self._embedded[prec] = (ca, cb)
         return self._embedded[prec]
 
+    @prec_guard
     def constants(self, prec: int) -> Tuple[mpc, mpc]:
-        with mp.workprec(prec + GUARD_BITS):
-            return _coeff_value(self.f_inf, prec), _coeff_value(self.f_s_inf, prec)
+        return _coeff_value(self.f_inf, prec), _coeff_value(self.f_s_inf, prec)
 
 
+@prec_guard
 def _coeff_value(c, prec: int):
     if hasattr(c, "coeffs"):  # Cyclo
         return cyclo_value(c, prec)
@@ -176,20 +177,19 @@ def _coeff_value(c, prec: int):
 _GAMMA_CACHE: Dict[tuple, mpc] = {}
 
 
+@prec_guard
 def _exp_mellin(s, j: int, N: int, prec: int) -> mpc:
     """E(s; a) = integral_1^inf e^{-at} t^{s-1} dt = a^{-s} Gamma(s, a) for
     a = 2 pi j / N; cached, since sweeps reuse the same (s, j, N)."""
     key = (str(s), j, N, prec)
     got = _GAMMA_CACHE.get(key)
-    if got is not None:
-        return got
-    with mp.workprec(prec + GUARD_BITS):
+    if got is None:
         a = 2 * mp.pi * j / N
-        val = mp.power(a, -s) * mp.gammainc(s, a, mp.inf)
-        _GAMMA_CACHE[key] = mpc(val)
-    return _GAMMA_CACHE[key]
+        got = _GAMMA_CACHE[key] = mpc(mp.power(a, -s) * mp.gammainc(s, a, mp.inf))
+    return got
 
 
+@prec_guard
 def lvalue_numeric(spec: LFunctionSpec, s, prec: int = DEFAULT_PREC) -> mpc:
     """Completed L-value by the entire-integral split.
 
@@ -204,20 +204,19 @@ def lvalue_numeric(spec: LFunctionSpec, s, prec: int = DEFAULT_PREC) -> mpc:
         raise PoleError(f"completed L-function has a simple pole at s = {s}")
     ca, cb = spec.embedded_coeffs(prec)
     f_inf, fs_inf = spec.constants(prec)
-    with mp.workprec(prec + GUARD_BITS):
-        i1 = mp.fsum(
-            (ca[j - 1] * _exp_mellin(s, j, N, prec) for j in range(1, len(ca) + 1)),
-            absolute=False,
-        )
-        i2 = mp.fsum(
-            (cb[j - 1] * _exp_mellin(k - s, j, N, prec) for j in range(1, len(cb) + 1)),
-            absolute=False,
-        )
-        ik = mpc(1j) ** (-k)
-        val = i1 + ik * i2 + ik * fs_inf / (s - k) - f_inf / s
-        return mpc(val)
+    i1 = mp.fsum(
+        (ca[j - 1] * _exp_mellin(s, j, N, prec) for j in range(1, len(ca) + 1)),
+        absolute=False,
+    )
+    i2 = mp.fsum(
+        (cb[j - 1] * _exp_mellin(k - s, j, N, prec) for j in range(1, len(cb) + 1)),
+        absolute=False,
+    )
+    ik = mpc(1j) ** (-k)
+    return i1 + ik * i2 + ik * fs_inf / (s - k) - f_inf / s
 
 
+@prec_guard
 def lvalue_lerch_product(k: int, lam: ResiduePair, N: int, s, prec: int = DEFAULT_PREC) -> mpc:
     """Second numeric route to the raw-series L-value: the factorization
 
@@ -241,22 +240,20 @@ def lvalue_lerch_product(k: int, lam: ResiduePair, N: int, s, prec: int = DEFAUL
         raise PoleError("Gamma factor pole at nonpositive integer s")
     a_star = QQ(l1, N) if l1 else QQ(1)
     a_refl = 1 - QQ(l1, N)
-    with mp.workprec(prec + GUARD_BITS):
-        if l2 == 0 and s == 1:
-            bracket_at = hurwitz_zeta(a_star, 2 - k, prec) + (-1) ** k * hurwitz_zeta(
-                a_refl, 2 - k, prec
-            )
-            bracket_ds = hurwitz_zeta_ds(a_star, 2 - k, prec) + (-1) ** k * hurwitz_zeta_ds(
-                a_refl, 2 - k, prec
-            )
-            combined = mp.euler * bracket_at + bracket_ds
-        else:
-            z1 = hurwitz_zeta(a_star, s - k + 1, prec)
-            z2 = hurwitz_zeta(a_refl, s - k + 1, prec)
-            combined = (
-                polylog_s(s, QQ(l2, N), prec) * z1
-                + (-1) ** k * polylog_s(s, QQ(-l2, N), prec) * z2
-            )
-        front = mp.gamma(s) * mp.power(2 * mp.pi, -s)
-        val = front * (-2j * mp.pi) ** k / mp.factorial(k - 1) * combined
-        return mpc(val)
+    if l2 == 0 and s == 1:
+        bracket_at = hurwitz_zeta(a_star, 2 - k, prec) + (-1) ** k * hurwitz_zeta(
+            a_refl, 2 - k, prec
+        )
+        bracket_ds = hurwitz_zeta_ds(a_star, 2 - k, prec) + (-1) ** k * hurwitz_zeta_ds(
+            a_refl, 2 - k, prec
+        )
+        combined = mp.euler * bracket_at + bracket_ds
+    else:
+        z1 = hurwitz_zeta(a_star, s - k + 1, prec)
+        z2 = hurwitz_zeta(a_refl, s - k + 1, prec)
+        combined = (
+            polylog_s(s, QQ(l2, N), prec) * z1
+            + (-1) ** k * polylog_s(s, QQ(-l2, N), prec) * z2
+        )
+    front = mp.gamma(s) * mp.power(2 * mp.pi, -s)
+    return front * (-2j * mp.pi) ** k / mp.factorial(k - 1) * combined

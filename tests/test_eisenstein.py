@@ -245,17 +245,6 @@ class TestLatticeSum:
         ls = lattice_sum(LatticeParams(11, 0, 3, lam(3, 1, 2), "elliptic", 300), tau, PREC)
         assert abs(ev - ls) < mpf(10) ** -20
 
-    def test_backend_agreement(self):
-        from eisperiods.eisenstein import _lattice_sum_gmpy2, _lattice_sum_mpmath, _HAVE_GMPY2_MPC
-
-        if not _HAVE_GMPY2_MPC:
-            pytest.skip("gmpy2.mpc not available")
-        p = LatticeParams(5, 3, 2, lam(2, 1, 0), "elliptic", 25)
-        tau = mpc("0.37", "1.41")
-        a = _lattice_sum_gmpy2(p, tau, PREC)
-        b = _lattice_sum_mpmath(p, tau, PREC)
-        assert abs(a - b) < mpf(2) ** -170
-
 
 class TestSerialization:
     def test_holo_json_round_data(self):

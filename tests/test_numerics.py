@@ -1,18 +1,31 @@
+import dataclasses
+import inspect
+
 import pytest
 from mpmath import mp, mpc, mpf
 
-from eisperiods.eisenstein import LatticeParams, g_fourier, lattice_sum, raw_scale
+from eisperiods import cocycle, eisenstein, invariant, lseries, numerics
+from eisperiods.eisenstein import (
+    LatticeParams,
+    e_fourier,
+    eval_fourier,
+    g_fourier,
+    lattice_sum,
+    raw_scale,
+)
 from eisperiods.exact import QQ, bernoulli_value
 from eisperiods.invariant import QuadLatticeData, psi
-from eisperiods.lseries import lvalue_closed, lvalue_lerch_product
+from eisperiods.lseries import LFunctionSpec, lvalue_closed, lvalue_lerch_product, lvalue_numeric
 from eisperiods.modgroup import ResiduePair
 from eisperiods.numerics import (
+    GUARD_BITS,
     PoleError,
     e_of,
     hurwitz_zeta,
     lerch_phi,
     polylog,
     polylog_s,
+    prec_guard,
     rational_reconstruct,
 )
 
@@ -137,6 +150,14 @@ class TestRationalReconstruct:
 
 
 _EIS = QuadLatticeData.preset("eisenstein")
+# inputs carrying PREC + 16 bits: a function that converted them before
+# setting its working precision would round them to the caller's 53 bits
+with mp.workprec(PREC + 16):
+    _TAU_EIS = _EIS.tau(PREC)
+    _S_WIDE = mpf(7) / 3
+_E_SERIES = e_fourier(4, ResiduePair(3, 1, 2), 3, 8)
+_L_SPEC = LFunctionSpec.for_e_series(4, ResiduePair(3, 1, 2), 3, 30)
+
 AMBIENT_CASES = {
     "hurwitz_zeta": lambda: hurwitz_zeta(QQ(1, 3), 3, PREC),
     "polylog_s": lambda: polylog_s(mpc(2.5, 1), QQ(1, 5), PREC),
@@ -149,13 +170,24 @@ AMBIENT_CASES = {
     "lvalue_lerch_product": lambda: lvalue_lerch_product(4, ResiduePair(3, 1, 2), 3, 2, PREC),
     "tau": lambda: _EIS.tau(PREC),
     "psi": lambda: psi(2, _EIS, _EIS.lam, mpc(0.25, 1.5), M=60, prec=PREC).value,
+    "psi_heegner_tau": lambda: psi(2, _EIS, _EIS.lam, _TAU_EIS, M=60, prec=PREC).value,
+    "lattice_sum_heegner_tau": lambda: lattice_sum(
+        LatticeParams(12, 0, 1, ResiduePair(1, 0, 0), "congruence", 3), _TAU_EIS, PREC
+    ),
+    "eval_fourier_heegner_tau": lambda: eval_fourier(_E_SERIES, _TAU_EIS, PREC),
+    "hurwitz_zeta_wide_s": lambda: hurwitz_zeta(QQ(1, 3), _S_WIDE, PREC),
+    "lvalue_numeric_wide_s": lambda: lvalue_numeric(_L_SPEC, _S_WIDE, PREC),
+    "lvalue_lerch_product_wide_s": lambda: lvalue_lerch_product(
+        4, ResiduePair(3, 1, 2), 3, _S_WIDE, PREC
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(AMBIENT_CASES))
 def test_result_precision_ignores_ambient(name):
-    """A result asked for at PREC bits carries them even when the caller's
-    mpmath precision is the 53-bit default."""
+    """A result asked for at PREC bits carries them, and is the same, even
+    when the caller's mpmath precision is the 53-bit default; inputs wider
+    than 53 bits are read at the working precision, not rounded first."""
     call = AMBIENT_CASES[name]
     with mp.workprec(4 * PREC):
         want = call()
@@ -168,3 +200,65 @@ def test_result_precision_ignores_ambient(name):
     bits = max(got.real._mpf_[3], got.imag._mpf_[3])
     assert bits >= PREC
     assert got == want
+
+
+def _prec_functions(module):
+    """(qualified name, function) for every function and method defined in
+    module that takes a prec argument."""
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        members = vars(obj).items() if inspect.isclass(obj) else [(None, obj)]
+        for attr, member in members:
+            if attr == "__init__" and dataclasses.is_dataclass(obj):
+                continue  # generated; it stores a prec field and computes nothing
+            fn = getattr(member, "__func__", getattr(member, "fget", member))
+            if not callable(fn):
+                continue
+            try:
+                params = inspect.signature(fn).parameters
+            except (TypeError, ValueError):
+                continue
+            if "prec" in params:
+                yield ".".join(filter(None, (module.__name__, name, attr))), fn
+
+
+def test_every_prec_function_is_guarded():
+    """The precision contract holds by construction only if every function
+    that takes prec runs under prec_guard."""
+    modules = (numerics, eisenstein, lseries, invariant, cocycle)
+    found = dict(item for mod in modules for item in _prec_functions(mod))
+    for name in (
+        "eisperiods.numerics._polylog_cached",
+        "eisperiods.eisenstein.lattice_sum",
+        "eisperiods.lseries.LFunctionSpec.embedded_coeffs",
+        "eisperiods.invariant.QuadLatticeData.tau",
+        "eisperiods.invariant.BiPoly.substitute",
+        "eisperiods.cocycle.PeriodPoly.numeric_coeffs",
+    ):
+        assert name in found
+    unguarded = [name for name, fn in found.items() if not getattr(fn, "prec_guarded", False)]
+    assert unguarded == []
+
+
+def test_prec_guard_reads_prec_however_passed():
+    """The guard finds prec by position, keyword or default, and restores the
+    caller's precision on return and on an exception."""
+    @prec_guard
+    def working_prec(x, prec=100):
+        return mp.prec
+
+    @prec_guard
+    def needs_prec(x, prec):
+        return mp.prec
+
+    assert working_prec(0) == 100 + GUARD_BITS
+    assert working_prec(0, 64) == 64 + GUARD_BITS
+    assert working_prec(0, prec=64) == 64 + GUARD_BITS
+    assert needs_prec(0, 80) == 80 + GUARD_BITS
+    saved = mp.prec
+    with pytest.raises(TypeError):
+        needs_prec(0)
+    with pytest.raises(PoleError):
+        hurwitz_zeta(1, 1, 64)  # raised inside the guard
+    assert mp.prec == saved
