@@ -6,7 +6,9 @@ certification, cocycle-relation checks, and descent back to the subgroup.
 Cocycles are stored by their values at T and S only; every other value is
 reconstructed through the cocycle rule along an S/T word.  T-power runs are
 evaluated in closed form (Bernoulli sums over arithmetic progressions), so
-evaluation cost is logarithmic in the matrix entries.
+evaluation cost is logarithmic in the matrix entries.  Each polynomial map
+involved, the weight action of S and T^n and each T-run sum, is one cached
+matrix on the coefficient vector.
 
 Every per-coset loop runs on a quotient of the coset set: the coarsest
 partition on which the stored values are constant and which right
@@ -27,18 +29,20 @@ from typing import List, Optional, Sequence, Tuple
 
 from mpmath import mpc
 
-from .exact import QQ, ExtScalar, bernoulli_value, qq_str, symbol_term
+from .exact import QQ, ExtScalar, _poly_mul, bernoulli_value, qq_str, symbol_term
 from .lseries import lvalue_closed
 from .modgroup import (
-    IndexSetError,
+    IndexSetError,  # raised by admissible; callers catch it from here
     S,
+    T,
     CosetQuotient,
     CosetTable,
     Mat2,
     ResiduePair,
+    admissible,
     decompose_ST,
     enumerate_sl2,
-    in_index_set,
+    t_power,
 )
 from .numerics import DEFAULT_PREC, ext_scalar_value, prec_guard
 
@@ -88,40 +92,12 @@ class PeriodPoly:
         return all(c.is_rational() for c in self.coeffs)
 
     def act(self, g: Mat2) -> "PeriodPoly":
-        """Right weight action; binomial expansion keeps every coefficient a
-        rational combination of the old ones."""
-        w = self.k - 2
-        pows_top = _int_poly_powers(g.a, g.b, w)  # (aX+b)^m
-        pows_bot = _int_poly_powers(g.c, g.d, w)  # (cX+d)^j
-        out = [ExtScalar.zero() for _ in range(w + 1)]
-        for m, pm in enumerate(self.coeffs):
-            if pm.is_zero():
-                continue
-            top = pows_top[m]
-            bot = pows_bot[w - m]
-            for i, ci in enumerate(top):
-                if ci == 0:
-                    continue
-                for j, cj in enumerate(bot):
-                    if cj == 0:
-                        continue
-                    out[i + j] = out[i + j] + pm * (ci * cj)
-        return PeriodPoly(self.k, out)
+        """Right weight action, through the cached matrix of g."""
+        return _apply(_action_matrix(self.k, g), self)
 
     def shift(self, n: int) -> "PeriodPoly":
         """P(X + n), the T^n action."""
-        if n == 0:
-            return self
-        w = self.k - 2
-        out = [ExtScalar.zero() for _ in range(w + 1)]
-        for m, pm in enumerate(self.coeffs):
-            if pm.is_zero():
-                continue
-            npow = 1
-            for l in range(m, -1, -1):
-                out[l] = out[l] + pm * (comb(m, m - l) * npow)
-                npow *= n
-        return PeriodPoly(self.k, out)
+        return self.act(t_power(n))
 
     @prec_guard
     def numeric_coeffs(self, prec: int = DEFAULT_PREC) -> List[mpc]:
@@ -143,31 +119,65 @@ class PeriodPoly:
         return f"PeriodPoly(k={self.k}, {self.coeffs})"
 
 
-def _int_poly_powers(p: int, q: int, max_pow: int) -> List[List[int]]:
-    """Integer coefficient lists of (pX + q)^m for 0 <= m <= max_pow."""
-    pows = [[1]]
+def _int_poly_powers(p: int, q: int, max_pow: int) -> List[List[QQ]]:
+    """Coefficient lists of (pX + q)^m for 0 <= m <= max_pow."""
+    pows = [[QQ(1)]]
     for _ in range(max_pow):
-        prev = pows[-1]
-        nxt = [0] * (len(prev) + 1)
-        for i, c in enumerate(prev):
-            nxt[i] += c * q
-            nxt[i + 1] += c * p
-        pows.append(nxt)
+        pows.append(_poly_mul(pows[-1], [q, p]))
     return pows
 
 
-def _admissible(k: int, lam: ResiduePair, N: int) -> ResiduePair:
-    """lam reduced mod N; raises IndexSetError outside the index set."""
-    lam = ResiduePair(N, lam.l1, lam.l2)
-    if not in_index_set(lam, k):
-        raise IndexSetError(f"parameter {lam} not admissible for weight {k}")
-    return lam
+# Every polynomial map the cocycle rule needs (the weight action of S and
+# T^n, the closed-form T-run sums) is a cached matrix with one row per input
+# coefficient: row m is what X^m maps to.  _apply alone applies them.
+
+
+@lru_cache(maxsize=256)
+def _action_matrix(k: int, g: Mat2) -> Tuple[Tuple[QQ, ...], ...]:
+    """The weight-(k-2) action of g: X^m -> (aX+b)^m (cX+d)^{k-2-m}."""
+    w = k - 2
+    top = _int_poly_powers(g.a, g.b, w)
+    bottom = _int_poly_powers(g.c, g.d, w)
+    return tuple(tuple(_poly_mul(top[m], bottom[w - m])) for m in range(w + 1))
+
+
+def _ap_power_sum(r: int, step: int, terms: int, p: int) -> QQ:
+    """sum_{i=0}^{terms-1} (r + i step)^p, exactly, via Bernoulli polynomials."""
+    if terms <= 0:
+        return QQ(0)
+    x = QQ(r, step)
+    val = (bernoulli_value(p + 1, x + terms) - bernoulli_value(p + 1, x)) / (p + 1)
+    return val * step ** p
+
+
+@lru_cache(maxsize=256)
+def _t_run_matrix(k: int, r: int, step: int, terms: int) -> Tuple[Tuple[QQ, ...], ...]:
+    """The map P -> sum_{i=0}^{terms-1} P(X + r + i step): X^m adds
+    C(m, l) sum_i (r + i step)^{m-l} to the coefficient of X^l."""
+    psums = [_ap_power_sum(r, step, terms, p) for p in range(k - 1)]
+    return tuple(
+        tuple(comb(m, l) * psums[m - l] if l <= m else QQ(0) for l in range(k - 1))
+        for m in range(k - 1)
+    )
+
+
+def _apply(matrix: Sequence[Sequence], poly: PeriodPoly) -> PeriodPoly:
+    """The image of poly under a cached matrix: the one loop that multiplies
+    PeriodPoly coefficients, skipping zero coefficients and zero entries."""
+    out = [ExtScalar.zero()] * (poly.k - 1)
+    for pm, row in zip(poly.coeffs, matrix):
+        if pm.is_zero():
+            continue
+        for l, entry in enumerate(row):
+            if entry:
+                out[l] = out[l] + pm * entry
+    return PeriodPoly(poly.k, out)
 
 
 def period_T(k: int, lam: ResiduePair, N: int) -> PeriodPoly:
     """Value of the base-point-at-infinity period at T: the rational
     polynomial -(B_k(l1/N)/(k!(k-1))) ((X+1)^{k-1} - X^{k-1})."""
-    lam = _admissible(k, lam, N)
+    lam = admissible(k, lam, N)
     front = -bernoulli_value(k, QQ(lam.l1, N)) / (factorial(k) * (k - 1))
     coeffs = [ExtScalar(front * comb(k - 1, j)) for j in range(k - 1)]
     return PeriodPoly(k, coeffs)
@@ -177,7 +187,7 @@ def period_S(k: int, lam: ResiduePair, N: int) -> PeriodPoly:
     """Value of the period at S: a Bernoulli-product polynomial plus polylog
     symbols in the X^0 coefficient (when l1 = 0) and the X^{k-2} coefficient
     (when l2 = 0), each with rational coefficient of size 1/(k-1)."""
-    lam = _admissible(k, lam, N)
+    lam = admissible(k, lam, N)
     l1, l2 = lam.l1, lam.l2
     denom = factorial(k) * (k - 1)
     coeffs = [ExtScalar.zero() for _ in range(k - 1)]
@@ -258,7 +268,7 @@ def _reduce(cochain: InducedCochain) -> _ClassCochain:
 def build_induced(k: int, lam: ResiduePair, N: int) -> InducedCochain:
     """Cochain whose value at gamma on the coset of sigma is the period of
     the series with parameter transported by sigma."""
-    lam = _admissible(k, lam, N)
+    lam = admissible(k, lam, N)
     table = enumerate_sl2(N)
     periods = InducedCochain.coset_parameters(
         lam, table, lambda mu: (period_T(k, mu, N), period_S(k, mu, N))
@@ -283,7 +293,7 @@ def coboundary(k: int, lam: ResiduePair, N: int) -> CoboundaryData:
     """Exact coboundary data from the closed L-values: i^{3-k} L*(., k-1) per
     coset for k >= 3; for k = 2 the value i L*(., 1), gated to the cosets
     whose transported parameter has first coordinate 0."""
-    lam = _admissible(k, lam, N)
+    lam = admissible(k, lam, N)
 
     def value(mu: ResiduePair) -> PeriodPoly:
         if k == 2 and mu.l1 != 0:
@@ -328,14 +338,14 @@ class RationalityReport:
         return out
 
 
-def _transport_T(values: List[PeriodPoly], table: CosetQuotient, n: int) -> List[PeriodPoly]:
-    """Right transport by T^n: (F|T^n)(sigma) = F(sigma T^{-n})|T^n."""
-    return [values[table.rmul_t_power(i, -n)].shift(n) for i in range(len(table))]
+def _transport(values: List[PeriodPoly], sources: Sequence[int], matrix) -> List[PeriodPoly]:
+    """Right transport by g: (F|g)(sigma) = F(sigma g^{-1})|g, given the
+    index of sigma g^{-1} for each sigma and the action matrix of g."""
+    return [_apply(matrix, values[j]) for j in sources]
 
 
-def _transport_S(values: List[PeriodPoly], table: CosetQuotient) -> List[PeriodPoly]:
-    """Right transport by S: (F|S)(sigma) = F(sigma S^{-1})|S."""
-    return [values[table.rmul_S_inv[i]].act(S) for i in range(len(table))]
+def _t_sources(table: CosetQuotient, n: int) -> List[int]:
+    return [table.rmul_t_power(i, -n) for i in range(len(table))]
 
 
 def modify_and_certify(
@@ -351,8 +361,11 @@ def modify_and_certify(
     val_T, val_S, cob_values = (
         _on_classes(quot, vals) for vals in (cochain.val_T, cochain.val_S, cob.values)
     )
-    new_T = [a + b - f for a, b, f in zip(val_T, _transport_T(cob_values, quot, 1), cob_values)]
-    new_S = [a + b - f for a, b, f in zip(val_S, _transport_S(cob_values, quot), cob_values)]
+    k = cochain.k
+    moved_T = _transport(cob_values, _t_sources(quot, 1), _action_matrix(k, T))
+    moved_S = _transport(cob_values, quot.rmul_S_inv, _action_matrix(k, S))
+    new_T = [a + b - f for a, b, f in zip(val_T, moved_T, cob_values)]
+    new_S = [a + b - f for a, b, f in zip(val_S, moved_S, cob_values)]
     modified = InducedCochain(
         cochain.k, cochain.N, cochain.lam, cochain.table, quot.expand(new_T), quot.expand(new_S)
     )
@@ -376,73 +389,51 @@ def _zero_values(cochain: _ClassCochain) -> List[PeriodPoly]:
     return [PeriodPoly.zero(cochain.k) for _ in range(len(cochain.table))]
 
 
-def _ap_power_sum(r: int, step: int, terms: int, p: int) -> QQ:
-    """sum_{i=0}^{terms-1} (r + i step)^p, exactly, via Bernoulli polynomials."""
-    if terms <= 0:
-        return QQ(0)
-    x = QQ(r, step)
-    val = (bernoulli_value(p + 1, x + terms) - bernoulli_value(p + 1, x)) / (p + 1)
-    return val * step ** p
-
-
-def _poly_ap_shift_sum(poly: PeriodPoly, psums: List[QQ]) -> PeriodPoly:
-    """sum_{i=0}^{terms-1} P(X + r + i step), given the power sums
-    psums[p] = _ap_power_sum(r, step, terms, p) for p <= k-2."""
-    out = [ExtScalar.zero() for _ in range(poly.k - 1)]
-    for m, pm in enumerate(poly.coeffs):
-        if pm.is_zero():
-            continue
-        for l in range(m + 1):
-            out[l] = out[l] + pm * (comb(m, l) * psums[m - l])
-    return PeriodPoly(poly.k, out)
-
-
 def _t_run_value(cochain: _ClassCochain, n: int) -> List[PeriodPoly]:
     """c(T^n) in closed form: group the cocycle sum over j < n by the residue
     of j mod N; each class contributes an arithmetic-progression shift sum."""
     if n == 0:
         return _zero_values(cochain)
+    if n == 1:
+        return list(cochain.val_T)
     table = cochain.table
-    N = cochain.N
+    k, N = cochain.k, cochain.N
     if n < 0:
         # c(T^n) = -c(T^{-n})|_{T^n}
-        return [-p for p in _transport_T(_t_run_value(cochain, -n), table, n)]
+        moved = _transport(_t_run_value(cochain, -n), _t_sources(table, n), _action_matrix(k, t_power(n)))
+        return [-p for p in moved]
     # residue class r of j < n holds (n - 1 - r) // N + 1 terms
-    psums = [
-        [_ap_power_sum(r, N, (n - 1 - r) // N + 1, p) for p in range(cochain.k - 1)]
-        for r in range(min(N, n))
-    ]
+    runs = [_t_run_matrix(k, r, N, (n - 1 - r) // N + 1) for r in range(min(N, n))]
     out = []
     for i in range(len(table)):
-        acc = PeriodPoly.zero(cochain.k)
+        acc = PeriodPoly.zero(k)
         idx = i
-        for ps in psums:
+        for run in runs:
             # idx now points at sigma T^{-r}
-            acc = acc + _poly_ap_shift_sum(cochain.val_T[idx], ps)
+            acc = acc + _apply(run, cochain.val_T[idx])
             idx = table.rmul_T_inv[idx]
         out.append(acc)
     return out
 
 
 def _evaluate_classes(cochain: _ClassCochain, tokens) -> List[PeriodPoly]:
-    """Cocycle value along a token word via c(uv) = c(u)|_v + c(v)."""
+    """Cocycle value along a token word via c(uv) = c(u)|_v + c(v), one
+    step per T-run and per letter S."""
     table = cochain.table
     acc: Optional[List[PeriodPoly]] = None
     for kind, n in tokens:
-        if kind == "T":
-            gen_val = _t_run_value(cochain, n)
-            if acc is not None:
-                acc = [a + g for a, g in zip(_transport_T(acc, table, n), gen_val)]
-            else:
-                acc = gen_val
-        elif kind == "S":
-            for _ in range(n):
-                if acc is not None:
-                    acc = [a + s for a, s in zip(_transport_S(acc, table), cochain.val_S)]
-                else:
-                    acc = list(cochain.val_S)
-        else:
+        if kind not in ("S", "T"):
             raise ValueError(f"unknown token {kind!r}")
+        for _ in range(n if kind == "S" else 1):
+            if kind == "S":
+                value, sources, g = cochain.val_S, table.rmul_S_inv, S
+            else:
+                value, sources, g = _t_run_value(cochain, n), _t_sources(table, n), t_power(n)
+            if acc is None:
+                acc = list(value)
+            else:
+                moved = _transport(acc, sources, _action_matrix(cochain.k, g))
+                acc = [a + v for a, v in zip(moved, value)]
     return acc if acc is not None else _zero_values(cochain)
 
 

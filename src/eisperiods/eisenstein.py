@@ -262,6 +262,14 @@ def _fb(t: int, n: int) -> mpf:
     return _to_mp(formal_binomial(t, n))
 
 
+def _i_times_int_power(a: int, p: int) -> mpc:
+    """(a i)^p from the exact integer a^p, rounded once to the working
+    precision; a Python complex power would round it to 53 bits."""
+    x = a ** p
+    re, im = ((x, 0), (0, x), (-x, 0), (0, -x))[p % 4]
+    return mpc(re, im)
+
+
 @prec_guard
 def _kernel_divisor_sums(k, l, N, M, prec, m_class, twist, twist_on, extra_N_power):
     """Shared (m, n) divisor-pair sums for both double-index expansions.
@@ -292,7 +300,7 @@ def _kernel_divisor_sums(k, l, N, M, prec, m_class, twist, twist_on, extra_N_pow
                             * _fb(-l, r)
                             * (-two_pi_i * n) ** (k - 1 - r)
                             * phase
-                            / ((-2j * m) ** (l + r) * mp.factorial(k - 1 - r))
+                            / (_i_times_int_power(-2 * m, l + r) * mp.factorial(k - 1 - r))
                         )
                         if coeff != 0:
                             _laurent_add(dA, -(l + r), mpc(coeff))
@@ -308,7 +316,7 @@ def _kernel_divisor_sums(k, l, N, M, prec, m_class, twist, twist_on, extra_N_pow
                             * _fb(-k, r)
                             * (two_pi_i * n) ** (l - 1 - r)
                             * phase2
-                            / ((2j * m) ** (k + r) * mp.factorial(l - 1 - r))
+                            / (_i_times_int_power(2 * m, k + r) * mp.factorial(l - 1 - r))
                         )
                         if coeff != 0:
                             _laurent_add(dC, -(k + r), mpc(coeff))

@@ -62,7 +62,7 @@ def formal_binomial(t, n: int) -> QQ:
     return num
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _bernoulli_numbers(n: int) -> tuple:
     """B_0..B_n with B_1 = -1/2 (generating function X e^{tX}/(e^X - 1))."""
     if n == 0:
@@ -104,7 +104,7 @@ class BernoulliPoly:
         return f"BernoulliPoly({self.n}, {list(self.coeffs)})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def bernoulli_polynomial(n: int) -> BernoulliPoly:
     """B_n(X) = sum_j C(n,j) B_{n-j} X^j, exact and memoized."""
     if n < 0:
@@ -129,7 +129,7 @@ def bernoulli_value(n: int, t) -> QQ:
 # cyclotomic field Q(mu_N) in the power basis modulo Phi_N
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def cyclotomic_polynomial(N: int) -> tuple:
     """Integer coefficients of Phi_N, low degree first, computed by dividing
     x^N - 1 by the product of Phi_d over proper divisors d of N."""
@@ -167,7 +167,7 @@ def _poly_div_exact(num: List[int], den: Sequence[int]) -> List[int]:
     return quot
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def euler_phi(N: int) -> int:
     return len(cyclotomic_polynomial(N)) - 1
 
@@ -246,16 +246,7 @@ class Cyclo:
             x = qq(other)
             return Cyclo(self.N, [a * x for a in self.coeffs])
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        prod = [QQ(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                if bj == 0:
-                    continue
-                prod[i + j] += ai * bj
-        return Cyclo(self.N, _reduce_mod_phi(prod, self.N))
+        return Cyclo(self.N, _reduce_mod_phi(_poly_mul(self.coeffs, other.coeffs), self.N))
 
     __rmul__ = __mul__
 

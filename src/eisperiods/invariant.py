@@ -26,7 +26,7 @@ from .eisenstein import (
     raw_scale,
 )
 from .lseries import lvalue_closed
-from .modgroup import Mat2, ResiduePair, in_index_set
+from .modgroup import Mat2, ResiduePair, admissible
 from .numerics import DEFAULT_PREC, PrecisionError, _to_mp, cyclo_value, e_of, prec_guard
 
 
@@ -313,9 +313,7 @@ def psi(
         raise ValueError("order must be >= 2")
     k = 2 * m
     N = data.N
-    lam = ResiduePair(N, lam.l1, lam.l2)
-    if not in_index_set(lam, k):
-        raise ValueError(f"parameter {lam} not admissible for weight {k}")
+    lam = admissible(k, lam, N)
     tau = mpc(tau)
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half-plane")

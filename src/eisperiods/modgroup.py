@@ -364,3 +364,11 @@ def in_index_set(lam: ResiduePair, k: int) -> bool:
     if k == 2:
         return not lam.is_zero()
     return k >= 3 and (k % 2 == 0 or lam.N >= 3)
+
+
+def admissible(k: int, lam: ResiduePair, N: int) -> ResiduePair:
+    """lam reduced mod N; raises IndexSetError outside the index set."""
+    lam = ResiduePair(N, lam.l1, lam.l2)
+    if not in_index_set(lam, k):
+        raise IndexSetError(f"parameter {lam} not admissible for weight {k}")
+    return lam

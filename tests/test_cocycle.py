@@ -105,6 +105,36 @@ class TestPeriodPolyAction:
         out = p.act(Mat2(2, 1, 1, 1))
         assert len(out.coeffs) == 3
 
+    def test_action_matrix_against_evaluation(self):
+        """P|g from the cached matrix is (cX+d)^{k-2} P((aX+b)/(cX+d)) at
+        rational points."""
+        from eisperiods.cocycle import _action_matrix
+
+        rng = random.Random(29)
+        for _ in range(30):
+            k = rng.choice([2, 3, 5, 8])
+            coeffs = [QQ(rng.randrange(-9, 10), rng.randrange(1, 6)) for _ in range(k - 1)]
+            g = random_gamma(rng)
+            out = PeriodPoly(k, [ExtScalar(c) for c in coeffs]).act(g)
+            assert _action_matrix(k, g) is _action_matrix(k, g)
+            for x in (QQ(1, 3), QQ(-2), QQ(5, 7)):
+                den = g.c * x + g.d
+                if den == 0:
+                    continue
+                y = (g.a * x + g.b) / den
+                want = den ** (k - 2) * sum(c * y ** i for i, c in enumerate(coeffs))
+                assert sum(c.rational * x ** i for i, c in enumerate(out.coeffs)) == want
+
+    def test_t_run_matrix_is_a_sum_of_shifts(self):
+        from eisperiods.cocycle import _apply, _t_run_matrix
+
+        p = rational_poly(6, ["1/2", "-2/3", "0/1", "5/7", "3/1"])
+        for r, step, terms in ((0, 1, 1), (2, 3, 4), (1, 4, 7), (3, 5, 0)):
+            want = PeriodPoly.zero(6)
+            for i in range(terms):
+                want = want + p.shift(r + i * step)
+            assert _apply(_t_run_matrix(6, r, step, terms), p) == want
+
 
 class TestPeriodValues:
     def test_period_T_level_one(self):
@@ -230,6 +260,10 @@ class TestEvaluation:
             for i in range(len(c.table))
         ]
         assert all(a == b for a, b in zip(got, want))
+
+    def test_t_run_of_one_is_the_stored_value(self):
+        c = build_induced(5, lam(3, 1, 2), 3)
+        assert all(a is b for a, b in zip(evaluate_word(c, [("T", 1)]), c.val_T))
 
     def test_t_run_closed_form_matches_letters(self):
         c = build_induced(3, lam(3, 1, 2), 3)

@@ -207,6 +207,25 @@ class TestEllipticMaassFourier:
         want = lattice_sum(LatticeParams(7, 3, 2, lam(2, 0, 1), "elliptic", 200), tau, PREC)
         assert abs(got - want) < mpf(10) ** -18
 
+    def test_kernel_powers_keep_full_precision(self):
+        """A_81 at v^-9 has powers (2m)^p beyond 2^53; it must carry the
+        working precision, checked against the kernel sum done in mpmath."""
+        k, l, N, l1, l2, j, r = 7, 5, 3, 1, 2, 81, 4
+        got = elliptic_maass_fourier(k, l, lam(N, l1, l2), N, 200, PREC).A[j - 1][-(l + r)]
+        with mp.workprec(2 * PREC):
+            want = mpc(0)
+            for m0 in (d for d in range(1, j + 1) if j % d == 0):
+                for sgn in (1, -1):
+                    m, n = sgn * m0, sgn * (j // m0)
+                    if n % N != l1:
+                        continue
+                    want += (
+                        -2j * mp.pi * sgn / mpf(N) ** (k - r - 1) * mp.binomial(-l, r)
+                        * (-2j * mp.pi * n) ** (k - 1 - r) * mp.expjpi(mpf(2 * m * l2) / N)
+                        / (mpc(0, -2 * m) ** (l + r) * mp.factorial(k - 1 - r))
+                    )
+            assert abs(got - want) < mpf(2) ** -180 * abs(want)
+
 
 class TestLatticeSum:
     def test_conjugation_symmetry(self):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from mpmath import mp, mpc, mpf
 
@@ -23,6 +25,34 @@ def setup_module():
 
 def lam(N, l1, l2):
     return ResiduePair(N, l1, l2)
+
+
+class TestBoundedState:
+    def test_spec_is_frozen(self):
+        spec = LFunctionSpec.for_e_series(4, lam(3, 1, 2), 3, 20)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.k = 6
+
+    def test_embedding_keyed_by_coefficients(self):
+        a = LFunctionSpec.for_e_series(4, lam(3, 1, 2), 3, 20)
+        b = LFunctionSpec.for_e_series(4, lam(3, 1, 2), 3, 20)
+        assert a.embedded_coeffs(PREC)[0] is b.embedded_coeffs(PREC)[0]
+
+    def test_gamma_factor_keyed_by_exact_s(self):
+        """Arguments that print alike at the working precision still get
+        their own incomplete-gamma factor: s2 - s1 is a few ulps, and a
+        small a = 2 pi / 1000 spreads that over about 80 ulps of E."""
+        from eisperiods.lseries import _exp_mellin
+
+        with mp.workprec(PREC + 32):
+            s1 = mpc(mpf(5) / 2)
+            s2 = s1 + mpf(2) ** -204
+            first = _exp_mellin(s1, 1, 1000, PREC)
+            second = _exp_mellin(s2, 1, 1000, PREC)
+            a = 2 * mp.pi / 1000
+            want = mp.power(a, -s2) * mp.gammainc(s2, a, mp.inf)
+        assert second != first
+        assert abs(second - want) < mpf(2) ** -204 * abs(want)
 
 
 class TestIExt:

@@ -1,16 +1,20 @@
 import random
 from math import gcd
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from eisperiods import cocycle, lseries
 from eisperiods.modgroup import (
     IDENTITY,
     CosetQuotient,
+    IndexSetError,
     S,
     T,
     Mat2,
     ResiduePair,
+    admissible,
     decompose_ST,
     enumerate_sl2,
     in_index_set,
@@ -250,3 +254,23 @@ class TestIndexSet:
         assert not in_index_set(ResiduePair(2, 0, 0), 2)
         assert not in_index_set(ResiduePair(2, 1, 1), 3)
         assert in_index_set(ResiduePair(3, 0, 0), 3)
+
+    def test_admissible_reduces_and_rejects(self):
+        assert admissible(4, ResiduePair(6, 5, 4), 3) == ResiduePair(3, 2, 1)
+        for k, lam, N in ((2, ResiduePair(2, 2, 4), 2), (3, ResiduePair(2, 1, 1), 2)):
+            with pytest.raises(IndexSetError, match="not admissible"):
+                admissible(k, lam, N)
+
+    def test_every_entry_point_rejects_through_admissible(self):
+        """The cocycle and L-value entry points raise the one IndexSetError
+        for a parameter outside the index set (psi has even weight >= 4,
+        where every parameter is admissible)."""
+        zero = ResiduePair(2, 0, 0)
+        calls = [
+            lambda: cocycle.period_T(2, zero, 2),
+            lambda: lseries.lvalue_closed(2, zero, 2, 1),
+            lambda: lseries.lvalue_lerch_product(3, ResiduePair(2, 1, 1), 2, 2),
+        ]
+        for call in calls:
+            with pytest.raises(IndexSetError):
+                call()

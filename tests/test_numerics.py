@@ -1,9 +1,12 @@
 import dataclasses
+import importlib
 import inspect
+import pkgutil
 
 import pytest
 from mpmath import mp, mpc, mpf
 
+import eisperiods
 from eisperiods import cocycle, eisenstein, invariant, lseries, numerics
 from eisperiods.eisenstein import (
     LatticeParams,
@@ -239,6 +242,35 @@ def test_every_prec_function_is_guarded():
         assert name in found
     unguarded = [name for name, fn in found.items() if not getattr(fn, "prec_guarded", False)]
     assert unguarded == []
+
+
+def _lru_caches():
+    """(qualified name, cache_parameters()) for every lru_cache bound at
+    module or class level anywhere in the package."""
+    for info in pkgutil.iter_modules(eisperiods.__path__, "eisperiods."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            members = vars(obj).items() if inspect.isclass(obj) else [(None, obj)]
+            for attr, member in members:
+                fn = getattr(member, "__func__", getattr(member, "fget", member))
+                if hasattr(fn, "cache_parameters"):
+                    yield ".".join(filter(None, (info.name, name, attr))), fn.cache_parameters()
+
+
+def test_every_cache_is_bounded():
+    """An unbounded cache grows with every new argument for the life of the
+    process; every cache in the package has a finite maxsize."""
+    found = dict(_lru_caches())
+    for name in (
+        "eisperiods.cocycle._action_matrix",
+        "eisperiods.cocycle._t_run_matrix",
+        "eisperiods.exact._bernoulli_numbers",
+        "eisperiods.exact.euler_phi",
+        "eisperiods.lseries._exp_mellin",
+        "eisperiods.numerics._polylog_cached",
+    ):
+        assert name in found
+    assert [name for name, params in found.items() if params["maxsize"] is None] == []
 
 
 def test_prec_guard_reads_prec_however_passed():
