@@ -1,6 +1,15 @@
 """Command-line front end: sweep orchestration and machine-checkable JSON
 reports.
 
+Every subcommand runs through one pipeline in `main`: parse the arguments,
+build and validate the `RunConfig`, run the command's `cmd_*(args, config)`
+under one `mp.workprec(prec + GUARD_BITS)` block, add the `config` block and
+write the report.  A `cmd_*` function only builds its report and returns it
+with its exit status.  It rejects an input by raising `ValueError`, as the
+library does (`IndexSetError`, `PrecisionError` and the weight and range
+checks are all `ValueError`s); `main` turns that, or an `OSError` from
+writing `--out`, into one `eisp: error:` line and exit code 2.
+
 Reports are deterministic byte for byte for a fixed configuration: summation
 orders are fixed, JSON keys are sorted, exact rationals are rendered as p/q
 strings and floating values as hex-significand strings.
@@ -45,7 +54,7 @@ from .invariant import (
     hecke_assemble,
 )
 from .lseries import LFunctionSpec, lvalue_closed, lvalue_lerch_product, lvalue_numeric
-from .modgroup import S, T, ResiduePair, in_index_set, index_set
+from .modgroup import S, T, ResiduePair, index_set
 from .numerics import GUARD_BITS, mpc_json, mpf_hex, rational_reconstruct
 
 MAX_WEIGHT = 16
@@ -67,15 +76,15 @@ class RunConfig:
     tol: mpf
     out: str | None
 
-    def validate(self, parser: argparse.ArgumentParser):
+    def validate(self):
         if not MIN_PREC <= self.prec <= MAX_PREC:
-            parser.error(f"--prec (or EISP_PREC) must be in [{MIN_PREC}, {MAX_PREC}] bits, got {self.prec}")
+            raise ValueError(f"--prec (or EISP_PREC) must be in [{MIN_PREC}, {MAX_PREC}] bits, got {self.prec}")
         if self.trunc < 1 or self.radius < 1:
-            parser.error("--trunc and --radius must be positive")
+            raise ValueError("--trunc and --radius must be positive")
         if not mp.isfinite(self.tol):
-            parser.error(f"--tol must be a finite number, got {mp.nstr(self.tol)}")
+            raise ValueError(f"--tol must be a finite number, got {mp.nstr(self.tol)}")
         if self.tol < mpf(2) ** (16 - self.prec):
-            parser.error("--tol below what --prec supports (need tol >= 2^(16-prec))")
+            raise ValueError("--tol below what --prec supports (need tol >= 2^(16-prec))")
         return self
 
 
@@ -98,13 +107,13 @@ def _parse_tau(text: str) -> mpc:
     return tau
 
 
-def _check_weight(parser, k, N, m=None):
+def _check_weight(k, N, m=None):
     if not 2 <= k <= MAX_WEIGHT:
-        parser.error(f"weight k must be in [2, {MAX_WEIGHT}]")
+        raise ValueError(f"weight k must be in [2, {MAX_WEIGHT}]")
     if not 1 <= N <= MAX_LEVEL:
-        parser.error(f"level N must be in [1, {MAX_LEVEL}]")
+        raise ValueError(f"level N must be in [1, {MAX_LEVEL}]")
     if m is not None and not 2 <= m <= MAX_ORDER:
-        parser.error(f"order m must be in [2, {MAX_ORDER}]")
+        raise ValueError(f"order m must be in [2, {MAX_ORDER}]")
 
 
 def _emit(report: dict, config: RunConfig) -> None:
@@ -128,107 +137,86 @@ GAMMAS = {"T": T, "S": S, "ST": S * T}
 # ---------------------------------------------------------------------------
 
 
-def cmd_fourier(args, config: RunConfig, parser) -> int:
-    _check_weight(parser, args.k, args.N)
+def cmd_fourier(args, config: RunConfig) -> tuple[dict, int]:
+    _check_weight(args.k, args.N)
     lam = ResiduePair(args.N, *args.lam)
-    kind = args.kind
-    if kind is None:
-        kind = "maass" if args.l is not None else "e"
+    kind = args.kind or ("maass" if args.l is not None else "e")
+    if kind in ("e", "g") and args.l is not None:
+        raise ValueError(f"--l applies only to --kind maass or elliptic, not {kind!r}")
     l = args.l or 0
-    with mp.workprec(config.prec + GUARD_BITS):
-        if kind == "e":
-            series = e_fourier(args.k, lam, args.N, config.trunc)
-            mode = "elliptic"
-            scale = raw_scale(args.k, config.prec)
-        elif kind == "g":
-            series = g_fourier(args.k, lam, args.N, config.trunc, config.prec)
-            mode = "congruence"
-            scale = mpc(1)
-        elif kind == "maass":
-            series = maass_fourier(args.k, l, lam, args.N, config.trunc, config.prec)
-            mode = "congruence"
-            scale = mpc(1)
-        elif kind == "elliptic":
-            series = elliptic_maass_fourier(args.k, l, lam, args.N, config.trunc, config.prec)
-            mode = "elliptic"
-            scale = mpc(1)
-        else:
-            parser.error(f"unknown series kind {kind!r}")
-        report = {"series": series.to_json(), "config": _config_json(config)}
-        status = EXIT_OK
-        if args.check_lattice:
-            tau = args.tau if args.tau is not None else mpc(0, 1)
-            value = eval_fourier(series, tau, config.prec) * scale
-            oracle = lattice_sum(
-                LatticeParams(args.k, l, args.N, lam, mode, config.radius), tau, config.prec
-            )
-            residual = abs(value - oracle)
-            report["lattice_check"] = {
-                "tau": _num(tau),
-                "fourier_value": _num(value),
-                "lattice_value": _num(oracle),
-                "residual": mpf_hex(residual),
-                "residual_dec": mp.nstr(residual, 8),
-                "tolerance": mp.nstr(config.tol, 8),
-                "pass": bool(residual < config.tol),
-            }
-            if not residual < config.tol:
-                status = EXIT_TOLERANCE
-    _emit(report, config)
-    return status
+    scale = mpc(1)
+    if kind == "e":
+        series = e_fourier(args.k, lam, args.N, config.trunc)
+        mode = "elliptic"
+        scale = raw_scale(args.k, config.prec)
+    elif kind == "g":
+        series = g_fourier(args.k, lam, args.N, config.trunc, config.prec)
+        mode = "congruence"
+    elif kind == "maass":
+        series = maass_fourier(args.k, l, lam, args.N, config.trunc, config.prec)
+        mode = "congruence"
+    else:
+        series = elliptic_maass_fourier(args.k, l, lam, args.N, config.trunc, config.prec)
+        mode = "elliptic"
+    report = {"series": series.to_json()}
+    status = EXIT_OK
+    if args.check_lattice:
+        tau = args.tau if args.tau is not None else mpc(0, 1)
+        value = eval_fourier(series, tau, config.prec) * scale
+        oracle = lattice_sum(
+            LatticeParams(args.k, l, args.N, lam, mode, config.radius), tau, config.prec
+        )
+        residual = abs(value - oracle)
+        report["lattice_check"] = {
+            "tau": _num(tau),
+            "fourier_value": _num(value),
+            "lattice_value": _num(oracle),
+            "residual": mpf_hex(residual),
+            "residual_dec": mp.nstr(residual, 8),
+            "tolerance": mp.nstr(config.tol, 8),
+            "pass": bool(residual < config.tol),
+        }
+        if not residual < config.tol:
+            status = EXIT_TOLERANCE
+    return report, status
 
 
-def cmd_lvalues(args, config: RunConfig, parser) -> int:
-    _check_weight(parser, args.k, args.N)
+def cmd_lvalues(args, config: RunConfig) -> tuple[dict, int]:
+    _check_weight(args.k, args.N)
     lam = ResiduePair(args.N, *args.lam)
-    if not in_index_set(lam, args.k):
-        parser.error(f"parameter {lam} not admissible for weight {args.k}")
     rs = [args.r] if args.r is not None else list(range(1, args.k))
     records = []
     status = EXIT_OK
-    with mp.workprec(config.prec + GUARD_BITS):
-        spec = LFunctionSpec.for_e_series(args.k, lam, args.N, config.trunc)
-        scale = raw_scale(args.k, config.prec)
-        for r in rs:
-            closed = lvalue_closed(args.k, lam, args.N, r)
-            c_num = closed.numeric(config.prec)
-            v_num = lvalue_numeric(spec, r, config.prec)
-            v_ler = lvalue_lerch_product(args.k, lam, args.N, r, config.prec) / scale
-            spread = max(abs(c_num - v_num), abs(c_num - v_ler), abs(v_num - v_ler))
-            records.append(
-                {
-                    "r": r,
-                    "closed": {
-                        "one": closed.value.one.to_json(),
-                        "i": closed.value.ipart.to_json(),
-                    },
-                    "closed_numeric": _num(c_num),
-                    "mellin_numeric": _num(v_num),
-                    "lerch_numeric": _num(v_ler),
-                    "max_pairwise_diff": mp.nstr(spread, 8),
-                    "pass": bool(spread < config.tol),
-                }
-            )
-            if not spread < config.tol:
-                status = EXIT_TOLERANCE
-    _emit(
-        {
-            "k": args.k,
-            "N": args.N,
-            "lambda": list(args.lam),
-            "values": records,
-            "config": _config_json(config),
-        },
-        config,
-    )
-    return status
+    spec = LFunctionSpec.for_e_series(args.k, lam, args.N, config.trunc)
+    scale = raw_scale(args.k, config.prec)
+    for r in rs:
+        closed = lvalue_closed(args.k, lam, args.N, r)
+        c_num = closed.numeric(config.prec)
+        v_num = lvalue_numeric(spec, r, config.prec)
+        v_ler = lvalue_lerch_product(args.k, lam, args.N, r, config.prec) / scale
+        spread = max(abs(c_num - v_num), abs(c_num - v_ler), abs(v_num - v_ler))
+        records.append(
+            {
+                "r": r,
+                "closed": {
+                    "one": closed.value.one.to_json(),
+                    "i": closed.value.ipart.to_json(),
+                },
+                "closed_numeric": _num(c_num),
+                "mellin_numeric": _num(v_num),
+                "lerch_numeric": _num(v_ler),
+                "max_pairwise_diff": mp.nstr(spread, 8),
+                "pass": bool(spread < config.tol),
+            }
+        )
+        if not spread < config.tol:
+            status = EXIT_TOLERANCE
+    return {"k": args.k, "N": args.N, "lambda": list(args.lam), "values": records}, status
 
 
-def cmd_periods(args, config: RunConfig, parser) -> int:
-    _check_weight(parser, args.k, args.N)
+def cmd_periods(args, config: RunConfig) -> tuple[dict, int]:
+    _check_weight(args.k, args.N)
     lam = ResiduePair(args.N, *args.lam)
-    if not in_index_set(lam, args.k):
-        parser.error(f"parameter {lam} not admissible for weight {args.k}")
     report = {
         "k": args.k,
         "N": args.N,
@@ -236,34 +224,26 @@ def cmd_periods(args, config: RunConfig, parser) -> int:
         "period_T": period_T(args.k, lam, args.N).to_json(),
         "period_S": period_S(args.k, lam, args.N).to_json(),
     }
-    _emit(report, config)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def _sweep_cells(args, parser):
-    if args.k is not None:
-        ks = [args.k]
-    else:
-        ks = list(range(2, args.k_max + 1))
-    if args.N is not None:
-        ns = [args.N]
-    else:
-        ns = list(range(1, args.N_max + 1))
+def _sweep_cells(args):
+    ks = [args.k] if args.k is not None else list(range(2, args.k_max + 1))
+    ns = [args.N] if args.N is not None else list(range(1, args.N_max + 1))
     for k in ks:
         for N in ns:
-            _check_weight(parser, k, N)
+            _check_weight(k, N)
     return ks, ns
 
 
-def cmd_rationality(args, config: RunConfig, parser) -> int:
-    ks, ns = _sweep_cells(args, parser)
+def cmd_rationality(args, config: RunConfig) -> tuple[dict, int]:
+    ks, ns = _sweep_cells(args)
     records = []
     failures = 0
     cells = 0
     for N in ns:
         for k in ks:
-            lams = index_set(N, k)
-            for lam in lams:
+            for lam in index_set(N, k):
                 original, modified, report = certify_parameter(k, lam, N)
                 cells += 1
                 if not report.certified:
@@ -276,52 +256,47 @@ def cmd_rationality(args, config: RunConfig, parser) -> int:
     out = {
         "records": records,
         "summary": {"cells": cells, "certified": cells - failures, "failed": failures},
-        "config": _config_json(config),
     }
     if cells == 0:
         out["warning"] = "empty sweep: no admissible parameters in the requested range"
-    _emit(out, config)
-    return EXIT_TOLERANCE if failures else EXIT_OK
+    return out, EXIT_TOLERANCE if failures else EXIT_OK
 
 
-def cmd_relations(args, config: RunConfig, parser) -> int:
-    ks, ns = _sweep_cells(args, parser)
+def cmd_relations(args, config: RunConfig) -> tuple[dict, int]:
+    ks, ns = _sweep_cells(args)
     records = []
     bad = 0
     for N in ns:
         for k in ks:
             lams = [ResiduePair(N, *args.lam)] if args.lam else index_set(N, k)
             for lam in lams:
-                if not in_index_set(lam, k):
-                    parser.error(f"parameter {lam} not admissible for weight {k}")
                 ok = verify_relations(build_induced(k, lam, N))
                 records.append(
                     {"k": k, "N": N, "lambda": [lam.l1, lam.l2], "relations_hold": ok}
                 )
                 if not ok:
                     bad += 1
-    _emit({"records": records, "failed": bad, "config": _config_json(config)}, config)
-    return EXIT_TOLERANCE if bad else EXIT_OK
+    return {"records": records, "failed": bad}, EXIT_TOLERANCE if bad else EXIT_OK
 
 
-def _load_data(path: str, parser, build):
+def _load_data(path: str, build):
     """build(payload) for the JSON payload of a --data file; a missing file,
     malformed JSON or a bad entry is a configuration error."""
     if not os.path.exists(path):
-        parser.error(f"data file not found: {path}")
+        raise ValueError(f"data file not found: {path}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return build(json.load(fh))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        parser.error(f"bad data file {path}: {type(exc).__name__}: {exc}")
+        raise ValueError(f"bad data file {path}: {type(exc).__name__}: {exc}") from exc
 
 
-def _load_lattice(args, parser) -> QuadLatticeData:
+def _load_lattice(args) -> QuadLatticeData:
     if args.preset:
         return QuadLatticeData.preset(args.preset)
     if not args.data:
-        parser.error("need --preset or --data")
-    return _load_data(args.data, parser, QuadLatticeData.from_json)
+        raise ValueError("need --preset or --data")
+    return _load_data(args.data, QuadLatticeData.from_json)
 
 
 def _hecke_classes(payload: dict):
@@ -337,80 +312,63 @@ def _hecke_classes(payload: dict):
     return classes, payload.get("w_f", 1)
 
 
-def cmd_invariant(args, config: RunConfig, parser) -> int:
-    _check_weight(parser, 2 * args.m, 1, m=args.m)
-    data = _load_lattice(args, parser)
+def cmd_invariant(args, config: RunConfig) -> tuple[dict, int]:
+    _check_weight(2 * args.m, 1, m=args.m)
+    data = _load_lattice(args)
     gammas = [args.gamma] if args.gamma else ["T", "S", "ST"]
     den_bound = 10 ** 6
     records = []
     failed = 0
-    with mp.workprec(config.prec + GUARD_BITS):
-        for name in gammas:
-            gamma = GAMMAS.get(name)
-            if gamma is None:
-                parser.error(f"unknown generator {name!r} (choose from T, S, ST)")
-            shift = psi_gamma_shift(args.m, data, gamma, M=config.trunc, prec=config.prec)
-            rec = rational_reconstruct(shift, den_bound, config.tol, config.prec)
-            records.append(
-                {
-                    "check": "gamma_shift",
-                    "gamma": name,
-                    "value": _num(shift),
-                    "reconstructed": qq_str(rec) if rec is not None else None,
-                }
-            )
-            if rec is None:
-                failed += 1
-        ratio = psi_value_ratio(args.m, data, data.lam, M=config.trunc, prec=config.prec)
-        rec = rational_reconstruct(ratio, den_bound, config.tol, config.prec)
+    for name in gammas:
+        gamma = GAMMAS.get(name)
+        if gamma is None:
+            raise ValueError(f"unknown generator {name!r} (choose from T, S, ST)")
+        shift = psi_gamma_shift(args.m, data, gamma, M=config.trunc, prec=config.prec)
+        rec = rational_reconstruct(shift, den_bound, config.tol, config.prec)
         records.append(
             {
-                "check": "value_ratio",
-                "value": _num(ratio),
+                "check": "gamma_shift",
+                "gamma": name,
+                "value": _num(shift),
                 "reconstructed": qq_str(rec) if rec is not None else None,
             }
         )
         if rec is None:
             failed += 1
-    _emit(
+    ratio = psi_value_ratio(args.m, data, data.lam, M=config.trunc, prec=config.prec)
+    rec = rational_reconstruct(ratio, den_bound, config.tol, config.prec)
+    records.append(
         {
-            "m": args.m,
-            "lattice": data.to_json(),
-            "checks": records,
-            "failed": failed,
-            "config": _config_json(config),
-        },
-        config,
+            "check": "value_ratio",
+            "value": _num(ratio),
+            "reconstructed": qq_str(rec) if rec is not None else None,
+        }
     )
-    return EXIT_TOLERANCE if failed else EXIT_OK
+    if rec is None:
+        failed += 1
+    report = {"m": args.m, "lattice": data.to_json(), "checks": records, "failed": failed}
+    return report, EXIT_TOLERANCE if failed else EXIT_OK
 
 
-def cmd_hecke(args, config: RunConfig, parser) -> int:
-    _check_weight(parser, 2 * args.m, 1, m=args.m)
+def cmd_hecke(args, config: RunConfig) -> tuple[dict, int]:
+    _check_weight(2 * args.m, 1, m=args.m)
     if args.data:
-        classes, w_f = _load_data(args.data, parser, _hecke_classes)
+        classes, w_f = _load_data(args.data, _hecke_classes)
     elif args.preset:
         data = QuadLatticeData.preset(args.preset)
         classes = [IdealClassTerm(data, QQ(1), mpc(1))]
         w_f = {"gaussian": 4, "eisenstein": 6}[args.preset]
     else:
-        parser.error("need --preset or --data")
-    with mp.workprec(config.prec + GUARD_BITS):
-        value = hecke_assemble(
-            args.m, args.delta, classes, w_f, prec=config.prec, M=config.trunc
-        )
-    _emit(
-        {
-            "m": args.m,
-            "delta": args.delta,
-            "w_f": w_f,
-            "classes": len(classes),
-            "value": _num(value),
-            "config": _config_json(config),
-        },
-        config,
-    )
-    return EXIT_OK
+        raise ValueError("need --preset or --data")
+    value = hecke_assemble(args.m, args.delta, classes, w_f, prec=config.prec, M=config.trunc)
+    report = {
+        "m": args.m,
+        "delta": args.delta,
+        "w_f": w_f,
+        "classes": len(classes),
+        "value": _num(value),
+    }
+    return report, EXIT_OK
 
 
 def _config_json(config: RunConfig) -> dict:
@@ -537,10 +495,18 @@ def main(argv=None) -> int:
         tol = mpf(10) ** -30
     else:
         tol = max(mpf(2) ** -128, mpf(2) ** (16 - prec))
-    config = RunConfig(
-        prec=prec, trunc=trunc, radius=args.radius, tol=tol, out=args.out
-    ).validate(parser)
-    return args.func(args, config, parser)
+    try:
+        config = RunConfig(
+            prec=prec, trunc=trunc, radius=args.radius, tol=tol, out=args.out
+        ).validate()
+        with mp.workprec(config.prec + GUARD_BITS):
+            report, status = args.func(args, config)
+        if args.command != "periods":  # keeps periods reports byte-identical
+            report["config"] = _config_json(config)
+        _emit(report, config)
+    except (ValueError, OSError) as exc:
+        parser.error(str(exc))
+    return status
 
 
 if __name__ == "__main__":

@@ -445,7 +445,6 @@ def hecke_assemble(
     w_f: int,
     prec: int = 256,
     M: int = 400,
-    route: str = "fourier",
 ) -> mpc:
     """Class-by-class assembly of the L-value:
     (1/w_f) sum_r (Nb_r^{m+delta}/chi_r) N_r^{-2}
@@ -463,7 +462,7 @@ def hecke_assemble(
             for l2 in range(N):
                 lam = ResiduePair(N, l1, l2)
                 phase = e_of(QQ(bilinear_exponent(data.lam, lam), N), prec)
-                inner += phase * psi_r_value(m, data, lam, M, prec, route=route)
+                inner += phase * psi_r_value(m, data, lam, M, prec)
         total += (
             _to_mp(qq(term.norm_b)) ** (m + delta) / mpc(term.chi) * inner / N ** 2
         )

@@ -1,7 +1,8 @@
+import inspect
 import json
 
 import pytest
-from mpmath import mp
+from mpmath import mp, mpf
 
 from eisperiods import cli
 from eisperiods.cli import MAX_PREC, main
@@ -151,6 +152,16 @@ class TestHeckeCommand:
             got = mp.mpf(doc["value"]["dec"].strip("()").split(" ")[0])
             assert abs(got - want) < mp.mpf(10) ** -12
 
+    def test_value_keeps_working_precision(self, capsys):
+        # the report renders the value at the working precision, not at the
+        # 53 bits of the ambient context
+        code, doc = run(capsys, "hecke", "--m", "2", "--preset", "gaussian")
+        assert code == 0
+        man, exp = doc["value"]["re"].split("p")
+        with mp.workprec(400):
+            got = mpf(int(man, 16)) * mpf(2) ** int(exp)
+            assert abs(got - mp.zeta(2) * mp.catalan) < mpf(10) ** -60
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path):
@@ -187,6 +198,21 @@ class TestTolValidation:
         assert exc.value.code == 2
 
 
+# inputs that pass argument parsing and are rejected once the command runs
+REJECTED_INPUTS = {
+    "inadmissible_weight_3": "fourier --kind e --k 3 --N 1 --lambda 0,0",
+    "maass_total_weight_2": "fourier --kind maass --k 2 --l 0 --N 1 --lambda 0,1",
+    "elliptic_total_weight_2": "fourier --kind elliptic --k 4 --l -2 --N 1 --lambda 0,0",
+    "lvalue_r_below_range": "lvalues --k 4 --N 1 --lambda 0,0 --r 0",
+    "lvalue_r_above_range": "lvalues --k 4 --N 1 --lambda 0,0 --r 9",
+    "lattice_weight_2": "--trunc 10 fourier --kind g --k 2 --N 1 --lambda 0,1 --check-lattice",
+    "invariant_tail_above_tol": "--trunc 10 invariant --m 2 --preset gaussian",
+    "out_dir_missing": "--out /no/such/dir/x.json periods --k 4 --N 1 --lambda 0,0",
+    "l_with_holomorphic_kind": "--trunc 40 --radius 40 --tol 1e-3 fourier --kind g --k 12 "
+    "--l 2 --N 1 --lambda 0,0 --tau 0.1,1.2 --check-lattice",
+}
+
+
 class TestBadConfiguration:
     """Malformed configuration exits 2 through the argument parser."""
 
@@ -197,6 +223,11 @@ class TestBadConfiguration:
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
         return err
+
+    @pytest.mark.parametrize("name", sorted(REJECTED_INPUTS))
+    def test_rejected_input(self, capsys, name):
+        err = self.exits_2(capsys, REJECTED_INPUTS[name].split())
+        assert err.count("eisp: error:") == 1
 
     def test_non_numeric_tol(self, capsys):
         err = self.exits_2(capsys, ["--tol", "abc", "periods", "--k", "4", "--N", "1", "--lambda", "0,0"])
@@ -237,3 +268,14 @@ class TestBadConfiguration:
         path.write_text(json.dumps({"classes": [{"lattice": {"minpoly": [1, 0, 1]}}]}))
         err = self.exits_2(capsys, ["hecke", "--m", "2", "--data", str(path)])
         assert "KeyError" in err
+
+
+def test_every_command_takes_args_and_config():
+    """main owns the parser, the precision block and the report; a command
+    that took the parser could reject an input around that pipeline."""
+    commands = {
+        name: fn for name, fn in vars(cli).items() if name.startswith("cmd_") and callable(fn)
+    }
+    assert len(commands) == 7
+    for name, fn in commands.items():
+        assert list(inspect.signature(fn).parameters) == ["args", "config"], name
