@@ -26,7 +26,10 @@ CASES = {
         "--tol 1e-6 --trunc 12 --radius 30 fourier --kind elliptic --k 7 --l 5 "
         "--N 2 --lambda 1,1 --tau=-0.3,1.5 --check-lattice",
     ),
+    "fourier_maass": (0, "--trunc 60 fourier --kind maass --k 7 --l 5 --N 3 --lambda 1,2"),
+    "fourier_elliptic": (0, "--trunc 60 fourier --kind elliptic --k 7 --l 5 --N 3 --lambda 1,2"),
     "invariant": (0, "invariant --m 2 --preset gaussian"),
+    "invariant_eisenstein": (0, "invariant --m 3 --preset eisenstein"),
     "hecke": (0, "hecke --m 2 --preset gaussian"),
 }
 
