@@ -399,6 +399,13 @@ def _add_global_options(parser: argparse.ArgumentParser, suppress: bool):
     parser.add_argument("--out", type=str, default=default(None), help="write the JSON report to this path")
 
 
+def _add_lattice_options(parser: argparse.ArgumentParser):
+    """--preset or --data, not both: each command would silently drop one."""
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--preset", choices=["gaussian", "eisenstein"], default=None)
+    group.add_argument("--data", type=str, default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eisp",
@@ -461,8 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariant", help="lattice-invariant rationality certification")
     _add_global_options(p, suppress=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--preset", choices=["gaussian", "eisenstein"], default=None)
-    p.add_argument("--data", type=str, default=None)
+    _add_lattice_options(p)
     p.add_argument("--gamma", type=str, default=None)
     p.set_defaults(func=cmd_invariant)
 
@@ -470,8 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_global_options(p, suppress=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--delta", type=int, default=0)
-    p.add_argument("--preset", choices=["gaussian", "eisenstein"], default=None)
-    p.add_argument("--data", type=str, default=None)
+    _add_lattice_options(p)
     p.set_defaults(func=cmd_hecke)
 
     return parser

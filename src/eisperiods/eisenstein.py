@@ -224,10 +224,6 @@ class MaassFourier:
         }
 
 
-def _laurent_add(d: Dict[int, mpc], ex: int, val: mpc):
-    d[ex] = d.get(ex, mpc(0)) + val
-
-
 @prec_guard
 def maass_fourier(
     k: int, l: int, lam: ResiduePair, N: int, M: int, prec: int = DEFAULT_PREC
@@ -277,51 +273,68 @@ def _kernel_divisor_sums(k, l, N, M, prec, m_class, twist, twist_on, extra_N_pow
     twist_on selects whether the congruence condition sits on the m or the n
     member of the pair and which of them twists the root of unity; the
     elliptic variant drops one power of N (extra_N_power = 1).
+
+    The pair (m, n) = sgn (m0, n0), m0 n0 = j, adds to the v^-(l+r) term of A_j
+
+        -2 pi i sgn / N^(k-r-e) C(-l, r) (-2 pi i n)^(k-1-r) phase
+            / ((-2m i)^(l+r) (k-1-r)!),
+
+    and to the v^-(k+r) term of C_j the same with k and l, the sign of
+    2 pi i and the sign of 2m swapped.  Each term is evaluated as
+    prepow[n][r] * phase / den[m][r], the left-to-right order of the
+    expression above, from tables built once per call: prepow folds the
+    prefix of (sgn, r) into the power of n, den is the denominator of m and
+    the phase is e(.) of one exact rational.  Running m0 in the outer loop
+    adds the terms of each A_j and C_j in the same order as walking the
+    divisor pairs of j, so every sum keeps its bits; it also leaves one row
+    of den live at a time.
     """
-    pairs = _divisor_pairs(M)
-    A: List[Dict[int, mpc]] = []
-    C: List[Dict[int, mpc]] = []
     two_pi_i = 2j * mp.pi
-    for j in range(1, M + 1):
-        dA: Dict[int, mpc] = {}
-        dC: Dict[int, mpc] = {}
-        for m0, n0 in pairs[j]:
+    maass = twist_on == "n"
+    small = M // 8  # a row of prepow past it serves at most seven pairs
+    phases: Dict[int, mpc] = {}
+    A: List[Dict[int, mpc]] = [{} for _ in range(M)]
+    C: List[Dict[int, mpc]] = [{} for _ in range(M)]
+    # A, then C: side -1 swaps k and l and flips the sign of 2 pi i, of 2m
+    # and of n in the elliptic condition and the maass twist
+    for out, side, base, a, c in ((A, 1, -two_pi_i, k, l), (C, -1, two_pi_i, l, k)):
+        prefix = {
+            sgn: [base * sgn / mpf(N) ** (a - r - extra_N_power) * _fb(-c, r) for r in range(a)]
+            for sgn in (1, -1)
+        }
+        # a zero binomial is the only way a term vanishes
+        live = [r for r in range(a) if prefix[1][r] != 0]
+        prepows: Dict[int, list] = {}
+        for m0 in range(1, M + 1):
             for sgn in (1, -1):
-                m, n = sgn * m0, sgn * n0
-                # A_j: condition on (m for maass, n for elliptic)
-                cond_val = m if twist_on == "n" else n
-                if cond_val % N == m_class:
-                    phase = e_of(QQ((n if twist_on == "n" else m) * twist, N), prec)
-                    for r in range(k):
-                        coeff = (
-                            -two_pi_i
-                            * sgn
-                            / mpf(N) ** (k - r - extra_N_power)
-                            * _fb(-l, r)
-                            * (-two_pi_i * n) ** (k - 1 - r)
-                            * phase
-                            / (_i_times_int_power(-2 * m, l + r) * mp.factorial(k - 1 - r))
-                        )
-                        if coeff != 0:
-                            _laurent_add(dA, -(l + r), mpc(coeff))
-                # C_j: condition (m for maass, -n for elliptic), opposite twist
-                cond_val2 = m if twist_on == "n" else -n
-                if cond_val2 % N == m_class:
-                    phase2 = e_of(QQ(-(n if twist_on == "n" else -m) * twist, N), prec)
-                    for r in range(l):
-                        coeff = (
-                            two_pi_i
-                            * sgn
-                            / mpf(N) ** (l - r - extra_N_power)
-                            * _fb(-k, r)
-                            * (two_pi_i * n) ** (l - 1 - r)
-                            * phase2
-                            / (_i_times_int_power(2 * m, k + r) * mp.factorial(l - 1 - r))
-                        )
-                        if coeff != 0:
-                            _laurent_add(dC, -(k + r), mpc(coeff))
-        A.append({ex: c for ex, c in dA.items() if c != 0})
-        C.append({ex: c for ex, c in dC.items() if c != 0})
+                m = sgn * m0
+                # maass: condition on m, twist by n; elliptic: the reverse
+                if maass and m % N != m_class:
+                    continue
+                den = [
+                    _i_times_int_power(-side * 2 * m, c + r) * mp.factorial(a - 1 - r)
+                    for r in range(a)
+                ]
+                for n0 in range(1, M // m0 + 1):
+                    n = sgn * n0
+                    if not maass and (side * n) % N != m_class:
+                        continue
+                    t = (side * n if maass else m) * twist
+                    phase = phases.get(t)
+                    if phase is None:
+                        phase = phases[t] = e_of(QQ(t, N), prec)
+                    row = prepows.get(n)
+                    if row is None:
+                        row = [p * (base * n) ** (a - 1 - r) for r, p in enumerate(prefix[sgn])]
+                        if n0 <= small:
+                            prepows[n] = row
+                    d = out[m0 * n0 - 1]
+                    for r in live:
+                        coeff = row[r] * phase / den[r]
+                        ex = -(c + r)
+                        d[ex] = d[ex] + coeff if ex in d else coeff
+        for j, d in enumerate(out):
+            out[j] = {ex: v for ex, v in d.items() if v != 0}
     return A, C
 
 

@@ -180,7 +180,7 @@ class Cyclo:
     equality and zero tests reduce to coefficient comparison.
     """
 
-    __slots__ = ("N", "coeffs")
+    __slots__ = ("N", "coeffs", "_hash")
 
     def __init__(self, N: int, coeffs: Sequence):
         phi = euler_phi(N)
@@ -189,6 +189,7 @@ class Cyclo:
             raise ValueError(f"need exactly phi({N}) = {phi} coefficients")
         self.N = N
         self.coeffs = tuple(coeffs)
+        self._hash = None  # computed on first use; the element is immutable
 
     # -- constructors
 
@@ -284,7 +285,9 @@ class Cyclo:
         return self.is_rational() and self.coeffs[0] == qq(other)
 
     def __hash__(self):
-        return hash((self.N, self.coeffs))
+        if self._hash is None:
+            self._hash = hash((self.N, self.coeffs))
+        return self._hash
 
     def __repr__(self):
         return f"Cyclo({self.N}, {[str(c) for c in self.coeffs]})"

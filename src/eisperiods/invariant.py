@@ -10,6 +10,7 @@ other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial, gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -229,14 +230,16 @@ class QuadLatticeData:
         }
 
 
+@lru_cache(maxsize=4)
 @prec_guard
 def _raw_fourier_coeffs(k: int, lam: ResiduePair, N: int, M: int, prec: int):
-    """Constant and q_N coefficients of the raw (unnormalized) holomorphic
-    series, numerically."""
+    """Constant and q_N coefficients (a tuple) of the raw (unnormalized)
+    holomorphic series, numerically.  Memoised: psi and the Eichler
+    integrals ask for the same expansion at every evaluation point."""
     f = e_fourier(k, lam, N, M)
     scale = raw_scale(k, prec)
     a0 = scale * _to_mp(f.const)
-    coeffs = [scale * cyclo_value(c, prec) for c in f.coeffs]
+    coeffs = tuple(scale * cyclo_value(c, prec) for c in f.coeffs)
     return a0, coeffs
 
 
@@ -335,22 +338,34 @@ def psi(
     q = mp.expjpi(2 * tau / N)
     qp = mpc(1)
     binoms = [_to_mp(formal_binomial(-m, r)) for r in range(m)]
+    facs = [mp.factorial(m - 1 - r) for r in range(m)]
+    n_power = mpf(N) ** (k - 1)
+    two_pi_i = 2j * mp.pi
     for j, aj in enumerate(coeffs, start=1):
         qp *= q
         if aj == 0:
             continue
-        wj = 2j * mp.pi * j / N
+        x = vdiff * (two_pi_i * j / N)
         mult = mpc(0)
         for r in range(m):
-            mult += binoms[r] * (vdiff * wj) ** (m - 1 - r) / mp.factorial(m - 1 - r)
+            mult += binoms[r] * x ** (m - 1 - r) / facs[r]
         mult *= fm1
-        acc += fac * aj * mpf(N) ** (k - 1) / (2j * mp.pi * j) ** (k - 1) * mult * qp
+        acc += fac * aj * n_power / (two_pi_i * j) ** (k - 1) * mult * qp
     # anchoring constant
     acc += _lvalue_shift(m, lam, N, prec) * _to_mp(dd_m_constant(m))
     front = mpc(1j) * mp.power(-data.disc, mpf(m - 1) / 2) / (
         mp.pi ** m * vdiff ** (m - 1)
     )
     return PsiValue(m, data, lam, tau, front * acc, prec, M)
+
+
+@lru_cache(maxsize=4)
+@prec_guard
+def _psi_at_heegner(m: int, data: QuadLatticeData, lam: ResiduePair, M: int, prec: int) -> mpc:
+    """psi at the lattice's own Heegner point tau = data.tau(prec), the base
+    point that psi_gamma_shift and psi_value_ratio share; evaluated once
+    per (m, data, lam, M, prec)."""
+    return psi(m, data, lam, data.tau(prec), M, prec).value
 
 
 @prec_guard
@@ -372,8 +387,8 @@ def psi_gamma_shift(
     lam = data.lam
     tau = data.tau(prec)
     shifted = psi(m, data, lam.act(gamma.inverse()), mobius(gamma, tau, prec), M, prec)
-    base = psi(m, data, lam, tau, M, prec)
-    return (shifted.value - base.value) / (2j * mp.pi) ** m
+    base = _psi_at_heegner(m, data, lam, M, prec)
+    return (shifted.value - base) / (2j * mp.pi) ** m
 
 
 def re_m(z: mpc, m: int) -> mpf:
@@ -421,10 +436,9 @@ def psi_value_ratio(
 ) -> mpc:
     """re_m(psi) pi^m / (|D|^{m-1/2} psi_r): rational when the invariant
     carries the partial-zeta value."""
-    tau = data.tau(prec)
-    p = psi(m, data, lam, tau, M, prec)
+    p = _psi_at_heegner(m, data, lam, M, prec)
     pr = psi_r_value(m, data, lam, M, prec)
-    return re_m(p.value, m) * mp.pi ** m / (mp.power(-data.disc, m - mpf(1) / 2) * pr)
+    return re_m(p, m) * mp.pi ** m / (mp.power(-data.disc, m - mpf(1) / 2) * pr)
 
 
 @dataclass(frozen=True)

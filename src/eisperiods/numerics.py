@@ -35,7 +35,8 @@ def prec_guard(fn):
 
     It sets and restores ``mp.prec`` itself, as ``mp.workprec`` does, because
     building a context manager on each call costs about 1 us, and the hot
-    callers (``e_of``, ``cyclo_value``) run some 10^5 times per command."""
+    callers (``cyclo_value``, the misses of ``e_of``) run thousands of times
+    per command."""
     params = list(inspect.signature(fn).parameters.values())
     pos = [p.name for p in params].index("prec")
     default = params[pos].default
@@ -72,9 +73,12 @@ def _to_mp(x):
     return mpf(int(q.numerator)) / int(q.denominator)
 
 
+@lru_cache(maxsize=1024)
 @prec_guard
 def e_of(x, prec: int = DEFAULT_PREC) -> mpc:
-    """e(x) = exp(2 pi i x)."""
+    """e(x) = exp(2 pi i x).  Memoised on the exact argument and ``prec``:
+    under the guard the value depends on nothing else, and a command asks
+    for a handful of roots of unity some 10^4 times."""
     return mp.expjpi(2 * _to_mp(x))
 
 

@@ -263,6 +263,14 @@ class TestBadConfiguration:
         path.write_text("not json")
         self.exits_2(capsys, ["invariant", "--m", "2", "--data", str(path)])
 
+    @pytest.mark.parametrize("command", ["invariant", "hecke"])
+    def test_preset_with_data(self, capsys, tmp_path, command):
+        # a command reads one lattice source; two would leave one of them unread
+        path = tmp_path / "lattice.json"
+        path.write_text(json.dumps({"preset": "eisenstein"}))
+        err = self.exits_2(capsys, [command, "--m", "2", "--preset", "gaussian", "--data", str(path)])
+        assert "not allowed with argument --preset" in err
+
     def test_hecke_data_lattice_without_level(self, capsys, tmp_path):
         path = tmp_path / "classes.json"
         path.write_text(json.dumps({"classes": [{"lattice": {"minpoly": [1, 0, 1]}}]}))

@@ -17,8 +17,9 @@ from eisperiods.eisenstein import (
     maass_fourier,
     raw_scale,
 )
+from eisperiods.eisenstein import _fb, _i_times_int_power
 from eisperiods.modgroup import S, T, ResiduePair
-from eisperiods.numerics import cyclo_value, e_of
+from eisperiods.numerics import GUARD_BITS, cyclo_value, e_of
 
 PREC = 192
 
@@ -225,6 +226,69 @@ class TestEllipticMaassFourier:
                         / (mpc(0, -2 * m) ** (l + r) * mp.factorial(k - 1 - r))
                     )
             assert abs(got - want) < mpf(2) ** -180 * abs(want)
+
+
+def divisor_pair_loop(k, l, N, M, prec, m_class, twist, twist_on, extra_N_power):
+    """The kernel's reference: each divisor pair of each j in turn, every
+    term written out in full, at the precision the kernel runs at."""
+    A, C = [], []
+    two_pi_i = 2j * mp.pi
+    with mp.workprec(prec + GUARD_BITS):
+        for j in range(1, M + 1):
+            dA, dC = {}, {}
+            for m0 in (d for d in range(1, j + 1) if j % d == 0):
+                for sgn in (1, -1):
+                    m, n = sgn * m0, sgn * (j // m0)
+                    if (m if twist_on == "n" else n) % N == m_class:
+                        phase = e_of(QQ((n if twist_on == "n" else m) * twist, N), prec)
+                        for r in range(k):
+                            coeff = (
+                                -two_pi_i * sgn / mpf(N) ** (k - r - extra_N_power) * _fb(-l, r)
+                                * (-two_pi_i * n) ** (k - 1 - r) * phase
+                                / (_i_times_int_power(-2 * m, l + r) * mp.factorial(k - 1 - r))
+                            )
+                            if coeff != 0:
+                                dA[-(l + r)] = dA.get(-(l + r), mpc(0)) + coeff
+                    if (m if twist_on == "n" else -n) % N == m_class:
+                        phase = e_of(QQ(-(n if twist_on == "n" else -m) * twist, N), prec)
+                        for r in range(l):
+                            coeff = (
+                                two_pi_i * sgn / mpf(N) ** (l - r - extra_N_power) * _fb(-k, r)
+                                * (two_pi_i * n) ** (l - 1 - r) * phase
+                                / (_i_times_int_power(2 * m, k + r) * mp.factorial(l - 1 - r))
+                            )
+                            if coeff != 0:
+                                dC[-(k + r)] = dC.get(-(k + r), mpc(0)) + coeff
+            A.append({ex: c for ex, c in dA.items() if c != 0})
+            C.append({ex: c for ex, c in dC.items() if c != 0})
+    return A, C
+
+
+@pytest.mark.parametrize(
+    "kind, k, l, N, l1, l2",
+    [
+        ("maass", 7, 5, 3, 1, 2),
+        ("elliptic", 7, 5, 3, 1, 2),
+        ("maass", 6, 0, 3, 1, 2),  # C(0, r) = 0 for r >= 1: the terms that vanish
+        ("elliptic", 3, 3, 1, 0, 0),
+    ],
+)
+def test_kernel_matches_divisor_pair_loop(kind, k, l, N, l1, l2):
+    """The tabulated kernel gives the divisor-pair loop's sums bit for bit,
+    with the same Laurent terms in the same order.  M = 40 puts pairs on
+    both sides of the prepow table's bound M // 8."""
+    M = 40
+    if kind == "maass":
+        series = maass_fourier(k, l, lam(N, l1, l2), N, M, PREC)
+        want = divisor_pair_loop(k, l, N, M, PREC, l1, l2, "n", 0)
+    else:
+        series = elliptic_maass_fourier(k, l, lam(N, l1, l2), N, M, PREC)
+        want = divisor_pair_loop(k, l, N, M, PREC, l1, l2, "m", 1)
+    assert any(series.A) and (l == 0 or any(series.C))
+    for got, ref in ((series.A, want[0]), (series.C, want[1])):
+        assert [[(ex, c._mpc_) for ex, c in d.items()] for d in got] == [
+            [(ex, c._mpc_) for ex, c in d.items()] for d in ref
+        ]
 
 
 class TestLatticeSum:

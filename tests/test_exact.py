@@ -150,6 +150,16 @@ class TestCyclo:
                 assert a * (b + c) == a * b + a * c
                 assert a * b == b * a
 
+    def test_hash_is_cached_and_consistent(self):
+        rng = random.Random(5)
+        for N in (1, 3, 4, 12):
+            a = random_cyclo(rng, N)
+            b = Cyclo(N, list(a.coeffs))
+            assert a is not b and a == b
+            assert hash(a) == hash(b) == hash((N, a.coeffs))
+            assert a._hash == hash(a)  # stored after the first call
+            assert len({a, b, a + Cyclo.one(N)}) == 2
+
     def test_inverse(self):
         rng = random.Random(5)
         for N in range(1, 13):

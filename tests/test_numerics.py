@@ -266,11 +266,31 @@ def test_every_cache_is_bounded():
         "eisperiods.cocycle._t_run_matrix",
         "eisperiods.exact._bernoulli_numbers",
         "eisperiods.exact.euler_phi",
+        "eisperiods.invariant._psi_at_heegner",
+        "eisperiods.invariant._raw_fourier_coeffs",
         "eisperiods.lseries._exp_mellin",
         "eisperiods.numerics._polylog_cached",
+        "eisperiods.numerics.e_of",
     ):
         assert name in found
     assert [name for name, params in found.items() if params["maxsize"] is None] == []
+
+
+def test_e_of_cache_ignores_ambient_precision():
+    """e_of is memoised on (x, prec) alone, so the value it hands out must
+    not depend on the ambient precision of the call that filled the entry."""
+    x = QQ(5, 7)
+    values = []
+    for ambient in (53, 600):
+        e_of.cache_clear()
+        with mp.workprec(ambient):
+            first = e_of(x, PREC)
+        with mp.workprec(53 + 600 - ambient):
+            again = e_of(x, PREC)
+        assert again is first and e_of.cache_info().hits == 1
+        values.append(first._mpc_)
+    assert values[0] == values[1]
+    assert values[0][0][3] > PREC  # carries prec + GUARD_BITS bits, not 53
 
 
 def test_prec_guard_reads_prec_however_passed():
