@@ -281,13 +281,14 @@ def cmd_relations(args, config: RunConfig) -> tuple[dict, int]:
 
 def _load_data(path: str, build):
     """build(payload) for the JSON payload of a --data file; a missing file,
-    malformed JSON or a bad entry is a configuration error."""
+    malformed JSON or a bad entry (a zero denominator included) is a
+    configuration error."""
     if not os.path.exists(path):
         raise ValueError(f"data file not found: {path}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return build(json.load(fh))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad data file {path}: {type(exc).__name__}: {exc}") from exc
 
 
@@ -309,7 +310,10 @@ def _hecke_classes(payload: dict):
         )
         for entry in payload["classes"]
     ]
-    return classes, payload.get("w_f", 1)
+    w_f = payload.get("w_f", 1)
+    if type(w_f) is not int or w_f <= 0:
+        raise ValueError(f"w_f must be a positive integer, got {w_f!r}")
+    return classes, w_f
 
 
 def cmd_invariant(args, config: RunConfig) -> tuple[dict, int]:
@@ -506,8 +510,7 @@ def main(argv=None) -> int:
         ).validate()
         with mp.workprec(config.prec + GUARD_BITS):
             report, status = args.func(args, config)
-        if args.command != "periods":  # keeps periods reports byte-identical
-            report["config"] = _config_json(config)
+        report["config"] = _config_json(config)
         _emit(report, config)
     except (ValueError, OSError) as exc:
         parser.error(str(exc))

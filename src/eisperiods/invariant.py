@@ -20,7 +20,7 @@ from .exact import QQ, qq, qq_str, formal_binomial
 from .eisenstein import (
     LatticeParams,
     bilinear_exponent,
-    e_fourier,
+    e_series_values,
     elliptic_maass_fourier,
     eval_fourier,
     lattice_sum,
@@ -28,7 +28,7 @@ from .eisenstein import (
 )
 from .lseries import lvalue_closed
 from .modgroup import Mat2, ResiduePair, admissible
-from .numerics import DEFAULT_PREC, PrecisionError, _to_mp, cyclo_value, e_of, prec_guard
+from .numerics import DEFAULT_PREC, PrecisionError, _to_mp, e_of, prec_guard
 
 
 class SymmetryError(ValueError):
@@ -230,17 +230,14 @@ class QuadLatticeData:
         }
 
 
-@lru_cache(maxsize=4)
 @prec_guard
 def _raw_fourier_coeffs(k: int, lam: ResiduePair, N: int, M: int, prec: int):
     """Constant and q_N coefficients (a tuple) of the raw (unnormalized)
-    holomorphic series, numerically.  Memoised: psi and the Eichler
-    integrals ask for the same expansion at every evaluation point."""
-    f = e_fourier(k, lam, N, M)
+    holomorphic series, numerically: the shared normalized values times
+    (-2 pi i)^k."""
+    a0, coeffs = e_series_values(k, lam, N, M, prec)
     scale = raw_scale(k, prec)
-    a0 = scale * _to_mp(f.const)
-    coeffs = tuple(scale * cyclo_value(c, prec) for c in f.coeffs)
-    return a0, coeffs
+    return scale * a0, tuple(scale * c for c in coeffs)
 
 
 def _eichler_q_series(acc: mpc, k: int, p: int, N: int, tau: mpc, coeffs) -> mpc:
@@ -359,13 +356,14 @@ def psi(
     return PsiValue(m, data, lam, tau, front * acc, prec, M)
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=8)
 @prec_guard
-def _psi_at_heegner(m: int, data: QuadLatticeData, lam: ResiduePair, M: int, prec: int) -> mpc:
-    """psi at the lattice's own Heegner point tau = data.tau(prec), the base
-    point that psi_gamma_shift and psi_value_ratio share; evaluated once
-    per (m, data, lam, M, prec)."""
-    return psi(m, data, lam, data.tau(prec), M, prec).value
+def _psi_value(m: int, data: QuadLatticeData, lam: ResiduePair, tau: mpc, M: int, prec: int) -> mpc:
+    """psi(m, data, lam, tau, M, prec).value, evaluated once per argument:
+    psi_gamma_shift and psi_value_ratio share the value at the lattice's
+    Heegner point, and a gamma that fixes that point and lam (S for the
+    Gaussian lattice) asks for it again as its shifted value."""
+    return psi(m, data, lam, tau, M, prec).value
 
 
 @prec_guard
@@ -386,9 +384,9 @@ def psi_gamma_shift(
     for Heegner tau by the invariance property."""
     lam = data.lam
     tau = data.tau(prec)
-    shifted = psi(m, data, lam.act(gamma.inverse()), mobius(gamma, tau, prec), M, prec)
-    base = _psi_at_heegner(m, data, lam, M, prec)
-    return (shifted.value - base) / (2j * mp.pi) ** m
+    shifted = _psi_value(m, data, lam.act(gamma.inverse()), mobius(gamma, tau, prec), M, prec)
+    base = _psi_value(m, data, lam, tau, M, prec)
+    return (shifted - base) / (2j * mp.pi) ** m
 
 
 def re_m(z: mpc, m: int) -> mpf:
@@ -436,7 +434,7 @@ def psi_value_ratio(
 ) -> mpc:
     """re_m(psi) pi^m / (|D|^{m-1/2} psi_r): rational when the invariant
     carries the partial-zeta value."""
-    p = _psi_at_heegner(m, data, lam, M, prec)
+    p = _psi_value(m, data, lam, data.tau(prec), M, prec)
     pr = psi_r_value(m, data, lam, M, prec)
     return re_m(p, m) * mp.pi ** m / (mp.power(-data.disc, m - mpf(1) / 2) * pr)
 
@@ -449,6 +447,12 @@ class IdealClassTerm:
     lattice: QuadLatticeData
     norm_b: QQ
     chi: mpc
+
+    def __post_init__(self):
+        if qq(self.norm_b) <= 0:
+            raise ValueError("norm_b must be positive")
+        if self.chi == 0:
+            raise ValueError("chi must be nonzero")
 
 
 @prec_guard

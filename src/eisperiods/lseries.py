@@ -25,13 +25,11 @@ from .exact import (
     bernoulli_value,
     symbol_term,
 )
-from .eisenstein import HoloFourier, e_fourier
+from .eisenstein import e_series_values
 from .modgroup import S, ResiduePair, admissible
 from .numerics import (
     DEFAULT_PREC,
     PoleError,
-    _to_mp,
-    cyclo_value,
     ext_scalar_value,
     hurwitz_zeta,
     hurwitz_zeta_ds,
@@ -133,51 +131,36 @@ def lvalue_closed(k: int, lam: ResiduePair, N: int, r: int) -> LValueClosed:
 @dataclass(frozen=True)
 class LFunctionSpec:
     """Holomorphic modular form descriptor for numeric L-evaluation: the
-    Fourier expansion of f together with that of f|_{S^-1} (needed to reach
-    the continued domain through the unfolding at 0) and both constants."""
+    normalized series at lam and at lam S^-1 (needed to reach the continued
+    domain through the unfolding at 0), truncated at q_N^M.  Their numeric
+    values come from the shared cache `e_series_values`."""
 
     k: int
     N: int
-    f: HoloFourier
-    f_s_inv: HoloFourier
-    f_inf: mpc
-    f_s_inf: mpc
+    lam: ResiduePair
+    lam_s_inv: ResiduePair
+    M: int
 
     @classmethod
     def for_e_series(cls, k: int, lam: ResiduePair, N: int, M: int) -> "LFunctionSpec":
         lam = ResiduePair(N, lam.l1, lam.l2)
-        f = e_fourier(k, lam, N, M)
-        lam_s = lam.act(S.inverse())
-        fs = e_fourier(k, lam_s, N, M)
-        return cls(k, N, f, fs, f.const, fs.const)
+        return cls(k, N, lam, lam.act(S.inverse()), M)
 
     @prec_guard
     def embedded_coeffs(self, prec: int) -> Tuple[tuple, tuple]:
-        return _embedded(tuple(self.f.coeffs), prec), _embedded(tuple(self.f_s_inv.coeffs), prec)
+        return self._values(self.lam, prec)[1], self._values(self.lam_s_inv, prec)[1]
 
     @prec_guard
     def constants(self, prec: int) -> Tuple[mpc, mpc]:
-        return _coeff_value(self.f_inf, prec), _coeff_value(self.f_s_inf, prec)
+        return self._values(self.lam, prec)[0], self._values(self.lam_s_inv, prec)[0]
+
+    @prec_guard
+    def _values(self, lam: ResiduePair, prec: int) -> Tuple[mpc, tuple]:
+        return e_series_values(self.k, lam, self.N, self.M, prec)
 
 
-@prec_guard
-def _coeff_value(c, prec: int):
-    if hasattr(c, "coeffs"):  # Cyclo
-        return cyclo_value(c, prec)
-    return mpc(_to_mp(c))
-
-
-# Both caches are keyed by exact values (the coefficients themselves, the
-# mpc s) and sized from one `lvalue-invariant` benchmark round.  A spec
-# embeds two expansions, and a functional-equation check alternates two
-# specs; the round asks for 5,400 distinct incomplete-gamma factors.
-
-
-@lru_cache(maxsize=4)
-@prec_guard
-def _embedded(coeffs: tuple, prec: int) -> tuple:
-    """Numeric values of the exact coefficients of one expansion."""
-    return tuple(_coeff_value(c, prec) for c in coeffs)
+# Sized from one `lvalue-invariant` benchmark round, which asks for 5,400
+# distinct incomplete-gamma factors; keyed by the exact mpc s.
 
 
 @lru_cache(maxsize=8192)

@@ -51,7 +51,6 @@ class Mat2:
 IDENTITY = Mat2(1, 0, 0, 1)
 T = Mat2(1, 1, 0, 1)
 S = Mat2(0, -1, 1, 0)
-MINUS_IDENTITY = Mat2(-1, 0, 0, -1)
 
 
 def t_power(n: int) -> Mat2:

@@ -1,10 +1,10 @@
 """Arbitrary-precision evaluation of the special functions used throughout:
-Hurwitz zeta, polylogarithms at roots of unity, Lerch zeta, plus rational
+Hurwitz zeta and polylogarithms at roots of unity, plus rational
 reconstruction of numerically computed invariants.
 
 Evaluation is delegated to mpmath (Euler-Maclaurin based Hurwitz zeta on the
-continued domain); polylog and Lerch values at rational arguments are split
-over residue classes into Hurwitz zeta values, which keeps every call on the
+continued domain); polylog values at rational arguments are split over
+residue classes into Hurwitz zeta values, which keeps every call on the
 analytically continued branch.  Error bounds are analytic estimates, not
 certified enclosures.  All functions are pure; mpmath's internal constant
 caches (pi, Euler gamma, ...) are write-once per precision.
@@ -22,7 +22,7 @@ from functools import lru_cache, wraps
 
 from mpmath import mp, mpc, mpf
 
-from .exact import QQ, is_integer, qq
+from .exact import QQ, qq
 
 DEFAULT_PREC = 192
 GUARD_BITS = 16
@@ -157,34 +157,6 @@ def polylog_s(s, x, prec: int = DEFAULT_PREC) -> mpc:
     acc = mpc(0)
     for j in range(1, den + 1):
         acc += e_of(j * x, prec) * hurwitz_zeta(QQ(j, den), s, prec)
-    return acc * mp.power(den, -s)
-
-
-@prec_guard
-def lerch_phi(x, a, s, prec: int = DEFAULT_PREC) -> mpc:
-    """phi(x, a, s) = sum_{n >= 0} e(nx) (n+a)^{-s} on the continued domain.
-
-    For integer x this is the Hurwitz zeta (pole at s = 1); otherwise the sum
-    splits over residue classes mod the denominator of x and is entire in s.
-    """
-    x = qq(x)
-    a = qq(a)
-    if not 0 < a <= 1:
-        raise ValueError("a must lie in (0, 1]")
-    if is_integer(x):
-        return hurwitz_zeta(a, s, prec)
-    x = x - (x.numerator // x.denominator)
-    den = int(x.denominator)
-    s = mpc(s)
-    acc = mpc(0)
-    if s == 1:
-        # the Hurwitz poles cancel (sum of e(jx) over a full period is 0);
-        # the finite part is a digamma combination
-        for j in range(den):
-            acc += e_of(j * x, prec) * (-mp.digamma((_to_mp(QQ(j) + a)) / den))
-        return acc / den
-    for j in range(den):
-        acc += e_of(j * x, prec) * hurwitz_zeta((QQ(j) + a) / den, s, prec)
     return acc * mp.power(den, -s)
 
 

@@ -188,6 +188,7 @@ class TestEnvPrecision:
         monkeypatch.setenv("EISP_PREC", "96")
         code, doc = run(capsys, "periods", "--k", "4", "--N", "1", "--lambda", "0,0")
         assert code == 0
+        assert doc["config"]["prec"] == 96
 
 
 class TestTolValidation:
@@ -210,6 +211,19 @@ REJECTED_INPUTS = {
     "out_dir_missing": "--out /no/such/dir/x.json periods --k 4 --N 1 --lambda 0,0",
     "l_with_holomorphic_kind": "--trunc 40 --radius 40 --tol 1e-3 fourier --kind g --k 12 "
     "--l 2 --N 1 --lambda 0,0 --tau 0.1,1.2 --check-lattice",
+}
+
+# --data payloads that parse as JSON and are rejected while loading
+MALFORMED_DATA = {
+    "omega2_zero_denominator": ("invariant", {"minpoly": [1, 0, 1], "omega2": "1/0", "N": 1}),
+    "norm_b_zero_denominator": (
+        "hecke", {"classes": [{"lattice": {"preset": "gaussian"}, "norm_b": "1/0"}]},
+    ),
+    "norm_b_negative": ("hecke", {"classes": [{"lattice": {"preset": "gaussian"}, "norm_b": "-2"}]}),
+    "chi_zero": (
+        "hecke", {"classes": [{"lattice": {"preset": "gaussian"}, "chi": {"re": "0", "im": "0"}}]},
+    ),
+    "w_f_not_integer": ("hecke", {"classes": [{"lattice": {"preset": "gaussian"}}], "w_f": "four"}),
 }
 
 
@@ -270,6 +284,14 @@ class TestBadConfiguration:
         path.write_text(json.dumps({"preset": "eisenstein"}))
         err = self.exits_2(capsys, [command, "--m", "2", "--preset", "gaussian", "--data", str(path)])
         assert "not allowed with argument --preset" in err
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_DATA))
+    def test_malformed_data(self, capsys, tmp_path, name):
+        command, payload = MALFORMED_DATA[name]
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps(payload))
+        err = self.exits_2(capsys, [command, "--m", "2", "--data", str(path)])
+        assert err.count("eisp: error:") == 1
 
     def test_hecke_data_lattice_without_level(self, capsys, tmp_path):
         path = tmp_path / "classes.json"

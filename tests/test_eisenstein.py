@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -115,6 +116,12 @@ class TestEFourier:
         for tau in (mpc(0, 1), mpc("0.7", "0.2")):
             assert eval_fourier(f, tau, PREC) == mpf(1) / 720
 
+    def test_expansion_is_frozen(self):
+        f = e_fourier(4, lam(3, 1, 2), 3, 4)
+        assert isinstance(f.coeffs, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.coeffs = ()
+
 
 class TestGFourier:
     def test_constant_killed_off_zero_column(self):
@@ -166,6 +173,12 @@ class TestMaassFourier:
     def test_v_exponent_shape(self):
         m = maass_fourier(5, 3, lam(2, 1, 1), 2, 10, PREC)
         assert m.v_exponent_bounds_ok()
+
+    def test_expansion_is_frozen(self):
+        m = maass_fourier(5, 3, lam(2, 1, 1), 2, 4, PREC)
+        assert isinstance(m.A, tuple) and isinstance(m.C, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.A0 = mpc(0)
 
     def test_lattice_oracle(self):
         m = maass_fourier(6, 4, lam(2, 1, 1), 2, 80, PREC)

@@ -19,6 +19,7 @@ CASES = {
     "rationality": (0, "rationality --k-max 4 --N-max 2 --values"),
     "relations": (0, "relations --k-max 4 --N-max 3"),
     "lvalues": (0, "lvalues --k 4 --N 3 --lambda 1,0"),
+    "lvalues_n5": (0, "lvalues --k 4 --N 5 --lambda 1,2"),
     "fourier_e": (0, "--trunc 24 fourier --kind e --k 4 --N 3 --lambda 1,2"),
     "fourier_g": (0, "--trunc 24 fourier --kind g --k 4 --N 3 --lambda 1,2"),
     "check_lattice": (

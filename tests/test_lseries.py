@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 from mpmath import mp, mpc, mpf
 
+from eisperiods import eisenstein
 from eisperiods.exact import QQ, ExtScalar, PolylogSymbol
 from eisperiods.eisenstein import raw_scale
 from eisperiods.lseries import (
@@ -37,6 +38,25 @@ class TestBoundedState:
         a = LFunctionSpec.for_e_series(4, lam(3, 1, 2), 3, 20)
         b = LFunctionSpec.for_e_series(4, lam(3, 1, 2), 3, 20)
         assert a.embedded_coeffs(PREC)[0] is b.embedded_coeffs(PREC)[0]
+
+    def test_one_expansion_per_key(self, monkeypatch):
+        """A cell and its S-partner share the series at lam: f at lam,
+        lam S^-1 and lam S is built three times, not four."""
+        calls = []
+        real = eisenstein.e_fourier
+
+        def counted(k, lamv, N, M):
+            calls.append((k, lamv, N, M))
+            return real(k, lamv, N, M)
+
+        monkeypatch.setattr(eisenstein, "e_fourier", counted)
+        eisenstein.e_series_values.cache_clear()
+        cell = lam(5, 1, 2)
+        for partner in (cell, cell.act(S)):
+            lvalue_numeric(LFunctionSpec.for_e_series(4, partner, 5, 20), mpf("1.5"), PREC)
+        keys = {(4, p, 5, 20) for p in (cell, cell.act(S.inverse()), cell.act(S))}
+        assert len(keys) == 3
+        assert len(calls) == 3 and set(calls) == keys
 
     def test_gamma_factor_keyed_by_exact_s(self):
         """Arguments that print alike at the working precision still get

@@ -25,7 +25,6 @@ from eisperiods.numerics import (
     PoleError,
     e_of,
     hurwitz_zeta,
-    lerch_phi,
     polylog,
     polylog_s,
     prec_guard,
@@ -106,30 +105,6 @@ class TestPolylog:
         for w in (2, 3, 4):
             for x in (QQ(1, 3), QQ(2, 5)):
                 assert abs(polylog_s(w, x, PREC) - polylog(w, x, PREC)) < TOL
-
-
-class TestLerch:
-    def test_reduces_to_hurwitz(self):
-        for s in (2, mp.mpc(1.5, 0.5)):
-            assert abs(lerch_phi(0, QQ(1, 3), s, PREC) - hurwitz_zeta(QQ(1, 3), s, PREC)) < TOL
-
-    def test_a_equals_one_gives_polylog(self):
-        x = QQ(1, 5)
-        s = mp.mpc(2.5)
-        lhs = e_of(-x, PREC) * polylog_s(s, x, PREC)
-        assert abs(lerch_phi(x, 1, s, PREC) - lhs) < TOL
-
-    def test_catalan(self):
-        # phi(1/2, 1/2, 2) = sum (-1)^n/(n+1/2)^2 = 4 Catalan
-        oracle = mp.nsum(lambda n: (-1) ** n / (n + mpf(1) / 2) ** 2, [0, mp.inf])
-        val = lerch_phi(QQ(1, 2), QQ(1, 2), 2, PREC)
-        assert abs(val - oracle) < TOL
-        assert abs(val - 4 * mp.catalan) < TOL
-
-    def test_pole_only_for_integer_x(self):
-        with pytest.raises(PoleError):
-            lerch_phi(2, QQ(1, 2), 1, PREC)
-        lerch_phi(QQ(1, 2), QQ(1, 2), 1, PREC)  # entire for non-integer x
 
 
 class TestRationalReconstruct:
@@ -266,8 +241,8 @@ def test_every_cache_is_bounded():
         "eisperiods.cocycle._t_run_matrix",
         "eisperiods.exact._bernoulli_numbers",
         "eisperiods.exact.euler_phi",
-        "eisperiods.invariant._psi_at_heegner",
-        "eisperiods.invariant._raw_fourier_coeffs",
+        "eisperiods.eisenstein.e_series_values",
+        "eisperiods.invariant._psi_value",
         "eisperiods.lseries._exp_mellin",
         "eisperiods.numerics._polylog_cached",
         "eisperiods.numerics.e_of",
