@@ -9,11 +9,14 @@ Three expansions are produced:
                     series, whose coefficients are Laurent polynomials in 1/v.
 
 lattice_sum is the independent oracle: direct truncated summation of the
-defining series over the square annuli max(|c|,|d|) = rho, with tail bound
-O(R^{2-w}) for total weight w = k + l.
+defining series over 0 < max(|c|,|d|) <= R, with tail bound O(R^{2-w}) for
+total weight w = k + l.  Its terms are fixed-point integers summed exactly,
+so the sum does not depend on the order of the points; its docstring states
+the rounding bound.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -36,13 +39,15 @@ from .numerics import (
 
 
 @lru_cache(maxsize=16)
-def _divisor_pairs(M: int):
-    """pairs[j] = list of (m, n) with m*n = j, m, n >= 1; sieved once per M."""
+def _divisor_pairs(M: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """pairs[j] = the (m, n) with m*n = j, m, n >= 1, in increasing m;
+    sieved once per M.  Tuples, because every caller shares the cached
+    value."""
     pairs: List[List[tuple]] = [[] for _ in range(M + 1)]
     for m in range(1, M + 1):
         for j in range(m, M + 1, m):
             pairs[j].append((m, j // m))
-    return pairs
+    return tuple(map(tuple, pairs))
 
 
 def bilinear_exponent(lam: ResiduePair, theta: ResiduePair) -> int:
@@ -413,47 +418,168 @@ class LatticeParams:
 
 @prec_guard
 def lattice_sum(params: LatticeParams, tau, prec: int = DEFAULT_PREC) -> mpc:
-    """Direct truncated summation over 0 < max(|c|,|d|) <= R, iterating square
-    annuli in a fixed order; tail O(R^{2-w}).  The independent oracle for
-    every Fourier expansion in this module."""
+    """Direct truncated sum of (c tau + d)^-k (c taubar + d)^-l over the
+    n points 0 < max(|c|,|d|) <= R of the summed set: the class of lam in
+    congruence mode, every pair weighted by e((c l2 - d l1)/N) in elliptic
+    mode.  Tail O(R^{2-w}).  The independent oracle for every Fourier
+    expansion in this module: no Fourier or Hurwitz input.
+
+    Integer kernel, with wp = prec + GUARD_BITS and h = |k| + |l|:
+      * tau's parts go on one binary scale 2^s, so c tau + d = 2^s (a + ib)
+        with integers a = c X + d 2^-s, b = c Y.  Bits below
+        2^(top - wp - bitlen(h) - 1) are dropped first, where
+        2^top <= |tau + d/c| for every c != 0, |d| <= R: each term moves by
+        less than 2^-wp relative, and the integers stay near wp bits when
+        Re tau is negligible against Im tau or either part is huge.
+      * For k >= l >= 0 a term is u^(k-l) |u|^(2l) with u = 1/(c tau + d),
+        and for k > 0 > l it is u^w (u/ubar)^(-l); for l > k it is the
+        conjugate of the (l, k) term.  (-c, -d) is not visited: its term is
+        (-1)^w times that of (c, d).
+      * u comes from one integer division per part, scaled by 2^-m: m is
+        the least integer with 2^m >= |u| at every summed point, found per
+        row c and residue class of d from the d nearest to -c Re tau.  The
+        powers run in fixed point at 2^-P, each product floored, with
+        P = F + w m + bitlen(h) + 3 and F = wp + 2 bitlen(R) + 8 - w m;
+        every term is then within 5 h 2^-P 2^(w m) < 2^-F of its value.
+      * The terms are added as Python ints, one sum per class j, so the sum
+        is exact and does not depend on the order of the points.  Each
+        class sum becomes an mpc once and is multiplied by e(j/N) once.
+
+    Bound: |error| <= n 2^-F + (N + 5) 2^-wp sum |term|, the second part
+    covering the dropped bits of tau and the final mpc arithmetic."""
     t = mpc(tau)
     if t.imag <= 0:
         raise ValueError("tau must lie in the upper half-plane")
-    tb = mp.conj(t)
-    N, k, l = params.N, params.k, params.l
+    N, k, l, R = params.N, params.k, params.l, params.R
     l1, l2 = params.lam.l1, params.lam.l2
+    w, h = k + l, abs(k) + abs(l)
+    sign = -1 if w % 2 else 1
     elliptic = params.mode == "elliptic"
-    phases = [e_of(QQ(j, N), prec) for j in range(N)] if elliptic else None
-    acc = mpc(0)
-    for rho in range(1, params.R + 1):
-        # (-c, -d) follows (c, d) on the same annulus and (-z)^-n is
-        # (-1)^n z^-n: its powers are negated copies, bit for bit, and
-        # the terms are still added in the same order
-        powers = {}
-        for c, d in _annulus_points(rho):
-            if not elliptic and (c % N != l1 or d % N != l2):
-                continue
-            if (-c, -d) in powers:
-                a, b = powers.pop((-c, -d))
-                a, b = (-a if k % 2 else a), (-b if l % 2 else b)
+    apart = bool((2 * l1) % N or (2 * l2) % N)  # lam != -lam
+    if not (elliptic or apart) and sign < 0:
+        return mpc(0)  # (c, d) and (-c, -d) cancel
+    wp = mp.prec
+    (xm, xe), (ym, ye) = _man_exp(t.real), _man_exp(t.imag)
+    top = ye + ym.bit_length() - 1  # 2^top <= |tau + d/c| for c != 0, |d| <= R
+    if xm and xe + abs(xm).bit_length() - 2 >= R.bit_length():  # |Re tau| > 2R
+        top = max(top, xe + abs(xm).bit_length() - 2)
+    floor = top - wp - h.bit_length() - 1
+    s = floor if floor > 0 else min(max(min(xe, ye) if xm else ye, floor), 0)
+    X, Y = _fixed(xm, xe - s), _fixed(ym, ye - s)
+    P = wp + 2 * R.bit_length() + h.bit_length() + 11  # F + w m + bitlen(h) + 3
+    D = [_fixed(d, -s) for d in range(-R, R + 1)]  # ascending
+    # rows of the half plane c > 0, or c = 0 < d, one per residue class
+    # d = r (mod N), each with its accumulator; (-c, -d) goes to that of -lam
+    # (congruence) or of class -j (elliptic).  On a row c tau + d is
+    # 2^sc (a0 + dd + ib) over its values dd; the row c = 0 is exact at
+    # scale 1: a = d, b = 0
+    rows = []
+    for c in range(R + 1):
+        a0, b, sc, dds = (c * X, c * Y, s, D) if c else (0, 0, 0, range(-R, R + 1))
+        lo = -R if c else 1
+        if elliptic:
+            starts = [(lo + (r - lo) % N, (c * l2 - r * l1) % N) for r in range(N)]
+        else:
+            starts = [
+                (lo + (e * l2 - lo) % N, idx)
+                for idx, e in enumerate((1, -1) if apart else (1,))
+                if (c - e * l1) % N == 0
+            ]
+        rows += [(a0, b, sc, dds[d0 + R :: N], idx) for d0, idx in starts]
+    # the least m with 2^m >= 1/|c tau + d| on every row: on a row the
+    # nearest point to the real axis has its dd nearest to -a0
+    m_rows = []
+    for a0, b, sc, ds, _ in rows:
+        if ds:
+            i = bisect_left(ds, -a0)
+            a = min(abs(a0 + ds[j]) for j in (i - 1, i) if 0 <= j < len(ds))
+            m_rows.append((2 - (a * a + b * b).bit_length() - 2 * sc) // 2)
+    m = max(m_rows, default=0)
+    acc_re, acc_im = [0] * max(N, 2), [0] * max(N, 2)
+    p, lo_exp = abs(k - l), min(k, l)
+    for a0, b, sc, ds, idx in rows:
+        nb, bb = -b, b * b
+        sh = P - m - sc
+        num_sh, den_sh = max(sh, 0), max(-sh, 0)
+        sr = si = 0
+        for dd in ds:
+            a = a0 + dd
+            q = a * a + bb
+            den = q << den_sh
+            ur, ui = (a << num_sh) // den, (nb << num_sh) // den  # u 2^(P-m)
+            if lo_exp > 0:
+                v = _fixed_pow((ur * ur + ui * ui) >> P, lo_exp, P)
+                if p:
+                    zr, zi = _fixed_cpow(ur, ui, p, P)
+                    zr, zi = (zr * v) >> P, (zi * v) >> P
+                else:
+                    zr, zi = v, 0
             else:
-                a, b = powers[c, d] = (c * t + d) ** (-k), (c * tb + d) ** (-l)
-            if elliptic:
-                acc += phases[(c * l2 - d * l1) % N] * a * b
-            else:
-                acc += a * b
-    return acc
+                zr, zi = _fixed_cpow(ur, ui, w, P)
+                if lo_exp:  # u^k ubar^-j = u^w (u/ubar)^j, u/ubar = (a - ib)^2/q
+                    er, ei = ((a * a - bb) << P) // q, ((2 * a * nb) << P) // q
+                    er, ei = _fixed_cpow(er, ei, -lo_exp, P)
+                    zr, zi = (zr * er - zi * ei) >> P, (zr * ei + zi * er) >> P
+            sr += zr
+            si += zi
+        acc_re[idx] += sr
+        acc_im[idx] += si
+    if l > k:
+        acc_im = [-x for x in acc_im]
+    if elliptic:
+        classes = [(e_of(QQ(j, N), prec), j, (-j) % N) for j in range(N)]
+    else:
+        classes = [(1, 0, 1 if apart else 0)]
+    shift = w * m - P
+    total = mpc(0)
+    for phase, j, jm in classes:
+        re, im = acc_re[j] + sign * acc_re[jm], acc_im[j] + sign * acc_im[jm]
+        total += phase * mpc(mp.ldexp(re, shift), mp.ldexp(im, shift))
+    return total
 
 
-def _annulus_points(rho: int):
-    for d in range(-rho, rho + 1):
-        yield rho, d
-    for d in range(-rho, rho + 1):
-        yield -rho, d
-    for c in range(-rho + 1, rho):
-        yield c, rho
-    for c in range(-rho + 1, rho):
-        yield c, -rho
+def _man_exp(x: mpf):
+    """(man, exp) with x = man 2^exp and the sign on man."""
+    sign, man, exp, _ = x._mpf_
+    return (-man if sign else man), exp
+
+
+def _fixed(x: int, e: int) -> int:
+    """x 2^e rounded to an integer."""
+    if e >= 0:
+        return x << e
+    return (x + (1 << (-e - 1))) >> -e
+
+
+def _fixed_pow(x: int, n: int, P: int) -> int:
+    """x^n (n >= 1) in fixed point at 2^-P by binary powering, each product
+    floored.  For 0 <= x <= 1 within e units the result is within
+    n e + n - 1 units."""
+    r = None
+    while True:
+        if n & 1:
+            r = x if r is None else (r * x) >> P
+        n >>= 1
+        if not n:
+            return r
+        x = (x * x) >> P
+
+
+def _fixed_cpow(xr: int, xi: int, n: int, P: int):
+    """(xr + i xi)^n (n >= 1) in fixed point at 2^-P, as _fixed_pow; for
+    |x| <= 1 within e units the result is within n e + (n - 1) sqrt(2)
+    units."""
+    rr = ri = None
+    while True:
+        if n & 1:
+            if rr is None:
+                rr, ri = xr, xi
+            else:
+                rr, ri = (rr * xr - ri * xi) >> P, (rr * xi + ri * xr) >> P
+        n >>= 1
+        if not n:
+            return rr, ri
+        xr, xi = (xr * xr - xi * xi) >> P, (xr * xi) >> (P - 1)
 
 
 @prec_guard

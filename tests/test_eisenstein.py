@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -18,7 +19,7 @@ from eisperiods.eisenstein import (
     maass_fourier,
     raw_scale,
 )
-from eisperiods.eisenstein import _fb, _i_times_int_power
+from eisperiods.eisenstein import _divisor_pairs, _fb, _i_times_int_power
 from eisperiods.modgroup import S, T, ResiduePair
 from eisperiods.numerics import GUARD_BITS, cyclo_value, e_of
 
@@ -340,6 +341,117 @@ class TestLatticeSum:
         ev = eval_fourier(f, tau, PREC) * raw_scale(11, PREC)
         ls = lattice_sum(LatticeParams(11, 0, 3, lam(3, 1, 2), "elliptic", 300), tau, PREC)
         assert abs(ev - ls) < mpf(10) ** -20
+
+
+def direct_lattice_sum(params, tau, prec):
+    """The lattice sum term by term in mpmath: its value, the sum of |term|,
+    the number of points and the least m with 2^m >= 1/|c tau + d| at every
+    point."""
+    N, k, l = params.N, params.k, params.l
+    with mp.workprec(prec):
+        tau = mpc(tau)
+        total, size, ms = mpc(0), mpf(0), []
+        for c in range(-params.R, params.R + 1):
+            for d in range(-params.R, params.R + 1):
+                if (c, d) == (0, 0):
+                    continue
+                if params.mode == "congruence":
+                    if (c - params.lam.l1) % N or (d - params.lam.l2) % N:
+                        continue
+                    phase = 1
+                else:
+                    phase = mp.expjpi(mpf(2 * ((c * params.lam.l2 - d * params.lam.l1) % N)) / N)
+                z = c * tau + d
+                term = z ** (-k) * mp.conj(z) ** (-l)
+                total += phase * term
+                size += abs(term)
+                # |z|^2 = man 2^exp (exact for parts of up to 201 bits) lies in
+                # [2^(exp + bc - 1), 2^(exp + bc)), so 2^(2m) >= 1/|z|^2 first
+                # at 2m >= 1 - exp - bc
+                _, man, exp, bc = (z.real ** 2 + z.imag ** 2)._mpf_
+                ms.append((2 - exp - bc) // 2)
+        return total, size, len(ms), max(ms)
+
+
+def lattice_sum_bound(params, size, n, m):
+    """The rounding bound stated by lattice_sum: n 2^-F + (N + 5) 2^-wp
+    sum |term|, F = wp + 2 bitlen(R) + 8 - w m."""
+    wp = PREC + GUARD_BITS
+    F = wp + 2 * params.R.bit_length() + 8 - (params.k + params.l) * m
+    return n * mpf(2) ** -F + (params.N + 5) * mpf(2) ** -wp * size
+
+
+def _lattice_grid():
+    """Seeded (k, l, N, lam, mode, R, tau): l = 0, 0 < l < k, l = k (the
+    psi_r route), l > k and a negative weight on either side, N = 1..4,
+    both modes, Re tau of either sign, tau with short and with full-width
+    binary parts, Im tau below and above 1."""
+    rng = random.Random(20261019)
+    grid = []
+    for k, l in ((12, 0), (7, 3), (4, 4), (3, 5), (0, 6), (6, 1), (8, -2), (-1, 5)):
+        for N in (1, 2, 3, 4):
+            mode = ("congruence", "elliptic")[(k + l + N) % 2]
+            l1, l2 = rng.randrange(N), rng.randrange(N)
+            if len(grid) % 2:
+                tau = mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.7, 2.0))
+            else:  # 201-bit parts, exact at the working precision
+                with mp.workprec(PREC + GUARD_BITS):
+                    x = mpf(rng.randrange(-2 ** 200, 2 ** 200)) / 2 ** 201
+                    tau = mpc(x, mpf(rng.randrange(2 ** 199, 2 ** 201)) / 2 ** 200)
+            grid.append((k, l, N, (l1, l2), mode, rng.randrange(3, 13), tau))
+    return grid
+
+
+@pytest.mark.parametrize("k, l, N, lam_pair, mode, R, tau", _lattice_grid())
+def test_lattice_sum_within_stated_bound(k, l, N, lam_pair, mode, R, tau):
+    params = LatticeParams(k, l, N, lam(N, *lam_pair), mode, R)
+    want, size, n, m = direct_lattice_sum(params, tau, 4 * PREC)
+    got = lattice_sum(params, tau, PREC)
+    assert abs(got - want) <= lattice_sum_bound(params, size, n, m)
+    assert abs(got - want) <= mpf(2) ** -PREC * size
+
+
+@pytest.mark.parametrize(
+    "tau",
+    [
+        mpc(mpf("1e-100000"), mpf("1.5")),  # the parts 332,000 binary places apart
+        mpc(mpf("0.3"), mpf("1e100000")),
+        mpc(mpf("-1e100000"), mpf("0.5")),
+        mpc(mpf("0.3"), mpf("1e-30")),
+    ],
+    ids=["tiny_real_part", "huge_imaginary_part", "huge_real_part", "tiny_imaginary_part"],
+)
+@pytest.mark.parametrize(
+    "mode, k, l, N, lam_pair",
+    [
+        ("elliptic", 7, 5, 3, (1, 2)),
+        ("congruence", 12, 0, 2, (0, 1)),
+        ("congruence", 6, 4, 3, (1, 2)),  # no point with c = 0
+    ],
+)
+def test_lattice_sum_parts_far_apart(tau, mode, k, l, N, lam_pair):
+    """Bits far below the larger part of tau are dropped, so the integers
+    stay near the working precision: fast, and within the stated bound.
+    That bound follows the largest term, so the sum keeps about PREC bits
+    relative to the terms however small or large they are."""
+    params = LatticeParams(k, l, N, lam(N, *lam_pair), mode, 8)
+    start = time.perf_counter()
+    got = lattice_sum(params, tau, PREC)
+    assert time.perf_counter() - start < 0.25
+    want, size, n, m = direct_lattice_sum(params, tau, 4 * PREC)
+    assert abs(got - want) <= lattice_sum_bound(params, size, n, m)
+    assert abs(got - want) <= mpf(2) ** -PREC * size
+
+
+def test_divisor_pairs_cached_value_is_immutable():
+    pairs = _divisor_pairs(12)
+    assert pairs[12] == ((1, 12), (2, 6), (3, 4), (4, 3), (6, 2), (12, 1))
+    assert pairs[0] == () and len(pairs) == 13
+    with pytest.raises(AttributeError):
+        pairs[12].append((0, 0))
+    with pytest.raises(TypeError):
+        pairs[12] = ()
+    assert _divisor_pairs(12) is pairs
 
 
 class TestSerialization:
