@@ -397,7 +397,13 @@ def _add_global_options(parser: argparse.ArgumentParser, suppress: bool):
     except ValueError:
         parser.error(f"EISP_PREC must be an integer number of bits, got {env_prec!r}")
     parser.add_argument("--prec", type=int, default=default(default_prec), help="working precision in bits")
-    parser.add_argument("--trunc", type=int, default=default(None), help="Fourier truncation order M")
+    parser.add_argument(
+        "--trunc",
+        type=int,
+        default=default(None),
+        help="Fourier truncation order M: exact for fourier; an upper limit for lvalues, invariant "
+        "and hecke, which stop each sum once its tail bound is below the working precision",
+    )
     parser.add_argument("--radius", type=int, default=default(400), help="lattice-sum radius R")
     parser.add_argument("--tol", type=str, default=default(None), help="tolerance (default 2^-128)")
     parser.add_argument("--out", type=str, default=default(None), help="write the JSON report to this path")

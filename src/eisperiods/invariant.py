@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, gcd
+from math import comb, factorial, gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpc, mpf
@@ -22,13 +22,14 @@ from .eisenstein import (
     bilinear_exponent,
     e_series_values,
     elliptic_maass_fourier,
+    elliptic_tail_bound,
     eval_fourier,
     lattice_sum,
     raw_scale,
 )
 from .lseries import lvalue_closed
 from .modgroup import Mat2, ResiduePair, admissible
-from .numerics import DEFAULT_PREC, PrecisionError, _to_mp, e_of, prec_guard
+from .numerics import DEFAULT_PREC, PrecisionError, _to_mp, e_of, prec_guard, tail_cutoff
 
 
 class SymmetryError(ValueError):
@@ -291,6 +292,35 @@ def _lvalue_shift(m: int, lam: ResiduePair, N: int, prec: int) -> mpc:
     return mpc(1j) ** (3 - 2 * m) * lv
 
 
+def psi_tail_bound(m: int, data: QuadLatticeData, v, M: int) -> mpf:
+    """Bound on |psi summed to M Fourier modes - psi| at v = Im tau.
+
+    It assumes |A_j| <= (2 pi)^k 2 sigma_{k-1}(j) / ((k-1)! N^{k-1}) for the
+    raw weight-k series, k = 2m (two divisor sums of n^{k-1}, each term
+    twisted by a root of unity), and uses sigma_{k-1}(j) <= j^{k-1} (1 + ln j).
+    Mode j then adds at most |front| 4 pi / (k-1) (1 + ln j) P(j) y^j, with
+    y = e^{-2 pi v / N}, |front| = |D|^{(m-1)/2} / (pi^m (2v)^{m-1}) and
+
+        P(j) = (m-1)! sum_{r<m} C(m+r-1, r) X^{m-1-r} / (m-1-r)!,  X = 4 pi v j / N,
+
+    the bound on the Laurent multiplier.  For j > M the ratio of successive
+    bounds is below rho = (1 + 1/(M+1))^m y, so the bound is the term at
+    M + 1 over 1 - rho, or +inf while rho >= 1."""
+    k, N = 2 * m, data.N
+    v = mpf(v)
+    j = M + 1
+    y = mp.exp(-2 * mp.pi * v / N)
+    rho = (1 + mpf(1) / j) ** m * y
+    if rho >= 1:
+        return mp.inf
+    x = 4 * mp.pi * v * j / N
+    poly = factorial(m - 1) * mp.fsum(
+        comb(m + r - 1, r) * x ** (m - 1 - r) / factorial(m - 1 - r) for r in range(m)
+    )
+    front = mp.power(-data.disc, mpf(m - 1) / 2) / (mp.pi ** m * (2 * v) ** (m - 1))
+    return front * 4 * mp.pi / (k - 1) * (1 + mp.log(j)) * poly * y ** j / (1 - rho)
+
+
 @prec_guard
 def psi(
     m: int,
@@ -307,7 +337,10 @@ def psi(
 
     The polynomial part goes through the closed-form coefficient array, each
     Fourier mode through the Laurent multiplier, and the anchoring constant
-    through the action on constants.
+    through the action on constants.  The modes are summed to J = min(J_bound,
+    M), J_bound being the first order at which `psi_tail_bound` is below the
+    working precision (`tail_cutoff`); PrecisionError is raised when the bound
+    at M itself exceeds tol.
     """
     if m < 2:
         raise ValueError("order must be >= 2")
@@ -319,12 +352,14 @@ def psi(
         raise ValueError("tau must lie in the upper half-plane")
     if tol is None:
         tol = mpf(2) ** (16 - prec)
-    tail = (M + 1) ** k * mp.exp(-2 * mp.pi * tau.imag * (M + 1) / N)
+    v = tau.imag
+    tail = psi_tail_bound(m, data, v, M)
     if tail > tol:
         raise PrecisionError(
             f"Fourier tail bound {mp.nstr(tail, 5)} exceeds tolerance at M={M}"
         )
-    a0, coeffs = _raw_fourier_coeffs(k, lam, N, M, prec)
+    J = tail_cutoff(lambda J: psi_tail_bound(m, data, v, J), M, prec)
+    a0, coeffs = _raw_fourier_coeffs(k, lam, N, J, prec)
     taubar = mp.conj(tau)
     vdiff = tau - taubar  # 2 i v
     # polynomial piece: A0/(2m-1) * dd_m(tau^{2m-1})
@@ -353,7 +388,7 @@ def psi(
     front = mpc(1j) * mp.power(-data.disc, mpf(m - 1) / 2) / (
         mp.pi ** m * vdiff ** (m - 1)
     )
-    return PsiValue(m, data, lam, tau, front * acc, prec, M)
+    return PsiValue(m, data, lam, tau, front * acc, prec, J)
 
 
 @lru_cache(maxsize=8)
@@ -410,18 +445,23 @@ def psi_r_value(
 ) -> mpc:
     """The partial-zeta building block: Im(tau)^m / V^m times the equal-index
     twisted series at the Heegner point.  The Fourier route is exponentially
-    accurate; the lattice route is the direct oracle with polynomial tail."""
+    accurate: it sums J = min(J_bound, M) modes, J_bound being the first
+    order at which `elliptic_tail_bound` over omega2^{2m} is below the
+    working precision (`tail_cutoff`).  The lattice route is the direct
+    oracle with polynomial tail."""
     N = data.N
     lam = ResiduePair(N, lam.l1, lam.l2)
     tau = data.tau(prec)
+    scale = _to_mp(qq(data.omega2)) ** (2 * m)
     if route == "fourier":
-        series = elliptic_maass_fourier(m, m, lam, N, M, prec)
+        J = tail_cutoff(lambda J: elliptic_tail_bound(m, m, N, J, tau.imag) / scale, M, prec)
+        series = elliptic_maass_fourier(m, m, lam, N, J, prec)
         e_val = eval_fourier(series, tau, prec)
     elif route == "lattice":
         e_val = lattice_sum(LatticeParams(m, m, N, lam, "elliptic", radius), tau, prec)
     else:
         raise ValueError("route must be fourier or lattice")
-    return e_val / _to_mp(qq(data.omega2)) ** (2 * m)
+    return e_val / scale
 
 
 @prec_guard

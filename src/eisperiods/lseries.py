@@ -15,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Tuple
 
-from mpmath import mp, mpc
+from mpmath import mp, mpc, mpf
 
 from .exact import (
     QQ,
@@ -35,6 +34,7 @@ from .numerics import (
     hurwitz_zeta_ds,
     polylog_s,
     prec_guard,
+    tail_cutoff,
 )
 
 
@@ -132,8 +132,9 @@ def lvalue_closed(k: int, lam: ResiduePair, N: int, r: int) -> LValueClosed:
 class LFunctionSpec:
     """Holomorphic modular form descriptor for numeric L-evaluation: the
     normalized series at lam and at lam S^-1 (needed to reach the continued
-    domain through the unfolding at 0), truncated at q_N^M.  Their numeric
-    values come from the shared cache `e_series_values`."""
+    domain through the unfolding at 0), truncated at q_N^M at most.
+    `lvalue_numeric` reads their numeric values from the shared cache
+    `e_series_values`."""
 
     k: int
     N: int
@@ -146,21 +147,9 @@ class LFunctionSpec:
         lam = ResiduePair(N, lam.l1, lam.l2)
         return cls(k, N, lam, lam.act(S.inverse()), M)
 
-    @prec_guard
-    def embedded_coeffs(self, prec: int) -> Tuple[tuple, tuple]:
-        return self._values(self.lam, prec)[1], self._values(self.lam_s_inv, prec)[1]
 
-    @prec_guard
-    def constants(self, prec: int) -> Tuple[mpc, mpc]:
-        return self._values(self.lam, prec)[0], self._values(self.lam_s_inv, prec)[0]
-
-    @prec_guard
-    def _values(self, lam: ResiduePair, prec: int) -> Tuple[mpc, tuple]:
-        return e_series_values(self.k, lam, self.N, self.M, prec)
-
-
-# Sized from one `lvalue-invariant` benchmark round, which asks for 5,400
-# distinct incomplete-gamma factors; keyed by the exact mpc s.
+# Sized from one `lvalue-invariant` benchmark round (seed 1), which asks for
+# 1,799 distinct incomplete-gamma factors; keyed by the exact mpc s.
 
 
 @lru_cache(maxsize=8192)
@@ -172,21 +161,65 @@ def _exp_mellin(s: mpc, j: int, N: int, prec: int) -> mpc:
     return mpc(mp.power(a, -s) * mp.gammainc(s, a, mp.inf))
 
 
+def lvalue_tail_bound(k: int, N: int, M: int, sigma) -> mpf:
+    """Bound on the truncation error of `lvalue_numeric` summing M terms of
+    each series, for every s with Re s <= sigma and k - Re s <= sigma.
+
+    It assumes |c_j| <= 2 sigma_{k-1}(j) / ((k-1)! N^{k-1}) for the q_N^j
+    coefficient of either series (two divisor sums of n^{k-1}, each term
+    twisted by a root of unity), and uses sigma_{k-1}(j) <= j^{k-1} (1 + ln j).
+    With a_j = 2 pi j / N and c = max(sigma - 1, 0), t^{c} <= e^{c (t-1)} on
+    t >= 1 gives
+
+        |E(s; a_j)| <= integral_1^inf e^{-a_j t} t^{sigma-1} dt
+                    <= e^{-a_j} / (a_j - c)          (a_j > c),
+
+    for s and for k - s alike.  So each tail is at most 2/((k-1)! N^{k-1})
+    times sum_{j>M} t_j, t_j = j^{k-1} (1 + ln j) e^{-a_j} / (a_j - c), and
+    for j > M the ratio t_{j+1}/t_j is below rho = (1 + 1/(M+1))^k
+    e^{-2 pi/N}.  The bound is 4 t_{M+1} / ((k-1)! N^{k-1} (1 - rho)), or
+    +inf while rho >= 1 or a_{M+1} <= c."""
+    j = M + 1
+    a = 2 * mp.pi * j / N
+    c = max(mpf(sigma) - 1, 0)
+    rho = (1 + mpf(1) / j) ** k * mp.exp(-2 * mp.pi / N)
+    if rho >= 1 or a <= c:
+        return mp.inf
+    t = mpf(j) ** (k - 1) * (1 + mp.log(j)) * mp.exp(-a) / (a - c)
+    return 4 * t / (factorial(k - 1) * mpf(N) ** (k - 1) * (1 - rho))
+
+
+# 64 entries hold every (k, N) of a sweep over k <= 8, N <= 8 at one M and
+# precision (56 keys); an `lvalue-invariant` round uses 16.
+
+
+@lru_cache(maxsize=64)
+@prec_guard
+def _lvalue_terms(k: int, N: int, M: int, sigma: int, prec: int) -> int:
+    """Terms of each series that `lvalue_numeric` sums: one count per
+    (k, N, M, sigma, prec), so every s of a cell shares its series."""
+    return tail_cutoff(lambda J: lvalue_tail_bound(k, N, J, sigma), M, prec)
+
+
 @prec_guard
 def lvalue_numeric(spec: LFunctionSpec, s, prec: int = DEFAULT_PREC) -> mpc:
     """Completed L-value by the entire-integral split.
 
     The (1, inf) piece integrates the expansion of f termwise; the (0, 1)
     piece unfolds through tau -> -1/tau onto the expansion of f|_{S^-1};
-    the two simple pole terms at 0 and k are added explicitly.  Truncation
-    error is bounded by the q_N tail e^{-2 pi M / N} of the expansions.
+    the two simple pole terms at 0 and k are added explicitly.  Each series
+    is summed to J = min(J_bound, spec.M) terms, J_bound being the first
+    order at which `lvalue_tail_bound`, taken at sigma = max(k, Re s,
+    k - Re s) rounded up, is below the working precision (`tail_cutoff`).
     """
     k, N = spec.k, spec.N
     s = mpc(s)
     if s == 0 or s == k:
         raise PoleError(f"completed L-function has a simple pole at s = {s}")
-    ca, cb = spec.embedded_coeffs(prec)
-    f_inf, fs_inf = spec.constants(prec)
+    sigma = max(k, int(mp.ceil(s.real)), int(mp.ceil(k - s.real)))
+    J = _lvalue_terms(k, N, spec.M, sigma, prec)
+    f_inf, ca = e_series_values(k, spec.lam, N, J, prec)
+    fs_inf, cb = e_series_values(k, spec.lam_s_inv, N, J, prec)
     s_dual = k - s  # one object for all of its gamma-cache keys, which the cache keeps
     i1 = mp.fsum(
         (ca[j - 1] * _exp_mellin(s, j, N, prec) for j in range(1, len(ca) + 1)),

@@ -65,6 +65,34 @@ class PrecisionError(ValueError):
     """The requested tolerance is unattainable at the given precision budget."""
 
 
+# A Fourier sum stops once its proven tail is 2^-TAIL_MARGIN below the last
+# bit kept at prec + GUARD_BITS: the dropped terms then move no reported bit
+# unless the sum lies that close to a rounding boundary.
+TAIL_MARGIN = 40
+
+
+@prec_guard
+def tail_cutoff(bound, M: int, prec: int) -> int:
+    """The least J in [1, M] with bound(J) < 2^-(prec + GUARD_BITS +
+    TAIL_MARGIN), or M if there is none: the number of Fourier terms worth
+    summing for a result at prec bits.  bound(J) is a route's tail bound
+    after J terms; once it is finite it does not increase with J (each
+    route's bound is a geometric tail), so bisection finds the least J.  It
+    is evaluated at 53 bits, far inside the margin."""
+    eps = mpf(2) ** -(mp.prec + TAIL_MARGIN)
+    with mp.workprec(53):
+        if not bound(M) < eps:
+            return M
+        lo, hi = 1, M
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if bound(mid) < eps:
+                hi = mid
+            else:
+                lo = mid + 1
+    return hi
+
+
 def _to_mp(x):
     """Exact rationals map to exact binary ratios; floats/mpc pass through."""
     if isinstance(x, (mpf, mpc, float, int)):

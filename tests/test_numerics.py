@@ -209,7 +209,9 @@ def test_every_prec_function_is_guarded():
     for name in (
         "eisperiods.numerics._polylog_cached",
         "eisperiods.eisenstein.lattice_sum",
-        "eisperiods.lseries.LFunctionSpec.embedded_coeffs",
+        "eisperiods.eisenstein.e_series_values",
+        "eisperiods.lseries._lvalue_terms",
+        "eisperiods.numerics.tail_cutoff",
         "eisperiods.invariant.QuadLatticeData.tau",
         "eisperiods.invariant.BiPoly.substitute",
         "eisperiods.cocycle.PeriodPoly.numeric_coeffs",
@@ -244,6 +246,7 @@ def test_every_cache_is_bounded():
         "eisperiods.eisenstein.e_series_values",
         "eisperiods.invariant._psi_value",
         "eisperiods.lseries._exp_mellin",
+        "eisperiods.lseries._lvalue_terms",
         "eisperiods.numerics._polylog_cached",
         "eisperiods.numerics.e_of",
     ):
