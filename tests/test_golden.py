@@ -27,6 +27,11 @@ CASES = {
         "--tol 1e-6 --trunc 12 --radius 30 fourier --kind elliptic --k 7 --l 5 "
         "--N 2 --lambda 1,1 --tau=-0.3,1.5 --check-lattice",
     ),
+    "check_lattice_e": (
+        0,
+        "--tol 1e-6 --trunc 60 --radius 20 fourier --kind e --k 5 --N 5 --lambda 1,2 "
+        "--tau=-0.3,1.5 --check-lattice",
+    ),
     "fourier_maass": (0, "--trunc 60 fourier --kind maass --k 7 --l 5 --N 3 --lambda 1,2"),
     "fourier_elliptic": (0, "--trunc 60 fourier --kind elliptic --k 7 --l 5 --N 3 --lambda 1,2"),
     "invariant": (0, "invariant --m 2 --preset gaussian"),
