@@ -37,7 +37,6 @@ from .eisenstein import (
     g_fourier,
     lattice_sum,
     maass_fourier,
-    raw_scale,
 )
 from .cocycle import (
     build_induced,
@@ -55,7 +54,7 @@ from .invariant import (
 )
 from .lseries import LFunctionSpec, lvalue_closed, lvalue_lerch_product, lvalue_numeric
 from .modgroup import S, T, ResiduePair, index_set
-from .numerics import GUARD_BITS, mpc_json, mpf_hex, rational_reconstruct
+from .numerics import GUARD_BITS, mpc_json, mpf_hex, raw_scale, rational_reconstruct
 
 MAX_WEIGHT = 16
 MIN_PREC = 32

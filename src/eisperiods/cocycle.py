@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from mpmath import mpc
 
@@ -209,12 +209,13 @@ def period_S(k: int, lam: ResiduePair, N: int) -> PeriodPoly:
 @dataclass
 class InducedCochain:
     """Cocycle data on the coset module: one period polynomial per coset at
-    each of the generators T and S."""
+    each of the generators T and S.  Evaluation runs on the same data with
+    one entry per class of a CosetQuotient as its table (see _reduce)."""
 
     k: int
     N: int
     lam: ResiduePair
-    table: CosetTable
+    table: Union[CosetTable, CosetQuotient]
     val_T: List[PeriodPoly]
     val_S: List[PeriodPoly]
 
@@ -231,9 +232,10 @@ class InducedCochain:
     @staticmethod
     def coset_parameters(lam: ResiduePair, table: CosetTable, value) -> list:
         """value(lam sigma) for every coset sigma of table, in table order,
-        evaluated once per distinct transported parameter lam sigma."""
+        evaluated once per distinct transported parameter lam sigma; lam
+        sigma mod N is read from the residues of sigma."""
         value = lru_cache(maxsize=None)(value)
-        return [value(lam.act(table.representative(i))) for i in range(len(table))]
+        return [value(lam.act(sigma)) for sigma in table.elements]
 
 
 def _coset_quotient(table: CosetTable, *per_coset: Sequence[PeriodPoly]) -> CosetQuotient:
@@ -243,25 +245,21 @@ def _coset_quotient(table: CosetTable, *per_coset: Sequence[PeriodPoly]) -> Cose
     return CosetQuotient(table, list(zip(*([id(p) for p in vals] for vals in per_coset))))
 
 
-@dataclass
-class _ClassCochain:
-    """Stored values of a cochain with one entry per class of a quotient."""
-
-    k: int
-    N: int
-    table: CosetQuotient
-    val_T: List[PeriodPoly]
-    val_S: List[PeriodPoly]
-
-
 def _on_classes(quot: CosetQuotient, values: Sequence[PeriodPoly]) -> List[PeriodPoly]:
     return [values[r] for r in quot.representatives]
 
 
-def _reduce(cochain: InducedCochain) -> _ClassCochain:
+def _reduce(cochain: InducedCochain) -> InducedCochain:
+    """The cochain with one entry per class of its quotient, which is its
+    table."""
     quot = cochain.quotient()
-    return _ClassCochain(
-        cochain.k, cochain.N, quot, _on_classes(quot, cochain.val_T), _on_classes(quot, cochain.val_S)
+    return InducedCochain(
+        cochain.k,
+        cochain.N,
+        cochain.lam,
+        quot,
+        _on_classes(quot, cochain.val_T),
+        _on_classes(quot, cochain.val_S),
     )
 
 
@@ -385,11 +383,11 @@ def modify_and_certify(
 # cocycle evaluation along S/T words, one value per class of the quotient
 
 
-def _zero_values(cochain: _ClassCochain) -> List[PeriodPoly]:
+def _zero_values(cochain: InducedCochain) -> List[PeriodPoly]:
     return [PeriodPoly.zero(cochain.k) for _ in range(len(cochain.table))]
 
 
-def _t_run_value(cochain: _ClassCochain, n: int) -> List[PeriodPoly]:
+def _t_run_value(cochain: InducedCochain, n: int) -> List[PeriodPoly]:
     """c(T^n) in closed form: group the cocycle sum over j < n by the residue
     of j mod N; each class contributes an arithmetic-progression shift sum."""
     if n == 0:
@@ -416,7 +414,7 @@ def _t_run_value(cochain: _ClassCochain, n: int) -> List[PeriodPoly]:
     return out
 
 
-def _evaluate_classes(cochain: _ClassCochain, tokens) -> List[PeriodPoly]:
+def _evaluate_classes(cochain: InducedCochain, tokens) -> List[PeriodPoly]:
     """Cocycle value along a token word via c(uv) = c(u)|_v + c(v), one
     step per T-run and per letter S."""
     table = cochain.table

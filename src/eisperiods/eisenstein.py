@@ -122,13 +122,13 @@ def e_fourier(k: int, lam: ResiduePair, N: int, M: int) -> HoloFourier:
     pairs = _divisor_pairs(M)
     coeffs = []
     for j in range(1, M + 1):
-        raw = [QQ(0)] * N
+        raw = [0] * N
         for m, n in pairs[j]:
             if n % N == l1:
                 raw[(m * l2) % N] += n ** (k - 1)
             if (-n) % N == l1:
                 raw[(-m * l2) % N] += sign * n ** (k - 1)
-        coeffs.append(cyclo_canonical(N, raw) * scale)
+        coeffs.append(cyclo_canonical(N, [x * scale for x in raw]))
     return HoloFourier("e", k, N, lam, M, const, tuple(coeffs), nonholo)
 
 
@@ -624,25 +624,16 @@ def eval_fourier(series, tau, prec: int = DEFAULT_PREC) -> mpc:
         raise ValueError("tau must lie in the upper half-plane")
     v = tau.imag
     if isinstance(series, HoloFourier):
-        N = series.N
-        q = mp.expjpi(2 * tau / N)
-        if series.kind == "e":
-            mu = [e_of(QQ(i, N), prec) for i in range(len(series.coeffs[0].coeffs) if series.coeffs else 1)]
-            acc = mpc(_to_mp(series.const))
-            qp = mpc(1)
-            for c in series.coeffs:
-                qp *= q
-                acc += sum(_to_mp(x) * mu[i] for i, x in enumerate(c.coeffs) if x != 0) * qp
-            if series.nonholo != 0:
-                acc += _to_mp(series.nonholo) / (4 * mp.pi * v)
-        else:
-            acc = mpc(series.const)
-            qp = mpc(1)
-            for c in series.coeffs:
-                qp *= q
-                acc += c * qp
-            if series.nonholo != 0:
-                acc += series.nonholo / (4 * mp.pi * v)
+        # kind "e" holds exact values: embed each through cyclo_value
+        exact = series.kind == "e"
+        q = mp.expjpi(2 * tau / series.N)
+        acc = mpc(_to_mp(series.const))
+        qp = mpc(1)
+        for c in series.coeffs:
+            qp *= q
+            acc += (cyclo_value(c, prec) if exact else c) * qp
+        if series.nonholo != 0:
+            acc += _to_mp(series.nonholo) / (4 * mp.pi * v)
         return acc
     if isinstance(series, MaassFourier):
         q = mp.expjpi(2 * tau / series.N)
@@ -659,10 +650,3 @@ def eval_fourier(series, tau, prec: int = DEFAULT_PREC) -> mpc:
             acc += sum(cf * v ** ex for ex, cf in series.C[j].items()) * qbp
         return acc
     raise TypeError(f"cannot evaluate series of type {type(series)!r}")
-
-
-@prec_guard
-def raw_scale(k: int, prec: int = DEFAULT_PREC) -> mpc:
-    """(-2 pi i)^k, the factor between the normalized and raw holomorphic
-    series."""
-    return (-2j * mp.pi) ** k

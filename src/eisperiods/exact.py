@@ -1,5 +1,6 @@
-"""Exact arithmetic layer: rationals, cyclotomic numbers, Bernoulli polynomials,
-formal binomials and the polylogarithm-symbol ring.
+"""Exact arithmetic layer: rationals, the canonical form of cyclotomic
+numbers, Bernoulli polynomials, formal binomials and the polylogarithm-symbol
+ring.
 
 Everything here is immutable after construction and all operations are pure,
 so the whole layer is safe for unrestricted concurrent use.
@@ -77,36 +78,10 @@ def _bernoulli_numbers(n: int) -> tuple:
     return prev + (-s / (n + 1),)
 
 
-class BernoulliPoly:
-    """B_n(X) with exact rational coefficients, coeffs[j] = coefficient of X^j."""
-
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n: int, coeffs: Sequence):
-        self.n = n
-        self.coeffs = tuple(qq(c) for c in coeffs)
-
-    def __call__(self, t) -> QQ:
-        t = qq(t)
-        acc = QQ(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BernoulliPoly)
-            and self.n == other.n
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        return f"BernoulliPoly({self.n}, {list(self.coeffs)})"
-
-
 @lru_cache(maxsize=128)
-def bernoulli_polynomial(n: int) -> BernoulliPoly:
-    """B_n(X) = sum_j C(n,j) B_{n-j} X^j, exact and memoized."""
+def bernoulli_polynomial(n: int) -> tuple:
+    """The coefficients of B_n(X) = sum_j C(n,j) B_{n-j} X^j, coefficient of
+    X^j at index j, exact and memoized."""
     if n < 0:
         raise ValueError("degree must be >= 0")
     nums = _bernoulli_numbers(n)
@@ -115,14 +90,18 @@ def bernoulli_polynomial(n: int) -> BernoulliPoly:
     for j in range(n + 1):
         coeffs.append(binom * nums[n - j])
         binom = binom * (n - j) // (j + 1)
-    return BernoulliPoly(n, coeffs)
+    return tuple(coeffs)
 
 
 @lru_cache(maxsize=4096)
 def bernoulli_value(n: int, t) -> QQ:
-    """B_n(t) for rational t; memoised, since the period and Fourier code
-    asks for the same few hundred B_n(l/N) over and over."""
-    return bernoulli_polynomial(n)(t)
+    """B_n(t) for rational t, by Horner; memoised, since the period and
+    Fourier code asks for the same few hundred B_n(l/N) over and over."""
+    t = qq(t)
+    acc = QQ(0)
+    for c in reversed(bernoulli_polynomial(n)):
+        acc = acc * t + c
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +153,13 @@ def euler_phi(N: int) -> int:
 
 class Cyclo:
     """Element of Q(mu_N), mu_N = exp(2 pi i / N), as a coefficient vector of
-    length phi(N) over the power basis 1, mu_N, ..., mu_N^{phi(N)-1}.
-
-    The power-basis representation modulo Phi_N is a canonical form, so
-    equality and zero tests reduce to coefficient comparison.
+    length phi(N) over the power basis 1, mu_N, ..., mu_N^{phi(N)-1}: the
+    canonical form modulo Phi_N that cyclo_canonical returns.  Equality and
+    zero tests are coefficient comparisons; numeric values come from
+    numerics.cyclo_value.
     """
 
-    __slots__ = ("N", "coeffs", "_hash")
+    __slots__ = ("N", "coeffs")
 
     def __init__(self, N: int, coeffs: Sequence):
         phi = euler_phi(N)
@@ -189,89 +168,6 @@ class Cyclo:
             raise ValueError(f"need exactly phi({N}) = {phi} coefficients")
         self.N = N
         self.coeffs = tuple(coeffs)
-        self._hash = None  # computed on first use; the element is immutable
-
-    # -- constructors
-
-    @staticmethod
-    def zero(N: int) -> "Cyclo":
-        return Cyclo(N, [QQ(0)] * euler_phi(N))
-
-    @staticmethod
-    def one(N: int) -> "Cyclo":
-        c = [QQ(0)] * euler_phi(N)
-        c[0] = QQ(1)
-        return Cyclo(N, c)
-
-    @staticmethod
-    def rational(N: int, x) -> "Cyclo":
-        c = [QQ(0)] * euler_phi(N)
-        c[0] = qq(x)
-        return Cyclo(N, c)
-
-    @staticmethod
-    def root_power(N: int, e: int) -> "Cyclo":
-        """mu_N^e in canonical form."""
-        raw = [QQ(0)] * N
-        raw[e % N] = QQ(1)
-        return cyclo_canonical(N, raw)
-
-    # -- arithmetic
-
-    def _check(self, other: "Cyclo"):
-        if self.N != other.N:
-            raise ValueError("mixed cyclotomic levels")
-
-    def __add__(self, other):
-        if isinstance(other, Cyclo):
-            self._check(other)
-            return Cyclo(self.N, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-        return self + Cyclo.rational(self.N, other)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Cyclo(self.N, [-a for a in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, Cyclo):
-            self._check(other)
-            return Cyclo(self.N, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-        return self - Cyclo.rational(self.N, other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, Cyclo):
-            x = qq(other)
-            return Cyclo(self.N, [a * x for a in self.coeffs])
-        self._check(other)
-        return Cyclo(self.N, _reduce_mod_phi(_poly_mul(self.coeffs, other.coeffs), self.N))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Cyclo):
-            return self * other.inverse()
-        return self * (QQ(1) / qq(other))
-
-    def inverse(self) -> "Cyclo":
-        """Multiplicative inverse via extended Euclid against Phi_N in Q[x]."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero cyclotomic element")
-        phi = [qq(c) for c in cyclotomic_polynomial(self.N)]
-        r0, r1 = phi, list(self.coeffs)
-        s0, s1 = [QQ(0)], [QQ(1)]
-        while _poly_degree(r1) > 0:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        if _poly_degree(r1) < 0:
-            raise ZeroDivisionError("element is a zero divisor (not in the field)")
-        c = r1[0]
-        inv = [x / c for x in s1]
-        return Cyclo(self.N, _reduce_mod_phi(inv, self.N))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -284,38 +180,11 @@ class Cyclo:
             return self.N == other.N and self.coeffs == other.coeffs
         return self.is_rational() and self.coeffs[0] == qq(other)
 
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.N, self.coeffs))
-        return self._hash
-
     def __repr__(self):
         return f"Cyclo({self.N}, {[str(c) for c in self.coeffs]})"
 
     def to_json(self) -> list:
         return [qq_str(c) for c in self.coeffs]
-
-
-def _poly_degree(p: Sequence) -> int:
-    for i in range(len(p) - 1, -1, -1):
-        if p[i] != 0:
-            return i
-    return -1
-
-
-def _poly_divmod(a: Sequence, b: Sequence):
-    a = list(a)
-    db = _poly_degree(b)
-    lead = b[db]
-    q = [QQ(0)] * max(len(a) - db, 1)
-    for i in range(_poly_degree(a), db - 1, -1):
-        if a[i] == 0:
-            continue
-        f = a[i] / lead
-        q[i - db] = f
-        for j in range(db + 1):
-            a[i - db + j] -= f * b[j]
-    return q, a[:db] if db > 0 else [QQ(0)]
 
 
 def _poly_mul(a: Sequence, b: Sequence) -> List:
@@ -328,38 +197,22 @@ def _poly_mul(a: Sequence, b: Sequence) -> List:
     return out
 
 
-def _poly_sub(a: Sequence, b: Sequence) -> List:
-    n = max(len(a), len(b))
-    out = [QQ(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return out
-
-
-def _reduce_mod_phi(coeffs: Sequence, N: int) -> List:
-    """Reduce a polynomial in mu_N (low degree first) modulo Phi_N."""
+def cyclo_canonical(N: int, coeffs: Sequence) -> Cyclo:
+    """Canonical element of Q(mu_N) from coefficients over mu_N^0..mu_N^{N-1}:
+    the polynomial in mu_N reduced modulo Phi_N.  The reduction is linear, so
+    scaling the input scales the result."""
+    if len(coeffs) != N:
+        raise ValueError(f"expected {N} coefficients over the N power basis")
     phi = cyclotomic_polynomial(N)
     deg = len(phi) - 1
     work = [qq(c) for c in coeffs]
-    if len(work) < deg:
-        work += [QQ(0)] * (deg - len(work))
-    for i in range(len(work) - 1, deg - 1, -1):
+    for i in range(N - 1, deg - 1, -1):
         c = work[i]
         if c == 0:
             continue
-        work[i] = QQ(0)
         for j in range(deg):
             work[i - deg + j] -= c * phi[j]
-    return work[:deg]
-
-
-def cyclo_canonical(N: int, coeffs: Sequence) -> Cyclo:
-    """Canonical element of Q(mu_N) from coefficients over mu_N^0..mu_N^{N-1}."""
-    if len(coeffs) != N:
-        raise ValueError(f"expected {N} coefficients over the N power basis")
-    return Cyclo(N, _reduce_mod_phi(list(coeffs), N))
+    return Cyclo(N, work[:deg])
 
 
 # ---------------------------------------------------------------------------

@@ -18,18 +18,23 @@ from mpmath import mp, mpc, mpf
 
 from .exact import QQ, qq, qq_str, formal_binomial
 from .eisenstein import (
-    LatticeParams,
     bilinear_exponent,
     e_series_values,
     elliptic_maass_fourier,
     elliptic_tail_bound,
     eval_fourier,
-    lattice_sum,
-    raw_scale,
 )
 from .lseries import lvalue_closed
 from .modgroup import Mat2, ResiduePair, admissible
-from .numerics import DEFAULT_PREC, PrecisionError, _to_mp, e_of, prec_guard, tail_cutoff
+from .numerics import (
+    DEFAULT_PREC,
+    PrecisionError,
+    _to_mp,
+    e_of,
+    prec_guard,
+    raw_scale,
+    tail_cutoff,
+)
 
 
 class SymmetryError(ValueError):
@@ -440,28 +445,19 @@ def psi_r_value(
     lam: ResiduePair,
     M: int = 400,
     prec: int = 256,
-    route: str = "fourier",
-    radius: int = 400,
 ) -> mpc:
     """The partial-zeta building block: Im(tau)^m / V^m times the equal-index
-    twisted series at the Heegner point.  The Fourier route is exponentially
-    accurate: it sums J = min(J_bound, M) modes, J_bound being the first
-    order at which `elliptic_tail_bound` over omega2^{2m} is below the
-    working precision (`tail_cutoff`).  The lattice route is the direct
-    oracle with polynomial tail."""
+    twisted series at the Heegner point, from its Fourier expansion.  That is
+    exponentially accurate: it sums J = min(J_bound, M) modes, J_bound being
+    the first order at which `elliptic_tail_bound` over omega2^{2m} is below
+    the working precision (`tail_cutoff`)."""
     N = data.N
     lam = ResiduePair(N, lam.l1, lam.l2)
     tau = data.tau(prec)
     scale = _to_mp(qq(data.omega2)) ** (2 * m)
-    if route == "fourier":
-        J = tail_cutoff(lambda J: elliptic_tail_bound(m, m, N, J, tau.imag) / scale, M, prec)
-        series = elliptic_maass_fourier(m, m, lam, N, J, prec)
-        e_val = eval_fourier(series, tau, prec)
-    elif route == "lattice":
-        e_val = lattice_sum(LatticeParams(m, m, N, lam, "elliptic", radius), tau, prec)
-    else:
-        raise ValueError("route must be fourier or lattice")
-    return e_val / scale
+    J = tail_cutoff(lambda J: elliptic_tail_bound(m, m, N, J, tau.imag) / scale, M, prec)
+    series = elliptic_maass_fourier(m, m, lam, N, J, prec)
+    return eval_fourier(series, tau, prec) / scale
 
 
 @prec_guard

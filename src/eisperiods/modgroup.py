@@ -1,6 +1,9 @@
 """SL2(Z) utilities: matrices, S/T word decomposition by the Euclidean
-algorithm, enumeration of SL2(Z/N), and the right action on residue pairs.
+algorithm, enumeration of SL2(Z/N) = Gamma(N) \\ SL2(Z) by residues, and the
+right action on residue pairs.
 
+A coset is its residue matrix: the engine transports parameters and looks up
+right multiplication on residues only, so no coset is lifted to SL2(Z).
 Coset tables are immutable after construction; everything is pure.
 """
 from __future__ import annotations
@@ -8,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import floor, gcd
+from math import floor
 from typing import Hashable, List, Sequence, Tuple
 
 
@@ -36,8 +39,9 @@ class Mat2:
     def inverse(self) -> "Mat2":
         return Mat2(self.d, -self.b, -self.c, self.a)
 
-    def entries(self) -> Tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
+    def __iter__(self):
+        """Unpack as a, b, c, d = gamma, like a residue tuple of a coset."""
+        return iter((self.a, self.b, self.c, self.d))
 
     def is_congruent_to_identity(self, N: int) -> bool:
         return (
@@ -138,13 +142,11 @@ class ResiduePair:
         object.__setattr__(self, "l1", self.l1 % self.N)
         object.__setattr__(self, "l2", self.l2 % self.N)
 
-    def act(self, gamma: Mat2) -> "ResiduePair":
-        """Right action (l1, l2) gamma = (l1 a + l2 c, l1 b + l2 d) mod N."""
-        return ResiduePair(
-            self.N,
-            self.l1 * gamma.a + self.l2 * gamma.c,
-            self.l1 * gamma.b + self.l2 * gamma.d,
-        )
+    def act(self, gamma) -> "ResiduePair":
+        """Right action (l1, l2) gamma = (l1 a + l2 c, l1 b + l2 d) mod N, for
+        a Mat2 or the residues (a, b, c, d) of a coset."""
+        a, b, c, d = gamma
+        return ResiduePair(self.N, self.l1 * a + self.l2 * c, self.l1 * b + self.l2 * d)
 
     def is_zero(self) -> bool:
         return self.l1 == 0 and self.l2 == 0
@@ -188,11 +190,11 @@ class _RightMultiplication:
 
 
 class CosetTable(_RightMultiplication):
-    """Enumeration of SL2(Z/N) with right-multiplication tables for T, S and
-    their inverses; this indexes the cosets Gamma(N) \\ SL2(Z).
+    """Enumeration of SL2(Z/N) with right-multiplication tables for T, T^-1
+    and S^-1; this indexes the cosets Gamma(N) \\ SL2(Z).
 
-    Elements are listed in lexicographic order of their canonical lifts
-    (a, b, c, d) with entries in [0, N), so the ordering is deterministic.
+    Each element is its residue matrix (a, b, c, d) with entries in [0, N),
+    listed in lexicographic order, so the ordering is deterministic.
     """
 
     def __init__(self, N: int):
@@ -207,7 +209,6 @@ class CosetTable(_RightMultiplication):
         self.elements: Tuple[Tuple[int, int, int, int], ...] = tuple(sorted(elems))
         self.lookup = {e: i for i, e in enumerate(self.elements)}
         self.rmul_T = self._rmul_table(T)
-        self.rmul_S = self._rmul_table(S)
         self.rmul_T_inv = self._rmul_table(t_power(-1))
         self.rmul_S_inv = self._rmul_table(S.inverse())
 
@@ -229,11 +230,6 @@ class CosetTable(_RightMultiplication):
     def index_of(self, gamma: Mat2) -> int:
         key = (gamma.a % self.N, gamma.b % self.N, gamma.c % self.N, gamma.d % self.N)
         return self.lookup[key]
-
-    def representative(self, i: int) -> Mat2:
-        """A determinant-1 integer lift of element i."""
-        a, b, c, d = self.elements[i]
-        return _lift_to_sl2z(a, b, c, d, self.N)
 
     def identity_index(self) -> int:
         return self.index_of(IDENTITY)
@@ -284,59 +280,6 @@ class CosetQuotient(_RightMultiplication):
     def expand(self, per_class: Sequence) -> list:
         """One entry per coset, in table order, from one entry per class."""
         return [per_class[c] for c in self.class_of]
-
-
-def _lift_to_sl2z(a: int, b: int, c: int, d: int, N: int) -> Mat2:
-    """Lift an SL2(Z/N) element to SL2(Z) (classical strong-approximation
-    argument: fix the bottom row to be coprime, then correct the top row)."""
-    if N == 1:
-        return IDENTITY
-    # choose lift of (c, d) that is coprime
-    c0, d0 = c % N, d % N
-    if c0 == 0 and d0 == 0:
-        raise ValueError("bottom row is zero mod N; not in SL2(Z/N)")
-    cc, dd = c0, d0
-    if gcd(cc, dd) != 1:
-        # adjust dd by multiples of N until gcd(cc, dd) == 1 (works since
-        # gcd(cc, dd, N) = 1); for cc = 0 force dd = 1 via d0 +- kN impossible
-        # unless d0 invertible, so swap roles through cc += N first
-        if cc == 0:
-            cc = N
-        t = dd
-        while gcd(cc, t) != 1:
-            t += N
-        dd = t
-    # find x, y with x dd - y cc = 1
-    x, y = _bezout(dd, cc)
-    # row (x, y) has det x*dd - y*cc = 1; correct top row mod N
-    # target top row (a, b): (x + uN, y + vN) with (x+uN)dd - (y+vN)cc = 1
-    # we need x' = a, y' = b mod N; since a*d - b*c = 1 mod N and x dd - y cc = 1,
-    # (a - x, b - y) is proportional to (cc, dd) mod N: a - x = k cc, b - y = k dd
-    for k in range(N):
-        if (x + k * cc) % N == a % N and (y + k * dd) % N == b % N:
-            break
-    else:
-        raise ArithmeticError("lift failed")
-    mat = Mat2(x + k * cc, y + k * dd, cc, dd)
-    assert mat.a % N == a % N and mat.b % N == b % N and mat.c % N == c % N and mat.d % N == d % N
-    return mat
-
-
-def _bezout(p: int, q: int) -> Tuple[int, int]:
-    """x, y with x p - y q = 1 for coprime p, q."""
-    old_r, r = p, q
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t = t, old_t - quo * t
-    if old_r == 1:
-        return old_s, -old_t
-    if old_r == -1:
-        return -old_s, old_t
-    raise ValueError("arguments not coprime")
 
 
 @lru_cache(maxsize=32)

@@ -111,8 +111,10 @@ def e_of(x, prec: int = DEFAULT_PREC) -> mpc:
 
 
 @prec_guard
-def minus_two_pi_i(prec: int = DEFAULT_PREC) -> mpc:
-    return mpc(0, -2) * mp.pi
+def raw_scale(w: int, prec: int = DEFAULT_PREC) -> mpc:
+    """(-2 pi i)^w: the factor between the normalized and raw holomorphic
+    series of weight w, and the denominator of a weight-w polylog symbol."""
+    return (-2j * mp.pi) ** w
 
 
 @prec_guard
@@ -258,7 +260,8 @@ def _convergents(x: QQ):
 
 @prec_guard
 def cyclo_value(c, prec: int = DEFAULT_PREC) -> mpc:
-    """Embed a Cyclo element via mu_N -> exp(2 pi i / N)."""
+    """Embed a Cyclo element via mu_N -> exp(2 pi i / N), by Horner: the one
+    numeric embedding of Q(mu_N)."""
     mu = e_of(QQ(1, c.N), prec)
     acc = mpc(0)
     for coeff in reversed(c.coeffs):
@@ -270,7 +273,7 @@ def cyclo_value(c, prec: int = DEFAULT_PREC) -> mpc:
 def polylog_symbol_value(sym, prec: int = DEFAULT_PREC) -> mpc:
     """PL(w; a/b) = Li_w(e(a/b)) / (-2 pi i)^w numerically."""
     li = polylog(sym.w, QQ(sym.num, sym.den), prec)
-    return li / minus_two_pi_i(prec) ** sym.w
+    return li / raw_scale(sym.w, prec)
 
 
 @prec_guard
@@ -284,7 +287,7 @@ def ext_scalar_value(x, prec: int = DEFAULT_PREC) -> mpc:
 @prec_guard
 def raw_symbol_sum_value(w: int, raw_terms: dict, prec: int = DEFAULT_PREC) -> mpc:
     """Numeric value of an unreduced symbol sum sum coeff * PL(w; arg)."""
-    m2pi = minus_two_pi_i(prec) ** w
+    m2pi = raw_scale(w, prec)
     acc = mpc(0)
     for arg, coeff in raw_terms.items():
         a = qq(arg)

@@ -28,7 +28,6 @@ from eisperiods.eisenstein import (
     g_fourier,
     lattice_sum,
     maass_fourier,
-    raw_scale,
 )
 from eisperiods.invariant import (
     BiPoly,
@@ -52,6 +51,7 @@ from eisperiods.numerics import (
     hurwitz_zeta,
     polylog,
     rational_reconstruct,
+    raw_scale,
 )
 
 PREC = 192

@@ -47,6 +47,26 @@ def lam(N, l1, l2):
     return ResiduePair(N, l1, l2)
 
 
+def transported(mu, sigma):
+    """mu sigma mod N, from the residues (a, b, c, d) of the coset sigma."""
+    a, b, c, d = sigma
+    return ResiduePair(mu.N, mu.l1 * a + mu.l2 * c, mu.l1 * b + mu.l2 * d)
+
+
+def coset_times(table, i, g):
+    """The index of sigma g, sigma the coset i, from residues mod N."""
+    a, b, c, d = table.elements[i]
+    N = table.N
+    return table.lookup[
+        (
+            (a * g.a + b * g.c) % N,
+            (a * g.b + b * g.d) % N,
+            (c * g.a + d * g.c) % N,
+            (c * g.b + d * g.d) % N,
+        )
+    ]
+
+
 def rational_poly(k, fracs):
     return PeriodPoly(k, [ExtScalar(qq(f)) for f in fracs])
 
@@ -197,7 +217,7 @@ class TestInducedCochain:
         c = build_induced(2, lam(2, 0, 1), 2)
         assert len(c.table) == 6
         for i in range(6):
-            mu = c.lam.act(c.table.representative(i))
+            mu = transported(c.lam, c.table.elements[i])
             assert c.val_T[i] == period_T(2, mu, 2)
             assert c.val_S[i] == period_S(2, mu, 2)
 
@@ -219,7 +239,7 @@ class TestCoboundaryAndCertification:
         cob = coboundary(2, lam(N, 0, 1), N)
         table = build_induced(2, lam(N, 0, 1), N).table
         for i in range(len(table)):
-            mu = lam(N, 0, 1).act(table.representative(i))
+            mu = transported(lam(N, 0, 1), table.elements[i])
             if mu.l1 != 0:
                 assert cob.values[i].is_zero()
 
@@ -279,7 +299,7 @@ class TestEvaluation:
         c = build_induced(4, lam(2, 1, 0), 2)
         got = evaluate_cocycle(c, S.inverse())
         want = [
-            -(c.val_S[c.table.rmul_S[i]].act(S.inverse()))
+            -(c.val_S[coset_times(c.table, i, S)].act(S.inverse()))
             for i in range(len(c.table))
         ]
         assert all(a == b for a, b in zip(got, want))
@@ -315,9 +335,9 @@ LETTERS = {"S": S, "T": T, "T^-1": t_power(-1)}
 
 def naive_evaluate(c, tokens):
     """c(uv)(sigma) = c(u)(sigma v^-1)|v + c(v)(sigma), one letter v at a time
-    on every coset, with the cosets looked up from matrix products."""
+    on every coset, with the cosets looked up from residue products."""
     table = c.table
-    reps = [table.representative(i) for i in range(len(table))]
+    cosets = range(len(table))
 
     def letter_value(letter, i):
         if letter == "S":
@@ -325,14 +345,14 @@ def naive_evaluate(c, tokens):
         if letter == "T":
             return c.val_T[i]
         # c(T^-1)(sigma) = -c(T)(sigma T)|T^-1, from c(T T^-1) = 0
-        return -c.val_T[table.index_of(reps[i] * T)].act(t_power(-1))
+        return -c.val_T[coset_times(table, i, T)].act(t_power(-1))
 
-    acc = [PeriodPoly.zero(c.k) for _ in reps]
+    acc = [PeriodPoly.zero(c.k) for _ in cosets]
     for letter in STWord(tokens).letters():
         v = LETTERS[letter]
         acc = [
-            acc[table.index_of(rep * v.inverse())].act(v) + letter_value(letter, i)
-            for i, rep in enumerate(reps)
+            acc[coset_times(table, i, v.inverse())].act(v) + letter_value(letter, i)
+            for i in cosets
         ]
     return acc
 

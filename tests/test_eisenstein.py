@@ -17,11 +17,10 @@ from eisperiods.eisenstein import (
     g_fourier,
     lattice_sum,
     maass_fourier,
-    raw_scale,
 )
 from eisperiods.eisenstein import _divisor_pairs, _fb, _i_times_int_power
 from eisperiods.modgroup import S, T, ResiduePair
-from eisperiods.numerics import GUARD_BITS, cyclo_value, e_of
+from eisperiods.numerics import GUARD_BITS, cyclo_value, e_of, raw_scale
 
 PREC = 192
 

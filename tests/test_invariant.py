@@ -2,7 +2,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from eisperiods.exact import QQ, formal_binomial, qq
-from eisperiods.eisenstein import e_fourier, eval_fourier, raw_scale
+from eisperiods.eisenstein import LatticeParams, e_fourier, eval_fourier, lattice_sum
 from eisperiods.invariant import (
     BiPoly,
     IdealClassTerm,
@@ -24,7 +24,7 @@ from eisperiods.invariant import (
     re_m,
 )
 from eisperiods.modgroup import S, T, ResiduePair
-from eisperiods.numerics import PrecisionError, rational_reconstruct
+from eisperiods.numerics import PrecisionError, rational_reconstruct, raw_scale
 
 PREC = 192
 
@@ -278,8 +278,10 @@ class TestPsi:
 
     def test_psi_r_routes_agree(self):
         data = QuadLatticeData.preset("gaussian")
-        a = psi_r_value(2, data, data.lam, M=200, prec=160, route="fourier")
-        b = psi_r_value(2, data, data.lam, M=200, prec=160, route="lattice", radius=150)
+        a = psi_r_value(2, data, data.lam, M=200, prec=160)
+        lattice = lattice_sum(LatticeParams(2, 2, data.N, data.lam, "elliptic", 150), data.tau(160), 160)
+        omega2 = qq(data.omega2)
+        b = lattice / (mpf(omega2.numerator) / omega2.denominator) ** 4
         # lattice tail O(R^{2-2m})
         assert abs(a - b) < mpf(150) ** -2 * 10
 

@@ -5,7 +5,6 @@ from mpmath import mp, mpc, mpf
 
 from eisperiods import eisenstein
 from eisperiods.exact import QQ, ExtScalar, PolylogSymbol
-from eisperiods.eisenstein import raw_scale
 from eisperiods.lseries import (
     IExt,
     LFunctionSpec,
@@ -14,7 +13,7 @@ from eisperiods.lseries import (
     lvalue_numeric,
 )
 from eisperiods.modgroup import S, ResiduePair, index_set
-from eisperiods.numerics import PoleError
+from eisperiods.numerics import PoleError, raw_scale
 
 PREC = 192
 M = 200

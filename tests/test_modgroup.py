@@ -24,6 +24,17 @@ from eisperiods.modgroup import (
 )
 
 
+def residue_product(sigma, g, N):
+    """The residues of sigma g mod N, for residues sigma and a matrix g."""
+    a, b, c, d = sigma
+    return (
+        (a * g.a + b * g.c) % N,
+        (a * g.b + b * g.d) % N,
+        (c * g.a + d * g.c) % N,
+        (c * g.b + d * g.d) % N,
+    )
+
+
 def brute_force_sl2_count(N):
     return sum(
         1
@@ -101,7 +112,7 @@ class TestDecompose:
             assert w.to_matrix() == g
             # run-compressed length O(log max entry); C = 4 is a generous
             # measured bound for nearest-integer division
-            assert len(w.tokens) <= 4 * max(2.0, math.log(max(map(abs, g.entries())) + 1))
+            assert len(w.tokens) <= 4 * max(2.0, math.log(max(map(abs, g)) + 1))
 
     @given(
         c=st.integers(min_value=-10 ** 4, max_value=10 ** 4),
@@ -147,6 +158,15 @@ class TestResidueAction:
             g2 = random_sl2z(rng, 30)
             assert lam.act(g1).act(g2) == lam.act(g1 * g2)
 
+    def test_residues_act_as_the_matrix(self):
+        # a coset acts by its residues mod N: the same as any integer lift
+        rng = random.Random(12)
+        for _ in range(200):
+            N = rng.randrange(1, 13)
+            lam = ResiduePair(N, rng.randrange(N), rng.randrange(N))
+            g = random_sl2z(rng, 50)
+            assert lam.act(tuple(x % N for x in g)) == lam.act(g)
+
     def test_orbit_avoids_zero_for_weight_two(self):
         # the k = 2 index set (nonzero pairs) is stable under the group action
         for N in range(2, 7):
@@ -180,33 +200,27 @@ class TestCosetTable:
         for N in (2, 3, 4, 6):
             table = enumerate_sl2(N)
             n = len(table)
-            for perm in (table.rmul_T, table.rmul_S, table.rmul_T_inv, table.rmul_S_inv):
+            for perm in (table.rmul_T, table.rmul_T_inv, table.rmul_S_inv):
                 assert sorted(perm) == list(range(n))
 
     def test_rmul_consistency(self):
         for N in (2, 5):
             table = enumerate_sl2(N)
-            for i in range(len(table)):
-                rep = table.representative(i)
-                assert table.index_of(rep * T) == table.rmul_T[i]
-                assert table.index_of(rep * S) == table.rmul_S[i]
-                assert table.rmul_T_inv[table.rmul_T[i]] == i
-                assert table.rmul_S_inv[table.rmul_S[i]] == i
-
-    def test_representatives_lift_correctly(self):
-        for N in (2, 3, 4, 5, 6, 12):
-            table = enumerate_sl2(N)
-            for i in range(0, len(table), 7):
-                rep = table.representative(i)
-                a, b, c, d = table.elements[i]
-                assert (rep.a % N, rep.b % N, rep.c % N, rep.d % N) == (a, b, c, d)
+            for i, sigma in enumerate(table.elements):
+                sigma_T = table.lookup[residue_product(sigma, T, N)]
+                sigma_S = table.lookup[residue_product(sigma, S, N)]
+                assert sigma_T == table.rmul_T[i]
+                assert table.rmul_T_inv[sigma_T] == i
+                assert table.rmul_S_inv[sigma_S] == i
 
     def test_t_power_transport(self):
         table = enumerate_sl2(4)
-        i = table.index_of(Mat2(1, 2, 2, 5))
-        rep = table.representative(i)
+        g = Mat2(1, 2, 2, 5)
+        i = table.index_of(g)
         for n in (-7, -1, 0, 1, 3, 9):
-            assert table.rmul_t_power(i, n) == table.index_of(rep * t_power(n))
+            assert table.rmul_t_power(i, n) == table.index_of(g * t_power(n))
+            want = table.lookup[residue_product(table.elements[i], t_power(n), 4)]
+            assert table.rmul_t_power(i, n) == want
 
 
 class TestCosetQuotient:

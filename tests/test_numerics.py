@@ -14,7 +14,6 @@ from eisperiods.eisenstein import (
     eval_fourier,
     g_fourier,
     lattice_sum,
-    raw_scale,
 )
 from eisperiods.exact import QQ, bernoulli_value
 from eisperiods.invariant import QuadLatticeData, psi
@@ -29,6 +28,7 @@ from eisperiods.numerics import (
     polylog_s,
     prec_guard,
     rational_reconstruct,
+    raw_scale,
 )
 
 PREC = 192
