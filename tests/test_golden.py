@@ -1,9 +1,11 @@
 """Golden reports: each `eisp` subcommand at one small configuration must
 reproduce the committed JSON report byte for byte, with the same exit code.
+Three sweep reports too large to commit are pinned by their sha256 instead.
 
 Each case runs in a fresh interpreter, as `eisp` does, so module caches and the
 ambient mpmath precision left behind by other tests cannot leak into it.
 """
+import hashlib
 import os
 import subprocess
 import sys
@@ -40,6 +42,27 @@ CASES = {
 }
 
 
+# Reports too large to commit, pinned by the sha256 of their bytes instead:
+# name -> (exit code, argv, digest).
+DIGESTS = {
+    "rationality_values_k8_n4": (
+        0,
+        "rationality --values --k-max 8 --N-max 4",
+        "77a172a44c4b0d81a5b61cf5d6cf8e68f01eca7b709e171d3a7c552865c64521",
+    ),
+    "rationality_defaults": (
+        0,
+        "rationality",
+        "1a81528ba222daf21c677ceca021379775b62b5bef2dbae3fa032e6ccfc58d30",
+    ),
+    "relations_defaults": (
+        0,
+        "relations",
+        "63d8a66e3f6aec899841764b66f39192a85ec1930e00aa868f8aa04823ae7044",
+    ),
+}
+
+
 def run_case(argv: str, out: Path) -> int:
     src = str(Path(__file__).parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
@@ -54,3 +77,11 @@ def test_report_matches_golden(name, tmp_path):
     out = tmp_path / f"{name}.json"
     assert run_case(argv, out) == code
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_report_matches_digest(name, tmp_path):
+    code, argv, digest = DIGESTS[name]
+    out = tmp_path / f"{name}.json"
+    assert run_case(argv, out) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
