@@ -3,12 +3,22 @@ picture: polynomial values at the generators T and S on each coset of the
 principal congruence subgroup, coboundary modification, exact rationality
 certification, cocycle-relation checks, and descent back to the subgroup.
 
+A period polynomial is stored as integer channel vectors over one shared
+denominator: one channel for the rational parts of its coefficients and one
+per polylog symbol, each the k-1 integer numerators of that part.  Every
+polynomial map the cocycle rule needs, the weight action of S and T^n and
+each closed-form T-run sum, is one cached integer matrix, so a transport is
+integer matrix times integer vector on each channel, with no rational
+arithmetic; a sum brings its terms to the lcm of their denominators and
+reduces once.  A polynomial is rational exactly when it has no symbol
+channel, so certification stays symbolic.  ExtScalar coefficients appear
+only at the boundary: the constructor, .coeffs and the JSON and failure
+reports.  The period values at T and S are cached per (k, lambda, N).
+
 Cocycles are stored by their values at T and S only; every other value is
 reconstructed through the cocycle rule along an S/T word.  T-power runs are
 evaluated in closed form (Bernoulli sums over arithmetic progressions), so
-evaluation cost is logarithmic in the matrix entries.  Each polynomial map
-involved, the weight action of S and T^n and each T-run sum, is one cached
-matrix on the coefficient vector.
+evaluation cost is logarithmic in the matrix entries.
 
 Every per-coset loop runs on a quotient of the coset set: the coarsest
 partition on which the stored values are constant and which right
@@ -24,12 +34,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from itertools import chain
+from math import comb, factorial, gcd, lcm
+from operator import add, mul
 from typing import List, Optional, Sequence, Tuple, Union
 
 from mpmath import mpc
 
-from .exact import QQ, ExtScalar, _poly_mul, bernoulli_value, qq_str, symbol_term
+from .exact import QQ, ExtScalar, PolylogSymbol, bernoulli_value, symbol_term
 from .lseries import lvalue_closed
 from .modgroup import (
     IndexSetError,  # raised by admissible; callers catch it from here
@@ -46,50 +58,85 @@ from .modgroup import (
 )
 from .numerics import DEFAULT_PREC, ext_scalar_value, prec_guard
 
+Channel = Sequence[int]
+# One signed summand for _sum: (sign, den, rational channel, symbol channels);
+# the channels need not be reduced.
+Term = Tuple[int, int, Channel, Sequence[Tuple[PolylogSymbol, Channel]]]
+
 
 class PeriodPoly:
     """Polynomial of degree <= k-2 over the polylog-symbol ring, carrying the
-    weight-(k-2) right action P(X) -> (cX+d)^{k-2} P((aX+b)/(cX+d))."""
+    weight-(k-2) right action P(X) -> (cX+d)^{k-2} P((aX+b)/(cX+d)).
 
-    __slots__ = ("k", "coeffs")
+    Canonical form: the coefficient of X^j is (rat[j] + sum_s v_s[j] s) / den
+    over the pairs (s, v_s) of syms, one per polylog symbol s with a nonzero
+    channel, in symbol order; den > 0 is coprime to every numerator.  Equal
+    polynomials therefore have equal fields.  Immutable: the fields are
+    tuples and cannot be reassigned, so cached and shared values are safe.
+    """
 
-    def __init__(self, k: int, coeffs: List[ExtScalar]):
+    __slots__ = ("k", "den", "rat", "syms", "_coeffs")
+
+    def __init__(self, k: int, coeffs: Sequence[Union[ExtScalar, QQ, int]]):
         if len(coeffs) != k - 1:
             raise ValueError(f"weight-{k} period polynomial needs {k - 1} coefficients")
-        self.k = k
-        self.coeffs = [c if isinstance(c, ExtScalar) else ExtScalar(c) for c in coeffs]
+        scalars = [c if isinstance(c, ExtScalar) else ExtScalar(c) for c in coeffs]
+        den = lcm(*(int(q.denominator) for c in scalars for q in (c.rational, *c.symbols.values())))
+        syms = {}
+        for j, c in enumerate(scalars):
+            for sym, q in c.symbols.items():
+                syms.setdefault(sym, [0] * (k - 1))[j] = int(q * den)
+        rat = [int(c.rational * den) for c in scalars]
+        _init(self, k, den, rat, list(syms.items()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PeriodPoly is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PeriodPoly is immutable: cannot delete {name!r}")
 
     @staticmethod
     def zero(k: int) -> "PeriodPoly":
-        return PeriodPoly(k, [ExtScalar.zero() for _ in range(k - 1)])
+        return _sum(k, ())
 
     @staticmethod
-    def constant(k: int, value: ExtScalar) -> "PeriodPoly":
-        out = PeriodPoly.zero(k)
-        out.coeffs[0] = value if isinstance(value, ExtScalar) else ExtScalar(value)
-        return out
+    def constant(k: int, value) -> "PeriodPoly":
+        return PeriodPoly(k, [value] + [0] * (k - 2))
+
+    @property
+    def coeffs(self) -> Tuple[ExtScalar, ...]:
+        """The coefficients as ExtScalars, X^0 first, built on first read."""
+        if self._coeffs is None:
+            den = self.den
+            _set_coeffs(self, tuple(
+                ExtScalar(QQ(r, den), {s: QQ(v[j], den) for s, v in self.syms})
+                for j, r in enumerate(self.rat)
+            ))
+        return self._coeffs
 
     def __add__(self, other: "PeriodPoly") -> "PeriodPoly":
-        return PeriodPoly(self.k, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return _sum(self.k, (_term(self), _term(other)))
 
     def __sub__(self, other: "PeriodPoly") -> "PeriodPoly":
-        return PeriodPoly(self.k, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return _sum(self.k, (_term(self), _term(other, -1)))
 
     def __neg__(self) -> "PeriodPoly":
-        return PeriodPoly(self.k, [-a for a in self.coeffs])
+        return _sum(self.k, (_term(self, -1),))
 
     def __eq__(self, other):
         return (
             isinstance(other, PeriodPoly)
             and self.k == other.k
-            and all(a == b for a, b in zip(self.coeffs, other.coeffs))
+            and self.den == other.den
+            and self.rat == other.rat
+            and self.syms == other.syms
         )
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not self.syms and not any(self.rat)
 
     def is_rational(self) -> bool:
-        return all(c.is_rational() for c in self.coeffs)
+        return not self.syms
 
     def act(self, g: Mat2) -> "PeriodPoly":
         """Right weight action, through the cached matrix of g."""
@@ -105,88 +152,181 @@ class PeriodPoly:
 
     def symbol_failures(self) -> List[Tuple[int, str, str]]:
         """(coefficient index, symbol, coefficient) for every surviving
-        transcendental term."""
-        out = []
-        for idx, c in enumerate(self.coeffs):
-            for sym, coeff in c.sorted_symbols():
-                out.append((idx, repr(sym), qq_str(coeff)))
-        return out
+        transcendental term, by index and then in symbol order."""
+        return [
+            (j, repr(s), _ratio_str(v[j], self.den))
+            for j in range(self.k - 1)
+            for s, v in self.syms
+            if v[j]
+        ]
 
     def to_json(self) -> list:
-        return [c.to_json() for c in self.coeffs]
+        """ExtScalar.to_json of each coefficient, read from the channels."""
+        den = self.den
+        return [
+            {
+                "rational": _ratio_str(r, den),
+                "symbols": [
+                    {"w": s.w, "arg": f"{s.num}/{s.den}", "coeff": _ratio_str(v[j], den)}
+                    for s, v in self.syms
+                    if v[j]
+                ],
+            }
+            for j, r in enumerate(self.rat)
+        ]
 
     def __repr__(self):
-        return f"PeriodPoly(k={self.k}, {self.coeffs})"
+        return f"PeriodPoly(k={self.k}, {list(self.coeffs)})"
 
 
-def _int_poly_powers(p: int, q: int, max_pow: int) -> List[List[QQ]]:
-    """Coefficient lists of (pX + q)^m for 0 <= m <= max_pow."""
-    pows = [[QQ(1)]]
-    for _ in range(max_pow):
-        pows.append(_poly_mul(pows[-1], [q, p]))
-    return pows
+_set_k, _set_den, _set_rat, _set_syms, _set_coeffs = (
+    getattr(PeriodPoly, name).__set__ for name in PeriodPoly.__slots__
+)
+
+
+def _symbol_order(item: Tuple[PolylogSymbol, Sequence[int]]):
+    return item[0].key()
+
+
+def _ratio_str(num: int, den: int) -> str:
+    """num/den in lowest terms as "p/q", as exact.qq_str writes it."""
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"
+
+
+def _init(poly: PeriodPoly, k: int, den: int, rat: Channel,
+          syms: Sequence[Tuple[PolylogSymbol, Channel]]) -> None:
+    """Fill poly in canonical form from numerator channels over den > 0:
+    zero symbol channels are dropped, the others put in symbol order, and
+    den and the numerators divided by their gcd."""
+    if syms:
+        syms = sorted([(s, v) for s, v in syms if any(v)], key=_symbol_order)
+        g = gcd(den, *rat, *chain.from_iterable(v for _, v in syms))
+    else:
+        g = gcd(den, *rat)
+    if g != 1:
+        den //= g
+        rat = [x // g for x in rat]
+        syms = [(s, [x // g for x in v]) for s, v in syms]
+    _set_k(poly, k)
+    _set_den(poly, den)
+    _set_rat(poly, tuple(rat))
+    _set_syms(poly, tuple((s, tuple(v)) for s, v in syms))
+    _set_coeffs(poly, None)
+
+
+def _term(poly: PeriodPoly, sign: int = 1) -> Term:
+    return sign, poly.den, poly.rat, poly.syms
+
+
+def _sum(k: int, terms: Sequence[Term]) -> PeriodPoly:
+    """The weight-k PeriodPoly sum of the signed terms: every channel is
+    brought to the lcm of the denominators, and the result is reduced once.
+    Every PeriodPoly the engine builds comes from here."""
+    den = lcm(*[t[1] for t in terms])
+    rat = [0] * (k - 1)
+    syms = {}
+    for sign, d, r, ss in terms:
+        f = sign * (den // d)
+        if f != 1:
+            r = [f * y for y in r]
+        rat = list(map(add, rat, r))
+        for s, v in ss:
+            if f != 1:
+                v = [f * y for y in v]
+            acc = syms.get(s)
+            syms[s] = v if acc is None else list(map(add, acc, v))
+    poly = object.__new__(PeriodPoly)
+    _init(poly, k, den, rat, list(syms.items()))
+    return poly
 
 
 # Every polynomial map the cocycle rule needs (the weight action of S and
-# T^n, the closed-form T-run sums) is a cached matrix with one row per input
-# coefficient: row m is what X^m maps to.  _apply alone applies them.
+# T^n, the closed-form T-run sums) is a cached integer matrix with one row
+# per output coefficient: entry [l][m] is the coefficient of X^l in the
+# image of X^m.  _image alone applies them.
+
+
+def _binomial_powers(p: int, q: int, max_pow: int) -> List[List[int]]:
+    """Coefficient lists of (pX + q)^m for 0 <= m <= max_pow."""
+    return [[comb(m, j) * p ** j * q ** (m - j) for j in range(m + 1)] for m in range(max_pow + 1)]
+
+
+def _int_poly_mul(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 @lru_cache(maxsize=256)
-def _action_matrix(k: int, g: Mat2) -> Tuple[Tuple[QQ, ...], ...]:
-    """The weight-(k-2) action of g: X^m -> (aX+b)^m (cX+d)^{k-2-m}."""
+def _action_matrix(k: int, g: Mat2) -> Tuple[Channel, ...]:
+    """The weight-(k-2) action of g: X^m -> (aX+b)^m (cX+d)^{k-2-m}.  Its
+    inverse is the action of g^-1, also integral, so the image of a channel
+    has the same content and a canonical polynomial stays canonical."""
     w = k - 2
-    top = _int_poly_powers(g.a, g.b, w)
-    bottom = _int_poly_powers(g.c, g.d, w)
-    return tuple(tuple(_poly_mul(top[m], bottom[w - m])) for m in range(w + 1))
+    top = _binomial_powers(g.a, g.b, w)
+    bottom = _binomial_powers(g.c, g.d, w)
+    images = [_int_poly_mul(top[m], bottom[w - m]) for m in range(w + 1)]
+    return tuple(zip(*images))
 
 
-def _ap_power_sum(r: int, step: int, terms: int, p: int) -> QQ:
-    """sum_{i=0}^{terms-1} (r + i step)^p, exactly, via Bernoulli polynomials."""
+def _ap_power_sum(r: int, step: int, terms: int, p: int) -> int:
+    """sum_{i=0}^{terms-1} (r + i step)^p, exactly, via Bernoulli polynomials;
+    a sum of integer powers, so an integer."""
     if terms <= 0:
-        return QQ(0)
+        return 0
     x = QQ(r, step)
     val = (bernoulli_value(p + 1, x + terms) - bernoulli_value(p + 1, x)) / (p + 1)
-    return val * step ** p
+    return int(val * step ** p)
 
 
 @lru_cache(maxsize=256)
-def _t_run_matrix(k: int, r: int, step: int, terms: int) -> Tuple[Tuple[QQ, ...], ...]:
+def _t_run_matrix(k: int, r: int, step: int, terms: int) -> Tuple[Channel, ...]:
     """The map P -> sum_{i=0}^{terms-1} P(X + r + i step): X^m adds
-    C(m, l) sum_i (r + i step)^{m-l} to the coefficient of X^l."""
+    C(m, l) sum_i (r + i step)^{m-l} to the coefficient of X^l.  The power
+    sums are integers, so the common denominator of the matrix is 1."""
     psums = [_ap_power_sum(r, step, terms, p) for p in range(k - 1)]
     return tuple(
-        tuple(comb(m, l) * psums[m - l] if l <= m else QQ(0) for l in range(k - 1))
-        for m in range(k - 1)
+        tuple(comb(m, l) * psums[m - l] if l <= m else 0 for m in range(k - 1))
+        for l in range(k - 1)
     )
 
 
-def _apply(matrix: Sequence[Sequence], poly: PeriodPoly) -> PeriodPoly:
-    """The image of poly under a cached matrix: the one loop that multiplies
-    PeriodPoly coefficients, skipping zero coefficients and zero entries."""
-    out = [ExtScalar.zero()] * (poly.k - 1)
-    for pm, row in zip(poly.coeffs, matrix):
-        if pm.is_zero():
-            continue
-        for l, entry in enumerate(row):
-            if entry:
-                out[l] = out[l] + pm * entry
-    return PeriodPoly(poly.k, out)
+def _image(matrix: Sequence[Channel], poly: PeriodPoly, sign: int = 1) -> Term:
+    """sign times the image of poly under a cached integer matrix, as a term
+    for _sum: integer matrix times integer vector on every channel, over
+    poly's denominator.  This is the one loop that multiplies channels."""
+
+    def image(vec: Channel) -> List[int]:
+        return [sum(map(mul, vec, row)) for row in matrix]
+
+    return sign, poly.den, image(poly.rat), [(s, image(v)) for s, v in poly.syms]
 
 
+def _apply(matrix: Sequence[Channel], poly: PeriodPoly) -> PeriodPoly:
+    """The image of poly under a cached integer matrix."""
+    return _sum(poly.k, (_image(matrix, poly),))
+
+
+@lru_cache(maxsize=1024)
 def period_T(k: int, lam: ResiduePair, N: int) -> PeriodPoly:
     """Value of the base-point-at-infinity period at T: the rational
-    polynomial -(B_k(l1/N)/(k!(k-1))) ((X+1)^{k-1} - X^{k-1})."""
+    polynomial -(B_k(l1/N)/(k!(k-1))) ((X+1)^{k-1} - X^{k-1}).  Cached per
+    (k, lambda, N): every cell whose orbit holds lambda shares the value."""
     lam = admissible(k, lam, N)
     front = -bernoulli_value(k, QQ(lam.l1, N)) / (factorial(k) * (k - 1))
-    coeffs = [ExtScalar(front * comb(k - 1, j)) for j in range(k - 1)]
-    return PeriodPoly(k, coeffs)
+    return PeriodPoly(k, [front * comb(k - 1, j) for j in range(k - 1)])
 
 
+@lru_cache(maxsize=1024)
 def period_S(k: int, lam: ResiduePair, N: int) -> PeriodPoly:
     """Value of the period at S: a Bernoulli-product polynomial plus polylog
     symbols in the X^0 coefficient (when l1 = 0) and the X^{k-2} coefficient
-    (when l2 = 0), each with rational coefficient of size 1/(k-1)."""
+    (when l2 = 0), each with rational coefficient of size 1/(k-1).  Cached
+    per (k, lambda, N), like period_T."""
     lam = admissible(k, lam, N)
     l1, l2 = lam.l1, lam.l2
     denom = factorial(k) * (k - 1)
@@ -321,25 +461,32 @@ class RationalityReport:
             "rational": self.certified,
             "failures": self.failures,
         }
+        # cosets of one class share one PeriodPoly: serialize each once
+        memo = {}
+
+        def values(polys: List[PeriodPoly]) -> list:
+            for p in polys:
+                if id(p) not in memo:
+                    memo[id(p)] = p.to_json()
+            return [memo[id(p)] for p in polys]
+
         if original is not None:
             out["cosets"] = len(original.table)
             if include_values:
-                out["values_T"] = [p.to_json() for p in original.val_T]
-                out["values_S"] = [p.to_json() for p in original.val_S]
+                out["values_T"] = values(original.val_T)
+                out["values_S"] = values(original.val_S)
         if modified is not None:
             out["cosets"] = len(modified.table)
             if include_values:
-                out["modified"] = {
-                    "T": [p.to_json() for p in modified.val_T],
-                    "S": [p.to_json() for p in modified.val_S],
-                }
+                out["modified"] = {"T": values(modified.val_T), "S": values(modified.val_S)}
         return out
 
 
-def _transport(values: List[PeriodPoly], sources: Sequence[int], matrix) -> List[PeriodPoly]:
-    """Right transport by g: (F|g)(sigma) = F(sigma g^{-1})|g, given the
-    index of sigma g^{-1} for each sigma and the action matrix of g."""
-    return [_apply(matrix, values[j]) for j in sources]
+def _transport(values: List[PeriodPoly], sources: Sequence[int], matrix, sign: int = 1) -> List[Term]:
+    """Right transport by g, times sign, as one term for _sum per sigma:
+    (F|g)(sigma) = F(sigma g^{-1})|g, given the index of sigma g^{-1} for
+    each sigma and the action matrix of g."""
+    return [_image(matrix, values[j], sign) for j in sources]
 
 
 def _t_sources(table: CosetQuotient, n: int) -> List[int]:
@@ -362,8 +509,8 @@ def modify_and_certify(
     k = cochain.k
     moved_T = _transport(cob_values, _t_sources(quot, 1), _action_matrix(k, T))
     moved_S = _transport(cob_values, quot.rmul_S_inv, _action_matrix(k, S))
-    new_T = [a + b - f for a, b, f in zip(val_T, moved_T, cob_values)]
-    new_S = [a + b - f for a, b, f in zip(val_S, moved_S, cob_values)]
+    new_T = [_sum(k, (_term(a), m, _term(f, -1))) for a, m, f in zip(val_T, moved_T, cob_values)]
+    new_S = [_sum(k, (_term(a), m, _term(f, -1))) for a, m, f in zip(val_S, moved_S, cob_values)]
     modified = InducedCochain(
         cochain.k, cochain.N, cochain.lam, cochain.table, quot.expand(new_T), quot.expand(new_S)
     )
@@ -398,19 +545,20 @@ def _t_run_value(cochain: InducedCochain, n: int) -> List[PeriodPoly]:
     k, N = cochain.k, cochain.N
     if n < 0:
         # c(T^n) = -c(T^{-n})|_{T^n}
-        moved = _transport(_t_run_value(cochain, -n), _t_sources(table, n), _action_matrix(k, t_power(n)))
-        return [-p for p in moved]
+        back = _t_run_value(cochain, -n)
+        moved = _transport(back, _t_sources(table, n), _action_matrix(k, t_power(n)), -1)
+        return [_sum(k, (m,)) for m in moved]
     # residue class r of j < n holds (n - 1 - r) // N + 1 terms
     runs = [_t_run_matrix(k, r, N, (n - 1 - r) // N + 1) for r in range(min(N, n))]
     out = []
     for i in range(len(table)):
-        acc = PeriodPoly.zero(k)
+        terms = []
         idx = i
         for run in runs:
             # idx now points at sigma T^{-r}
-            acc = acc + _apply(run, cochain.val_T[idx])
+            terms.append(_image(run, cochain.val_T[idx]))
             idx = table.rmul_T_inv[idx]
-        out.append(acc)
+        out.append(_sum(k, terms))
     return out
 
 
@@ -431,7 +579,7 @@ def _evaluate_classes(cochain: InducedCochain, tokens) -> List[PeriodPoly]:
                 acc = list(value)
             else:
                 moved = _transport(acc, sources, _action_matrix(cochain.k, g))
-                acc = [a + v for a, v in zip(moved, value)]
+                acc = [_sum(cochain.k, (m, _term(v))) for m, v in zip(moved, value)]
     return acc if acc is not None else _zero_values(cochain)
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
-from eisperiods.exact import QQ, ExtScalar, PolylogSymbol, qq
+from eisperiods.exact import QQ, ExtScalar, PolylogSymbol, qq, qq_str
 from eisperiods.cocycle import (
     CoboundaryData,
     IndexSetError,
@@ -154,6 +155,154 @@ class TestPeriodPolyAction:
             for i in range(terms):
                 want = want + p.shift(r + i * step)
             assert _apply(_t_run_matrix(6, r, step, terms), p) == want
+
+
+# canonical symbols of several weights, arguments 0, 1/2 and inside (0, 1/2)
+SYMBOLS = [
+    PolylogSymbol(1, 1, 2),
+    PolylogSymbol(1, 1, 3),
+    PolylogSymbol(2, 1, 4),
+    PolylogSymbol(3, 0, 1),
+    PolylogSymbol(3, 1, 2),
+    PolylogSymbol(5, 2, 5),
+    PolylogSymbol(7, 1, 6),
+]
+
+
+def random_scalar(rng):
+    """A random ExtScalar: a rational part and up to three symbol terms."""
+    syms = {
+        sym: QQ(rng.randrange(-9, 10), rng.randrange(1, 13))
+        for sym in rng.sample(SYMBOLS, rng.randrange(0, 4))
+    }
+    return ExtScalar(QQ(rng.randrange(-9, 10), rng.randrange(1, 13)), syms)
+
+
+def random_symbol_poly(rng, k):
+    """Coefficients of a weight-k polynomial that carries at least one symbol."""
+    coeffs = [random_scalar(rng) for _ in range(k - 1)]
+    coeffs[rng.randrange(k - 1)] += ExtScalar.from_symbol(rng.choice(SYMBOLS), QQ(1, rng.randrange(1, 8)))
+    return coeffs
+
+
+def scalar_act(coeffs, g):
+    """(cX+d)^{k-2} P((aX+b)/(cX+d)) coefficient by coefficient in ExtScalar
+    arithmetic: the reference for the integer channel kernel."""
+    w = len(coeffs) - 1
+
+    def power(p, q, m):
+        return [math.comb(m, j) * p ** j * q ** (m - j) for j in range(m + 1)]
+
+    out = [ExtScalar.zero() for _ in coeffs]
+    for m, c in enumerate(coeffs):
+        top, bottom = power(g.a, g.b, m), power(g.c, g.d, w - m)
+        for i, x in enumerate(top):
+            for j, y in enumerate(bottom):
+                out[i + j] = out[i + j] + c * (x * y)
+    return out
+
+
+def scalar_failures(coeffs):
+    return [
+        (idx, repr(sym), qq_str(coeff))
+        for idx, c in enumerate(coeffs)
+        for sym, coeff in c.sorted_symbols()
+    ]
+
+
+class TestSymbolChannels:
+    """Polynomials that carry polylog symbols: the channel representation
+    must agree with per-coefficient ExtScalar arithmetic."""
+
+    def test_coefficients_round_trip(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            k = rng.choice([2, 3, 4, 6, 8])
+            coeffs = random_symbol_poly(rng, k)
+            p = PeriodPoly(k, coeffs)
+            assert list(p.coeffs) == coeffs
+            assert not p.is_rational()
+            assert PeriodPoly(k, p.coeffs) == p
+
+    def test_canonical_form(self):
+        rng = random.Random(43)
+        for _ in range(60):
+            k = rng.choice([3, 5, 8])
+            p = PeriodPoly(k, random_symbol_poly(rng, k))
+            q = PeriodPoly(k, random_symbol_poly(rng, k))
+            for r in (p + q, p - q, -p, p.act(random_gamma(rng)), (p + q) - q):
+                assert math.gcd(r.den, *r.rat, *(x for _, v in r.syms for x in v)) == 1
+                assert all(any(v) for _, v in r.syms)
+                assert [s.key() for s, _ in r.syms] == sorted(s.key() for s, _ in r.syms)
+            assert (p + q) - q == p
+            assert (p - p).is_zero() and (p - p) == PeriodPoly.zero(k)
+
+    def test_sums_match_scalar_arithmetic(self):
+        rng = random.Random(47)
+        for _ in range(60):
+            k = rng.choice([2, 4, 7])
+            a, b = random_symbol_poly(rng, k), random_symbol_poly(rng, k)
+            p, q = PeriodPoly(k, a), PeriodPoly(k, b)
+            assert list((p + q).coeffs) == [x + y for x, y in zip(a, b)]
+            assert list((p - q).coeffs) == [x - y for x, y in zip(a, b)]
+            assert list((-p).coeffs) == [-x for x in a]
+
+    def test_action_matches_scalar_arithmetic(self):
+        rng = random.Random(53)
+        for _ in range(60):
+            k = rng.choice([2, 3, 5, 8])
+            coeffs = random_symbol_poly(rng, k)
+            g = random_gamma(rng)
+            assert list(PeriodPoly(k, coeffs).act(g).coeffs) == scalar_act(coeffs, g)
+
+    def test_action_associativity(self):
+        rng = random.Random(59)
+        for _ in range(100):
+            k = rng.choice([2, 3, 4, 6, 8])
+            p = PeriodPoly(k, random_symbol_poly(rng, k))
+            g1 = random_gamma(rng)
+            g2 = random_gamma(rng)
+            assert p.act(g1).act(g2) == p.act(g1 * g2)
+
+    def test_t_run_matrix_is_a_sum_of_shifts(self):
+        from eisperiods.cocycle import _apply, _t_run_matrix
+
+        rng = random.Random(61)
+        for _ in range(20):
+            k = rng.choice([2, 4, 6, 8])
+            p = PeriodPoly(k, random_symbol_poly(rng, k))
+            r, step, terms = rng.randrange(0, 6), rng.randrange(1, 6), rng.randrange(0, 9)
+            want = PeriodPoly.zero(k)
+            for i in range(terms):
+                want = want + p.shift(r + i * step)
+            assert _apply(_t_run_matrix(k, r, step, terms), p) == want
+
+    def test_reports_match_scalar_output(self):
+        rng = random.Random(67)
+        for _ in range(60):
+            k = rng.choice([2, 3, 5, 8])
+            coeffs = random_symbol_poly(rng, k)
+            p = PeriodPoly(k, coeffs)
+            want = [c.to_json() for c in coeffs]
+            assert json.dumps(p.to_json()) == json.dumps(want)
+            assert p.symbol_failures() == scalar_failures(coeffs)
+
+    def test_period_values_match_scalar_output(self):
+        for k, N in ((4, 1), (5, 3), (6, 4), (8, 4)):
+            for lamv in index_set(N, k):
+                for p in (period_T(k, lamv, N), period_S(k, lamv, N)):
+                    assert p.to_json() == [c.to_json() for c in p.coeffs]
+                    assert p.symbol_failures() == scalar_failures(p.coeffs)
+
+    def test_immutable(self):
+        p = period_S(4, lam(1, 0, 0), 1)
+        for name in ("k", "den", "rat", "syms", "coeffs"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, None)
+            with pytest.raises(AttributeError):
+                delattr(p, name)
+        assert isinstance(p.coeffs, tuple)
+        assert isinstance(p.rat, tuple) and all(isinstance(v, tuple) for _, v in p.syms)
 
 
 class TestPeriodValues:
@@ -419,6 +568,21 @@ class TestRelations:
         assert verify_relations(build_induced(4, lam(1, 0, 0), 1))
         assert verify_relations(build_induced(3, lam(3, 1, 1), 3))
         assert verify_relations(build_induced(2, lam(4, 0, 3), 4))
+
+    def test_perturbed_control_leaves_shared_values_intact(self):
+        """Period values are cached and shared between cochains: perturbing a
+        copy must not reach a later build of the same cell."""
+        cell = (6, lam(4, 2, 1), 4)
+        before = build_induced(*cell)
+        bad = build_induced(*cell).copy()
+        coeffs = list(bad.val_S[0].coeffs)
+        coeffs[1] = coeffs[1] + ExtScalar(QQ(1, 5))
+        bad.val_S[0] = PeriodPoly(6, coeffs)
+        assert not verify_relations(bad)
+        after = build_induced(*cell)
+        assert verify_relations(after)
+        assert after.val_T == before.val_T and after.val_S == before.val_S
+        assert after.val_S[0] is before.val_S[0]
 
     def test_corrupted_cochain_fails(self):
         c = build_induced(3, lam(3, 1, 1), 3)

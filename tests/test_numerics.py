@@ -241,6 +241,8 @@ def test_every_cache_is_bounded():
     for name in (
         "eisperiods.cocycle._action_matrix",
         "eisperiods.cocycle._t_run_matrix",
+        "eisperiods.cocycle.period_S",
+        "eisperiods.cocycle.period_T",
         "eisperiods.exact._bernoulli_numbers",
         "eisperiods.exact.euler_phi",
         "eisperiods.eisenstein.e_series_values",
