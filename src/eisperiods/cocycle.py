@@ -75,7 +75,7 @@ class PeriodPoly:
     tuples and cannot be reassigned, so cached and shared values are safe.
     """
 
-    __slots__ = ("k", "den", "rat", "syms", "_coeffs")
+    __slots__ = ("k", "den", "rat", "syms")
 
     def __init__(self, k: int, coeffs: Sequence[Union[ExtScalar, QQ, int]]):
         if len(coeffs) != k - 1:
@@ -100,19 +100,17 @@ class PeriodPoly:
         return _sum(k, ())
 
     @staticmethod
-    def constant(k: int, value) -> "PeriodPoly":
+    def constant(k: int, value: Union[ExtScalar, QQ, int]) -> "PeriodPoly":
         return PeriodPoly(k, [value] + [0] * (k - 2))
 
     @property
     def coeffs(self) -> Tuple[ExtScalar, ...]:
-        """The coefficients as ExtScalars, X^0 first, built on first read."""
-        if self._coeffs is None:
-            den = self.den
-            _set_coeffs(self, tuple(
-                ExtScalar(QQ(r, den), {s: QQ(v[j], den) for s, v in self.syms})
-                for j, r in enumerate(self.rat)
-            ))
-        return self._coeffs
+        """The coefficients as ExtScalars, X^0 first."""
+        den = self.den
+        return tuple(
+            ExtScalar(QQ(r, den), {s: QQ(v[j], den) for s, v in self.syms})
+            for j, r in enumerate(self.rat)
+        )
 
     def __add__(self, other: "PeriodPoly") -> "PeriodPoly":
         return _sum(self.k, (_term(self), _term(other)))
@@ -179,7 +177,7 @@ class PeriodPoly:
         return f"PeriodPoly(k={self.k}, {list(self.coeffs)})"
 
 
-_set_k, _set_den, _set_rat, _set_syms, _set_coeffs = (
+_set_k, _set_den, _set_rat, _set_syms = (
     getattr(PeriodPoly, name).__set__ for name in PeriodPoly.__slots__
 )
 
@@ -212,7 +210,6 @@ def _init(poly: PeriodPoly, k: int, den: int, rat: Channel,
     _set_den(poly, den)
     _set_rat(poly, tuple(rat))
     _set_syms(poly, tuple((s, tuple(v)) for s, v in syms))
-    _set_coeffs(poly, None)
 
 
 def _term(poly: PeriodPoly, sign: int = 1) -> Term:
@@ -263,9 +260,7 @@ def _int_poly_mul(a: Sequence[int], b: Sequence[int]) -> List[int]:
 
 @lru_cache(maxsize=256)
 def _action_matrix(k: int, g: Mat2) -> Tuple[Channel, ...]:
-    """The weight-(k-2) action of g: X^m -> (aX+b)^m (cX+d)^{k-2-m}.  Its
-    inverse is the action of g^-1, also integral, so the image of a channel
-    has the same content and a canonical polynomial stays canonical."""
+    """The weight-(k-2) action of g: X^m -> (aX+b)^m (cX+d)^{k-2-m}."""
     w = k - 2
     top = _binomial_powers(g.a, g.b, w)
     bottom = _binomial_powers(g.c, g.d, w)
