@@ -82,12 +82,15 @@ class PeriodPoly:
             raise ValueError(f"weight-{k} period polynomial needs {k - 1} coefficients")
         scalars = [c if isinstance(c, ExtScalar) else ExtScalar(c) for c in coeffs]
         den = lcm(*(int(q.denominator) for c in scalars for q in (c.rational, *c.symbols.values())))
+
+        def numerator(q) -> int:
+            return int(q.numerator) * (den // int(q.denominator))
+
         syms = {}
         for j, c in enumerate(scalars):
             for sym, q in c.symbols.items():
-                syms.setdefault(sym, [0] * (k - 1))[j] = int(q * den)
-        rat = [int(c.rational * den) for c in scalars]
-        _init(self, k, den, rat, list(syms.items()))
+                syms.setdefault(sym, [0] * (k - 1))[j] = numerator(q)
+        _init(self, k, den, [numerator(c.rational) for c in scalars], list(syms.items()))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"PeriodPoly is immutable: cannot set {name!r}")
@@ -101,7 +104,7 @@ class PeriodPoly:
 
     @staticmethod
     def constant(k: int, value: Union[ExtScalar, QQ, int]) -> "PeriodPoly":
-        return PeriodPoly(k, [value] + [0] * (k - 2))
+        return PeriodPoly(k, [value] + [ExtScalar.zero()] * (k - 2))
 
     @property
     def coeffs(self) -> Tuple[ExtScalar, ...]:

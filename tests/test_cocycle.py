@@ -95,68 +95,6 @@ def random_gamma(rng, size=40):
         return Mat2(a + k * c, b + k * d, c, d)
 
 
-class TestPeriodPolyAction:
-    def test_identity_action(self):
-        p = rational_poly(5, ["1/2", "-2/3", "0/1", "5/7"])
-        assert p.act(IDENTITY) == p
-
-    def test_action_associativity(self):
-        rng = random.Random(17)
-        for _ in range(100):
-            k = rng.choice([2, 3, 4, 6, 8])
-            p = PeriodPoly(k, [ExtScalar(QQ(rng.randrange(-5, 6), rng.randrange(1, 5))) for _ in range(k - 1)])
-            g1 = random_gamma(rng)
-            g2 = random_gamma(rng)
-            assert p.act(g1).act(g2) == p.act(g1 * g2)
-
-    def test_shift_is_t_action(self):
-        rng = random.Random(23)
-        p = PeriodPoly(6, [ExtScalar(QQ(rng.randrange(-5, 6))) for _ in range(5)])
-        for n in (-3, -1, 1, 2, 7):
-            assert p.shift(n) == p.act(t_power(n))
-
-    def test_minus_identity(self):
-        p = rational_poly(5, ["1/2", "-2/3", "1/1", "5/7"])
-        assert p.act(Mat2(-1, 0, 0, -1)) == -p
-        q = rational_poly(4, ["1/2", "-2/3", "1/1"])
-        assert q.act(Mat2(-1, 0, 0, -1)) == q
-
-    def test_degree_bound_preserved(self):
-        p = rational_poly(4, ["1/3", "0/1", "0/1"])
-        out = p.act(Mat2(2, 1, 1, 1))
-        assert len(out.coeffs) == 3
-
-    def test_action_matrix_against_evaluation(self):
-        """P|g from the cached matrix is (cX+d)^{k-2} P((aX+b)/(cX+d)) at
-        rational points."""
-        from eisperiods.cocycle import _action_matrix
-
-        rng = random.Random(29)
-        for _ in range(30):
-            k = rng.choice([2, 3, 5, 8])
-            coeffs = [QQ(rng.randrange(-9, 10), rng.randrange(1, 6)) for _ in range(k - 1)]
-            g = random_gamma(rng)
-            out = PeriodPoly(k, [ExtScalar(c) for c in coeffs]).act(g)
-            assert _action_matrix(k, g) is _action_matrix(k, g)
-            for x in (QQ(1, 3), QQ(-2), QQ(5, 7)):
-                den = g.c * x + g.d
-                if den == 0:
-                    continue
-                y = (g.a * x + g.b) / den
-                want = den ** (k - 2) * sum(c * y ** i for i, c in enumerate(coeffs))
-                assert sum(c.rational * x ** i for i, c in enumerate(out.coeffs)) == want
-
-    def test_t_run_matrix_is_a_sum_of_shifts(self):
-        from eisperiods.cocycle import _apply, _t_run_matrix
-
-        p = rational_poly(6, ["1/2", "-2/3", "0/1", "5/7", "3/1"])
-        for r, step, terms in ((0, 1, 1), (2, 3, 4), (1, 4, 7), (3, 5, 0)):
-            want = PeriodPoly.zero(6)
-            for i in range(terms):
-                want = want + p.shift(r + i * step)
-            assert _apply(_t_run_matrix(6, r, step, terms), p) == want
-
-
 # canonical symbols of several weights, arguments 0, 1/2 and inside (0, 1/2)
 SYMBOLS = [
     PolylogSymbol(1, 1, 2),
@@ -210,6 +148,73 @@ def scalar_failures(coeffs):
     ]
 
 
+class TestPeriodPolyAction:
+    def test_identity_action(self):
+        p = rational_poly(5, ["1/2", "-2/3", "0/1", "5/7"])
+        assert p.act(IDENTITY) == p
+
+    def test_action_associativity(self):
+        rng = random.Random(17)
+        for _ in range(100):
+            k = rng.choice([2, 3, 4, 6, 8])
+            p = PeriodPoly(k, [ExtScalar(QQ(rng.randrange(-5, 6), rng.randrange(1, 5))) for _ in range(k - 1)])
+            g1 = random_gamma(rng)
+            g2 = random_gamma(rng)
+            assert p.act(g1).act(g2) == p.act(g1 * g2)
+            q = PeriodPoly(k, random_symbol_poly(rng, k))
+            assert q.act(g1).act(g2) == q.act(g1 * g2)
+
+    def test_shift_is_t_action(self):
+        rng = random.Random(23)
+        p = PeriodPoly(6, [ExtScalar(QQ(rng.randrange(-5, 6))) for _ in range(5)])
+        for n in (-3, -1, 1, 2, 7):
+            assert p.shift(n) == p.act(t_power(n))
+
+    def test_minus_identity(self):
+        p = rational_poly(5, ["1/2", "-2/3", "1/1", "5/7"])
+        assert p.act(Mat2(-1, 0, 0, -1)) == -p
+        q = rational_poly(4, ["1/2", "-2/3", "1/1"])
+        assert q.act(Mat2(-1, 0, 0, -1)) == q
+
+    def test_degree_bound_preserved(self):
+        p = rational_poly(4, ["1/3", "0/1", "0/1"])
+        out = p.act(Mat2(2, 1, 1, 1))
+        assert len(out.coeffs) == 3
+
+    def test_action_matrix_against_evaluation(self):
+        """P|g from the cached matrix is (cX+d)^{k-2} P((aX+b)/(cX+d)) at
+        rational points."""
+        from eisperiods.cocycle import _action_matrix
+
+        rng = random.Random(29)
+        for _ in range(30):
+            k = rng.choice([2, 3, 5, 8])
+            coeffs = [QQ(rng.randrange(-9, 10), rng.randrange(1, 6)) for _ in range(k - 1)]
+            g = random_gamma(rng)
+            out = PeriodPoly(k, [ExtScalar(c) for c in coeffs]).act(g)
+            assert _action_matrix(k, g) is _action_matrix(k, g)
+            for x in (QQ(1, 3), QQ(-2), QQ(5, 7)):
+                den = g.c * x + g.d
+                if den == 0:
+                    continue
+                y = (g.a * x + g.b) / den
+                want = den ** (k - 2) * sum(c * y ** i for i, c in enumerate(coeffs))
+                assert sum(c.rational * x ** i for i, c in enumerate(out.coeffs)) == want
+
+    def test_t_run_matrix_is_a_sum_of_shifts(self):
+        from eisperiods.cocycle import _apply, _t_run_matrix
+
+        rng = random.Random(61)
+        polys = [rational_poly(6, ["1/2", "-2/3", "0/1", "5/7", "3/1"])]
+        polys += [PeriodPoly(k, random_symbol_poly(rng, k)) for k in (2, 6, 8)]
+        for p in polys:
+            for r, step, terms in ((0, 1, 1), (2, 3, 4), (1, 4, 7), (3, 5, 0)):
+                want = PeriodPoly.zero(p.k)
+                for i in range(terms):
+                    want = want + p.shift(r + i * step)
+                assert _apply(_t_run_matrix(p.k, r, step, terms), p) == want
+
+
 class TestSymbolChannels:
     """Polynomials that carry polylog symbols: the channel representation
     must agree with per-coefficient ExtScalar arithmetic."""
@@ -254,28 +259,6 @@ class TestSymbolChannels:
             coeffs = random_symbol_poly(rng, k)
             g = random_gamma(rng)
             assert list(PeriodPoly(k, coeffs).act(g).coeffs) == scalar_act(coeffs, g)
-
-    def test_action_associativity(self):
-        rng = random.Random(59)
-        for _ in range(100):
-            k = rng.choice([2, 3, 4, 6, 8])
-            p = PeriodPoly(k, random_symbol_poly(rng, k))
-            g1 = random_gamma(rng)
-            g2 = random_gamma(rng)
-            assert p.act(g1).act(g2) == p.act(g1 * g2)
-
-    def test_t_run_matrix_is_a_sum_of_shifts(self):
-        from eisperiods.cocycle import _apply, _t_run_matrix
-
-        rng = random.Random(61)
-        for _ in range(20):
-            k = rng.choice([2, 4, 6, 8])
-            p = PeriodPoly(k, random_symbol_poly(rng, k))
-            r, step, terms = rng.randrange(0, 6), rng.randrange(1, 6), rng.randrange(0, 9)
-            want = PeriodPoly.zero(k)
-            for i in range(terms):
-                want = want + p.shift(r + i * step)
-            assert _apply(_t_run_matrix(k, r, step, terms), p) == want
 
     def test_reports_match_scalar_output(self):
         rng = random.Random(67)
