@@ -60,6 +60,12 @@ DIGESTS = {
         "relations",
         "63d8a66e3f6aec899841764b66f39192a85ec1930e00aa868f8aa04823ae7044",
     ),
+    # the largest level, where every lambda-orbit and coset table is largest
+    "relations_k3_n12": (
+        0,
+        "relations --k 3 --N 12",
+        "1c149b8daa6f684fd244e2d598a4ee7b65b2c7a6ec1f750b09aa16ed402658c2",
+    ),
 }
 
 
