@@ -12,7 +12,13 @@ writing `--out`, into one `eisp: error:` line and exit code 2.
 
 Reports are deterministic byte for byte for a fixed configuration: summation
 orders are fixed, JSON keys are sorted, exact rationals are rendered as p/q
-strings and floating values as hex-significand strings.
+strings and floating values as hex-significand strings.  One streaming
+writer, _write_json, writes every report in the bytes of json.dumps(report,
+sort_keys=True, indent=2, ensure_ascii=False), which cannot use the C encoder
+with an indent: the outer levels go to the file or stdout piece by piece, and
+each deeper value is encoded whole with every shared list or dict encoded
+once, memoized by object id (sound only within one call, while the report
+holds its objects).
 
 Exit codes: 0 success, 1 tolerance or certification failure, 2 bad
 configuration.
@@ -23,7 +29,10 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
+from json.encoder import encode_basestring
+from math import inf
 
 from mpmath import mp, mpc, mpf
 
@@ -115,13 +124,95 @@ def _check_weight(k, N, m=None):
         raise ValueError(f"order m must be in [2, {MAX_ORDER}]")
 
 
-def _emit(report: dict, config: RunConfig) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+# Containers at depths below this are written piece by piece; each deeper
+# value is encoded whole, with its own memo.
+STREAM_DEPTH = 3
+
+
+def _scalar_json(obj) -> str:
+    """A JSON scalar other than a string, as json.dumps writes it."""
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj in (inf, -inf):
+            return "Infinity" if obj > 0 else "-Infinity"
+        return float.__repr__(obj)
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+def _members(obj) -> tuple[str, str, list]:
+    """The brackets of a non-empty list, tuple or dict and its members as
+    (prefix, value) pairs: the encoded key and ': ' for a dict, in sorted
+    key order, nothing for a list."""
+    if isinstance(obj, dict):
+        return "{", "}", [
+            (encode_basestring(key if isinstance(key, str) else _scalar_json(key)) + ": ", value)
+            for key, value in sorted(obj.items())
+        ]
+    return "[", "]", [("", value) for value in obj]
+
+
+def _encode(obj, depth: int, memo: dict) -> str:
+    """obj as json.dumps(sort_keys=True, indent=2, ensure_ascii=False)
+    writes it at the given nesting depth; the text of each non-empty
+    container is memoized by (object id, depth)."""
+    if isinstance(obj, str):
+        return encode_basestring(obj)
+    if not isinstance(obj, (list, tuple, dict)):
+        return _scalar_json(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    key = (id(obj), depth)
+    text = memo.get(key)
+    if text is None:
+        open_, close, members = _members(obj)
+        inner = "\n" + "  " * (depth + 1)
+        text = memo[key] = (
+            open_
+            + inner
+            + ("," + inner).join(prefix + _encode(value, depth + 1, memo) for prefix, value in members)
+            + "\n"
+            + "  " * depth
+            + close
+        )
+    return text
+
+
+def _write_json(write, obj, depth: int = 0) -> None:
+    """Stream obj to write() in the bytes of json.dumps(obj, sort_keys=True,
+    indent=2, ensure_ascii=False): containers above STREAM_DEPTH piece by
+    piece, every deeper value whole through _encode.
+
+    Shared objects are encoded once: cosets of one class share one period
+    polynomial, so a report repeats the same list or dict many times.  The
+    memo is keyed by object id, which is sound only while the report holds
+    its objects, that is, within one call; each value encoded whole gets a
+    fresh memo, so the memo never outlives it."""
+    if depth < STREAM_DEPTH and isinstance(obj, (list, tuple, dict)) and obj:
+        open_, close, members = _members(obj)
+        inner = "\n" + "  " * (depth + 1)
+        write(open_)
+        for n, (prefix, value) in enumerate(members):
+            write(("," if n else "") + inner + prefix)
+            _write_json(write, value, depth + 1)
+        write("\n" + "  " * depth + close)
     else:
-        sys.stdout.write(text)
+        write(_encode(obj, depth, {}))
+
+
+def _emit(report: dict, config: RunConfig) -> None:
+    out = open(config.out, "w", encoding="utf-8") if config.out else nullcontext(sys.stdout)
+    with out as fh:
+        _write_json(fh.write, report)
+        fh.write("\n")
 
 
 def _num(z) -> dict:

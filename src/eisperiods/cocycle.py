@@ -13,7 +13,8 @@ arithmetic; a sum brings its terms to the lcm of their denominators and
 reduces once.  A polynomial is rational exactly when it has no symbol
 channel, so certification stays symbolic.  ExtScalar coefficients appear
 only at the boundary: the constructor, .coeffs and the JSON and failure
-reports.  The period values at T and S are cached per (k, lambda, N).
+reports.  The period values at T and S and the coboundary constant are
+cached per (k, lambda, N).
 
 Cocycles are stored by their values at T and S only; every other value is
 reconstructed through the cocycle rule along an S/T word.  T-power runs are
@@ -25,18 +26,22 @@ partition on which the stored values are constant and which right
 multiplication by T and S maps class to class.  Every value the cocycle rule
 builds is then constant on the classes too, so it is computed once per class
 and expanded to one entry per coset only when returned.  The values of
-build_induced are shared per transported parameter lambda sigma, so there the
-classes are the lambda-orbit (12, 24 and 24 classes at N = 4, 5, 6 for
-lambda = (0,1), against 48, 120 and 144 cosets), and evaluation cost scales
-with the orbit, not with |SL2(Z/N)|.
+build_induced and coboundary depend on the transported parameter lambda sigma
+only, so there the classes are the lambda-orbit (12, 24 and 24 classes at
+N = 4, 5, 6 for lambda = (0,1), against 48, 120 and 144 cosets).  The orbit
+is enumerated once per (lambda, N) (modgroup.parameter_orbit) and handed to
+the cochain, so building, certifying and evaluating a cell run no Moore
+refinement and compute one value per orbit element; a cochain edited after
+it was built is refined afresh.  Evaluation cost scales with the orbit, not
+with |SL2(Z/N)|.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 from math import comb, factorial, gcd, lcm
-from operator import add, mul
+from operator import add, is_, mul
 from typing import List, Optional, Sequence, Tuple, Union
 
 from mpmath import mpc
@@ -54,6 +59,7 @@ from .modgroup import (
     admissible,
     decompose_ST,
     enumerate_sl2,
+    parameter_orbit,
     t_power,
 )
 from .numerics import DEFAULT_PREC, ext_scalar_value, prec_guard
@@ -348,7 +354,10 @@ def period_S(k: int, lam: ResiduePair, N: int) -> PeriodPoly:
 class InducedCochain:
     """Cocycle data on the coset module: one period polynomial per coset at
     each of the generators T and S.  Evaluation runs on the same data with
-    one entry per class of a CosetQuotient as its table (see _reduce)."""
+    one entry per class of a CosetQuotient as its table (see _reduce).
+
+    build_induced sets orbit, the lambda-orbit quotient its values are
+    constant on; copy() drops it, so an edited copy is refined afresh."""
 
     k: int
     N: int
@@ -356,6 +365,7 @@ class InducedCochain:
     table: Union[CosetTable, CosetQuotient]
     val_T: List[PeriodPoly]
     val_S: List[PeriodPoly]
+    orbit: Optional[CosetQuotient] = field(default=None, repr=False, compare=False)
 
     def copy(self) -> "InducedCochain":
         return InducedCochain(
@@ -363,17 +373,33 @@ class InducedCochain:
         )
 
     def quotient(self) -> CosetQuotient:
-        """The coarsest coset quotient on which val_T and val_S are constant
-        and closed under right multiplication; evaluation runs per class."""
-        return _coset_quotient(self.table, self.val_T, self.val_S)
+        """A coset quotient on which val_T and val_S are constant and which
+        is closed under right multiplication; evaluation runs per class.  It
+        is the coarsest one, except after an in-place edit that keeps the
+        values constant on the orbit's classes (see _quotient)."""
+        return _quotient(self)
 
-    @staticmethod
-    def coset_parameters(lam: ResiduePair, table: CosetTable, value) -> list:
-        """value(lam sigma) for every coset sigma of table, in table order,
-        evaluated once per distinct transported parameter lam sigma; lam
-        sigma mod N is read from the residues of sigma."""
-        value = lru_cache(maxsize=None)(value)
-        return [value(lam.act(sigma)) for sigma in table.elements]
+
+def _constant_on(quot: CosetQuotient, values: Sequence[PeriodPoly]) -> bool:
+    """Whether the per-coset values are one object on each class of quot."""
+    return len(values) == len(quot.class_of) and all(
+        map(is_, values, quot.expand(_on_classes(quot, values)))
+    )
+
+
+def _quotient(cochain: InducedCochain, *extra: Sequence[PeriodPoly]) -> CosetQuotient:
+    """A closed quotient on which the cochain's values and the extra
+    per-coset lists are constant.  While every list is one object per class
+    of the cochain's lambda-orbit, that is the orbit, with no refinement: the
+    values of build_induced, coboundary and the period caches depend on
+    lambda sigma only, and distinct parameters give distinct objects, so
+    there the orbit is also the coarsest.  Otherwise the coarsest, found by
+    Moore refinement."""
+    values = (cochain.val_T, cochain.val_S, *extra)
+    orbit = cochain.orbit
+    if orbit is not None and all(_constant_on(orbit, v) for v in values):
+        return orbit
+    return _coset_quotient(cochain.table, *values)
 
 
 def _coset_quotient(table: CosetTable, *per_coset: Sequence[PeriodPoly]) -> CosetQuotient:
@@ -403,15 +429,13 @@ def _reduce(cochain: InducedCochain) -> InducedCochain:
 
 def build_induced(k: int, lam: ResiduePair, N: int) -> InducedCochain:
     """Cochain whose value at gamma on the coset of sigma is the period of
-    the series with parameter transported by sigma."""
+    the series with parameter transported by sigma: one value per element
+    of the lambda-orbit, shared by the cosets of its class."""
     lam = admissible(k, lam, N)
-    table = enumerate_sl2(N)
-    periods = InducedCochain.coset_parameters(
-        lam, table, lambda mu: (period_T(k, mu, N), period_S(k, mu, N))
-    )
-    val_T = [t for t, _ in periods]
-    val_S = [s for _, s in periods]
-    return InducedCochain(k, N, lam, table, val_T, val_S)
+    orbit, params = parameter_orbit(lam)
+    val_T = orbit.expand([period_T(k, mu, N) for mu in params])
+    val_S = orbit.expand([period_S(k, mu, N) for mu in params])
+    return InducedCochain(k, N, lam, enumerate_sl2(N), val_T, val_S, orbit)
 
 
 @dataclass
@@ -425,20 +449,25 @@ class CoboundaryData:
     values: List[PeriodPoly]
 
 
+@lru_cache(maxsize=1024)
+def coboundary_value(k: int, mu: ResiduePair, N: int) -> PeriodPoly:
+    """The coboundary constant of the coset whose transported parameter is
+    mu: i^{3-k} L*(mu, k-1) for k >= 3; for k = 2, i L*(mu, 1) when mu has
+    first coordinate 0 and zero otherwise.  Cached per (k, mu, N), like
+    period_T and period_S."""
+    if k == 2 and mu.l1 != 0:
+        return PeriodPoly.zero(k)
+    scal = lvalue_closed(k, mu, N, k - 1).value.times_i_power(3 - k).pure_part()
+    return PeriodPoly.constant(k, scal)
+
+
 def coboundary(k: int, lam: ResiduePair, N: int) -> CoboundaryData:
-    """Exact coboundary data from the closed L-values: i^{3-k} L*(., k-1) per
-    coset for k >= 3; for k = 2 the value i L*(., 1), gated to the cosets
-    whose transported parameter has first coordinate 0."""
+    """Exact coboundary data from the closed L-values: coboundary_value of
+    the transported parameter lambda sigma on each coset sigma, one value
+    per element of the lambda-orbit."""
     lam = admissible(k, lam, N)
-
-    def value(mu: ResiduePair) -> PeriodPoly:
-        if k == 2 and mu.l1 != 0:
-            return PeriodPoly.zero(k)
-        scal = lvalue_closed(k, mu, N, k - 1).value.times_i_power(3 - k).pure_part()
-        return PeriodPoly.constant(k, scal)
-
-    values = InducedCochain.coset_parameters(lam, enumerate_sl2(N), value)
-    return CoboundaryData(k, N, lam, values)
+    orbit, params = parameter_orbit(lam)
+    return CoboundaryData(k, N, lam, orbit.expand([coboundary_value(k, mu, N) for mu in params]))
 
 
 @dataclass
@@ -500,7 +529,7 @@ def modify_and_certify(
     class of the quotient on which the cochain and F are constant."""
     if (cochain.k, cochain.N) != (cob.k, cob.N):
         raise ValueError("cochain and coboundary data have incompatible (k, N)")
-    quot = _coset_quotient(cochain.table, cochain.val_T, cochain.val_S, cob.values)
+    quot = _quotient(cochain, cob.values)
     val_T, val_S, cob_values = (
         _on_classes(quot, vals) for vals in (cochain.val_T, cochain.val_S, cob.values)
     )

@@ -187,16 +187,6 @@ class Cyclo:
         return [qq_str(c) for c in self.coeffs]
 
 
-def _poly_mul(a: Sequence, b: Sequence) -> List:
-    out = [QQ(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 def cyclo_canonical(N: int, coeffs: Sequence) -> Cyclo:
     """Canonical element of Q(mu_N) from coefficients over mu_N^0..mu_N^{N-1}:
     the polynomial in mu_N reduced modulo Phi_N.  The reduction is linear, so

@@ -1,6 +1,7 @@
 """SL2(Z) utilities: matrices, S/T word decomposition by the Euclidean
-algorithm, enumeration of SL2(Z/N) = Gamma(N) \\ SL2(Z) by residues, and the
-right action on residue pairs.
+algorithm, enumeration of SL2(Z/N) = Gamma(N) \\ SL2(Z) by residues, the
+right action on residue pairs, and the coset quotients the cocycle engine
+runs on: the lambda-orbit, and Moore refinement for any other per-coset keys.
 
 A coset is its residue matrix: the engine transports parameters and looks up
 right multiplication on residues only, so no coset is lifted to SL2(Z).
@@ -255,7 +256,6 @@ class CosetQuotient(_RightMultiplication):
     def __init__(self, table: CosetTable, keys: Sequence[Hashable]):
         if len(keys) != len(table):
             raise ValueError("need one key per coset")
-        self.N = table.N
         cls = _first_occurrence_ids(keys)
         while True:
             refined = _first_occurrence_ids(
@@ -264,15 +264,28 @@ class CosetQuotient(_RightMultiplication):
             if refined == cls:  # no class split: the count stopped growing
                 break
             cls = refined
-        self.class_of: Tuple[int, ...] = tuple(cls)
+        self._set_classes(table, cls)
+
+    @classmethod
+    def closed(cls, table: CosetTable, class_of: Sequence[int]) -> "CosetQuotient":
+        """The quotient by a partition that is already closed under right
+        multiplication, given as class indices numbered in order of first
+        coset; no refinement runs."""
+        quot = cls.__new__(cls)
+        quot._set_classes(table, class_of)
+        return quot
+
+    def _set_classes(self, table: CosetTable, class_of: Sequence[int]) -> None:
+        self.N = table.N
+        self.class_of: Tuple[int, ...] = tuple(class_of)
         reps: List[int] = []  # the first coset of each class
-        for i, c in enumerate(cls):
+        for i, c in enumerate(self.class_of):
             if c == len(reps):
                 reps.append(i)
         self.representatives: Tuple[int, ...] = tuple(reps)
-        self.rmul_T = tuple(cls[table.rmul_T[r]] for r in reps)
-        self.rmul_T_inv = tuple(cls[table.rmul_T_inv[r]] for r in reps)
-        self.rmul_S_inv = tuple(cls[table.rmul_S_inv[r]] for r in reps)
+        self.rmul_T = tuple(class_of[table.rmul_T[r]] for r in reps)
+        self.rmul_T_inv = tuple(class_of[table.rmul_T_inv[r]] for r in reps)
+        self.rmul_S_inv = tuple(class_of[table.rmul_S_inv[r]] for r in reps)
 
     def __len__(self):
         return len(self.representatives)
@@ -285,6 +298,29 @@ class CosetQuotient(_RightMultiplication):
 @lru_cache(maxsize=32)
 def enumerate_sl2(N: int) -> CosetTable:
     return CosetTable(N)
+
+
+@lru_cache(maxsize=1024)
+def parameter_orbit(lam: ResiduePair) -> Tuple[CosetQuotient, Tuple[ResiduePair, ...]]:
+    """The orbit of lam under T and S, as the quotient of the coset table of
+    level lam.N by the transported parameter lam sigma, and the parameter of
+    each class.
+
+    T and S generate SL2(Z/N), so the orbit is the set of the lam sigma: one
+    pass over the cosets numbers them in order of first coset, which gives the
+    coset -> orbit-index map.  The partition is closed under right
+    multiplication, since lam (sigma g) = (lam sigma) g, so no refinement
+    runs.  The orbit has at most N^2 elements, against |SL2(Z/N)| cosets.
+    Cached per (lam, N)."""
+    table = enumerate_sl2(lam.N)
+    N, l1, l2 = lam.N, lam.l1, lam.l2
+    index: dict = {}
+    class_of = [
+        index.setdefault(((l1 * a + l2 * c) % N, (l1 * b + l2 * d) % N), len(index))
+        for a, b, c, d in table.elements
+    ]
+    params = tuple(ResiduePair(N, m1, m2) for m1, m2 in index)
+    return CosetQuotient.closed(table, class_of), params
 
 
 class IndexSetError(ValueError):

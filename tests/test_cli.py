@@ -1,5 +1,7 @@
 import inspect
+import io
 import json
+import random
 
 import pytest
 from mpmath import mp, mpf
@@ -181,6 +183,86 @@ class TestDeterminism:
                  "fourier", "--k", "5", "--l", "3", "--N", "2", "--lambda", "1,0"]
             )
         assert a.read_bytes() == b.read_bytes()
+
+
+STRINGS = [
+    "", "plain", "é ü ∑ 𝔖 ʃ", 'quo"te', "back\\slash", "ctl \x00\x01\x1f\x7f\t\n\r\b\f",
+    "\u2028\u2029\ufeff", 'all "é\\\x07"',
+]
+SCALARS = STRINGS + [
+    None, True, False, 0, -1, 2 ** 200, -(3 ** 150), 0.5, -1e300, float("nan"), float("inf"),
+    float("-inf"),
+]
+KEYS = ["a", "b", "Z", "é", 'k"q', "k\\b", "\x01", "", "records", "summary"]
+
+
+def seeded_report(seed: int) -> dict:
+    """A nested report with shared, empty and awkward members."""
+    rng = random.Random(seed)
+    shared_list = [rng.choice(SCALARS) for _ in range(3)] + [{"in": "shared", "e": []}]
+    shared_dict = {"s": shared_list, "n": 7, "empty": {}}
+
+    def node(depth):
+        r = rng.random()
+        if depth >= 7 or r < 0.25:
+            return rng.choice(SCALARS)
+        if r < 0.4:
+            return rng.choice([shared_list, shared_dict])
+        if r < 0.45:
+            return rng.choice([[], {}, ()])
+        if r < 0.65:
+            return [node(depth + 1) for _ in range(rng.randint(1, 4))]
+        if r < 0.7:
+            return tuple(node(depth + 1) for _ in range(rng.randint(1, 3)))
+        if r < 0.75:
+            return {rng.randint(-50, 50): node(depth + 1) for _ in range(rng.randint(1, 4))}
+        return {rng.choice(KEYS): node(depth + 1) for _ in range(rng.randint(1, 4))}
+
+    return {
+        "records": [node(2) for _ in range(6)],
+        "shared": [shared_list, shared_list, shared_dict, shared_dict],
+        "deep": {"a": {"b": {"c": {"d": [shared_list, shared_dict]}}}},
+        "summary": {"cells": 2 ** 70, "ok": True, "none": None, "empty": [], "text": STRINGS},
+    }
+
+
+def written(obj) -> str:
+    buf = io.StringIO()
+    cli._write_json(buf.write, obj)
+    return buf.getvalue()
+
+
+class TestReportWriter:
+    """The streaming writer must write the bytes of
+    json.dumps(sort_keys=True, indent=2, ensure_ascii=False)."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_json_dumps(self, seed):
+        report = seeded_report(seed)
+        assert written(report) == json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False)
+
+    @pytest.mark.parametrize("obj", [[], {}, (), "é\"", None, True, 2 ** 100, [[[[[]]]]], {"a": {}}])
+    def test_matches_json_dumps_at_the_top(self, obj):
+        assert written(obj) == json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)
+
+    @pytest.mark.parametrize("bad", [object(), {1, 2}, b"bytes", 1j])
+    @pytest.mark.parametrize("depth", range(6))
+    def test_rejects_what_json_dumps_rejects(self, bad, depth):
+        report = bad
+        for level in range(depth):
+            report = {"x": report} if level % 2 else [1, report]
+        with pytest.raises(TypeError):
+            json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False)
+        with pytest.raises(TypeError):
+            written(report)
+
+    def test_stdout_and_out_file_match(self, capsys, tmp_path):
+        argv = ["rationality", "--k-max", "4", "--N-max", "3", "--values"]
+        target = tmp_path / "report.json"
+        assert main(["--out", str(target)] + argv) == 0
+        assert capsys.readouterr().out == ""
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode("utf-8") == target.read_bytes()
 
 
 class TestEnvPrecision:

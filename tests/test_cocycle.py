@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
+from eisperiods import cocycle
 from eisperiods.exact import QQ, ExtScalar, PolylogSymbol, qq, qq_str
 from eisperiods.cocycle import (
     CoboundaryData,
@@ -33,6 +34,7 @@ from eisperiods.modgroup import (
     STWord,
     decompose_ST,
     index_set,
+    parameter_orbit,
     sl2_order,
     t_power,
 )
@@ -539,6 +541,35 @@ class TestOrbitQuotient:
             assert quot.rmul_T[cls] == quot.class_of[table.rmul_T[i]]
             assert quot.rmul_T_inv[cls] == quot.class_of[table.rmul_T_inv[i]]
             assert quot.rmul_S_inv[cls] == quot.class_of[table.rmul_S_inv[i]]
+
+    def test_build_hands_over_its_orbit(self):
+        """build_induced's cochain carries its cached lambda-orbit and is
+        evaluated on it; an in-place edit that splits a class is refined
+        afresh and caught."""
+        cell = (6, lam(4, 2, 1), 4)
+        c = build_induced(*cell)
+        orbit, _ = parameter_orbit(cell[1])
+        assert c.orbit is orbit and c.quotient() is orbit
+        assert c.copy().orbit is None
+        coeffs = list(c.val_S[0].coeffs)
+        coeffs[1] = coeffs[1] + ExtScalar(QQ(1, 5))
+        c.val_S[0] = PeriodPoly(6, coeffs)
+        assert len(c.quotient()) > len(orbit)
+        assert not verify_relations(c)
+
+    def test_sweep_runs_no_refinement(self, monkeypatch):
+        """Building, certifying, checking and descending a cell runs on the
+        lambda-orbit alone."""
+
+        def refuse(*args):
+            raise AssertionError("Moore refinement ran")
+
+        monkeypatch.setattr(cocycle, "_coset_quotient", refuse)
+        for k, N, lamv in [(2, 4, lam(4, 0, 3)), (3, 5, lam(5, 1, 2)), (6, 6, lam(6, 2, 3))]:
+            cochain, modified, report = certify_parameter(k, lamv, N)
+            assert report.certified and verify_relations(cochain)
+            at_identity = evaluate_cocycle(cochain, t_power(N))[cochain.table.identity_index()]
+            assert shapiro_descend(cochain, t_power(N)) == at_identity
 
     def test_modified_cochain_keeps_the_orbit(self):
         cochain, modified, report = certify_parameter(4, lam(5, 0, 1), 5)

@@ -19,6 +19,7 @@ from eisperiods.modgroup import (
     enumerate_sl2,
     in_index_set,
     index_set,
+    parameter_orbit,
     sl2_order,
     t_power,
 )
@@ -247,6 +248,20 @@ class TestCosetQuotient:
             assert quot.rmul_T[c] == quot.class_of[table.rmul_T[i]]
             for n in (-5, -1, 2, 7):
                 assert quot.rmul_t_power(c, n) == quot.class_of[table.rmul_t_power(i, n)]
+
+
+    def test_parameter_orbit_matches_refinement(self):
+        """The lambda-orbit quotient, read off one pass over the cosets with no
+        refinement, is the quotient that refining the keys lambda sigma finds."""
+        for N in range(1, 13):
+            table = enumerate_sl2(N)
+            for lam in index_set(N, 4):
+                orbit, params = parameter_orbit(lam)
+                quot = CosetQuotient(table, [lam.act(sigma) for sigma in table.elements])
+                for attr in ("class_of", "representatives", "rmul_T", "rmul_T_inv", "rmul_S_inv"):
+                    assert getattr(orbit, attr) == getattr(quot, attr), (lam, attr)
+                assert params == tuple(lam.act(table.elements[r]) for r in quot.representatives)
+                assert len(params) <= N * N
 
 
 class TestIndexSet:

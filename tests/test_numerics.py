@@ -241,6 +241,7 @@ def test_every_cache_is_bounded():
     for name in (
         "eisperiods.cocycle._action_matrix",
         "eisperiods.cocycle._t_run_matrix",
+        "eisperiods.cocycle.coboundary_value",
         "eisperiods.cocycle.period_S",
         "eisperiods.cocycle.period_T",
         "eisperiods.exact._bernoulli_numbers",
@@ -249,6 +250,7 @@ def test_every_cache_is_bounded():
         "eisperiods.invariant._psi_value",
         "eisperiods.lseries._exp_mellin",
         "eisperiods.lseries._lvalue_terms",
+        "eisperiods.modgroup.parameter_orbit",
         "eisperiods.numerics._polylog_cached",
         "eisperiods.numerics.e_of",
     ):
