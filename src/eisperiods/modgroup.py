@@ -277,15 +277,15 @@ class CosetQuotient(_RightMultiplication):
 
     def _set_classes(self, table: CosetTable, class_of: Sequence[int]) -> None:
         self.N = table.N
-        self.class_of: Tuple[int, ...] = tuple(class_of)
+        cls = self.class_of = tuple(class_of)
         reps: List[int] = []  # the first coset of each class
-        for i, c in enumerate(self.class_of):
+        for i, c in enumerate(cls):
             if c == len(reps):
                 reps.append(i)
         self.representatives: Tuple[int, ...] = tuple(reps)
-        self.rmul_T = tuple(class_of[table.rmul_T[r]] for r in reps)
-        self.rmul_T_inv = tuple(class_of[table.rmul_T_inv[r]] for r in reps)
-        self.rmul_S_inv = tuple(class_of[table.rmul_S_inv[r]] for r in reps)
+        self.rmul_T = tuple(cls[table.rmul_T[r]] for r in reps)
+        self.rmul_T_inv = tuple(cls[table.rmul_T_inv[r]] for r in reps)
+        self.rmul_S_inv = tuple(cls[table.rmul_S_inv[r]] for r in reps)
 
     def __len__(self):
         return len(self.representatives)
@@ -315,6 +315,8 @@ def parameter_orbit(lam: ResiduePair) -> Tuple[CosetQuotient, Tuple[ResiduePair,
     table = enumerate_sl2(lam.N)
     N, l1, l2 = lam.N, lam.l1, lam.l2
     index: dict = {}
+    # ResiduePair.act's formula on plain ints: a ResiduePair per coset costs
+    # 1.5 s over every lambda of N <= 12, against 0.1 s here
     class_of = [
         index.setdefault(((l1 * a + l2 * c) % N, (l1 * b + l2 * d) % N), len(index))
         for a, b, c, d in table.elements
