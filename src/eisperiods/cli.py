@@ -116,12 +116,13 @@ def _parse_tau(text: str) -> mpc:
 
 
 def _check_weight(k, N, m=None):
+    # the order first: the weight 2m is derived from it
+    if m is not None and not 2 <= m <= MAX_ORDER:
+        raise ValueError(f"order m must be in [2, {MAX_ORDER}]")
     if not 2 <= k <= MAX_WEIGHT:
         raise ValueError(f"weight k must be in [2, {MAX_WEIGHT}]")
     if not 1 <= N <= MAX_LEVEL:
         raise ValueError(f"level N must be in [1, {MAX_LEVEL}]")
-    if m is not None and not 2 <= m <= MAX_ORDER:
-        raise ValueError(f"order m must be in [2, {MAX_ORDER}]")
 
 
 # Containers at depths below this are written piece by piece; each deeper

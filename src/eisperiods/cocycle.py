@@ -626,11 +626,14 @@ def verify_relations(cochain: InducedCochain) -> bool:
     """Exact well-definedness: the values along S^4 must vanish and the
     values along (ST)^3 must equal those along S^2."""
     reduced = _reduce(cochain)
-    s4 = _evaluate_classes(reduced, [("S", 4)])
-    if not all(p.is_zero() for p in s4):
+    k, back = reduced.k, reduced.table.rmul_S_inv
+    s2 = _evaluate_classes(reduced, [("S", 2)])
+    # c(S^4) = c(S^2)|S^2 + c(S^2): one transport by S^2 = -I, whose source
+    # for sigma is sigma S^-2
+    moved = _transport(s2, [back[back[i]] for i in range(len(back))], _action_matrix(k, S * S))
+    if not all(_sum(k, (m, _term(v))).is_zero() for m, v in zip(moved, s2)):
         return False
     st3 = _evaluate_classes(reduced, [("S", 1), ("T", 1)] * 3)
-    s2 = _evaluate_classes(reduced, [("S", 2)])
     return all(a == b for a, b in zip(st3, s2))
 
 

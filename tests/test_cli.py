@@ -325,6 +325,14 @@ class TestBadConfiguration:
         err = self.exits_2(capsys, REJECTED_INPUTS[name].split())
         assert err.count("eisp: error:") == 1
 
+    @pytest.mark.parametrize("command", ["invariant", "hecke"])
+    @pytest.mark.parametrize("m", ["0", "1", "7", "9"])
+    def test_order_out_of_range(self, capsys, command, m):
+        # the weight 2m is out of range too for m = 0 and m = 9; the message
+        # names the option the user set
+        err = self.exits_2(capsys, [command, "--m", m, "--preset", "gaussian"])
+        assert "order m must be in [2, 6]" in err and "weight" not in err
+
     def test_non_numeric_tol(self, capsys):
         err = self.exits_2(capsys, ["--tol", "abc", "periods", "--k", "4", "--N", "1", "--lambda", "0,0"])
         assert "--tol" in err

@@ -608,6 +608,42 @@ class TestRelations:
         bad.val_S = polys
         assert not verify_relations(bad)
 
+    def test_matches_the_words_it_checks(self):
+        """verify_relations derives c(S^4) from c(S^2).  A valid cochain plus
+        a seeded coboundary F|g - F still verifies; plus a constant e at S
+        and -e/3 at T (weight 2, trivial action) only S^4 fails, 4e on every
+        coset; seeded perturbations get the verdict of the words S^4, (ST)^3
+        and S^2 evaluated letter by letter."""
+        rng = random.Random(17)
+        for k, N, l1, l2 in [(6, 4, 2, 1), (3, 3, 1, 1), (5, 3, 1, 0), (4, 2, 0, 1), (2, 3, 1, 2)]:
+            cochain = build_induced(k, lam(N, l1, l2), N)
+            table = cochain.table
+            F = [rational_poly(k, [QQ(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(k - 1)])
+                 for _ in range(len(table))]
+            cob = cochain.copy()
+            cob.val_T = [v + F[j].act(T) - f for v, j, f in zip(cochain.val_T, table.rmul_T_inv, F)]
+            cob.val_S = [v + F[j].act(S) - f for v, j, f in zip(cochain.val_S, table.rmul_S_inv, F)]
+            assert verify_relations(cob)
+            for field in ("val_S", "val_T", "val_S", "val_T"):
+                bad = cochain.copy()
+                polys = list(getattr(bad, field))
+                i = rng.randrange(len(polys))
+                coeffs = list(polys[i].coeffs)
+                coeffs[rng.randrange(k - 1)] += ExtScalar(QQ(rng.randint(1, 9), rng.randint(1, 9)))
+                polys[i] = PeriodPoly(k, coeffs)
+                setattr(bad, field, polys)
+                s4_zero = all(p.is_zero() for p in evaluate_word(bad, [("S", 4)]))
+                st3 = evaluate_word(bad, [("S", 1), ("T", 1)] * 3)
+                holds = s4_zero and st3 == evaluate_word(bad, [("S", 2)])
+                assert verify_relations(bad) == holds
+        e = QQ(3, 7)
+        bad = cochain.copy()  # weight 2: the last cell
+        bad.val_S = [v + rational_poly(2, [e]) for v in cochain.val_S]
+        bad.val_T = [v + rational_poly(2, [-e / 3]) for v in cochain.val_T]
+        assert evaluate_word(bad, [("S", 4)]) == [rational_poly(2, [4 * e])] * len(table)
+        assert evaluate_word(bad, [("S", 1), ("T", 1)] * 3) == evaluate_word(bad, [("S", 2)])
+        assert not verify_relations(bad)
+
 
 class TestShapiro:
     def test_descend_weight_four_level_two(self):

@@ -1,4 +1,6 @@
 import dataclasses
+import random
+from operator import mul
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -13,7 +15,7 @@ from eisperiods.lseries import (
     lvalue_numeric,
 )
 from eisperiods.modgroup import S, ResiduePair, index_set
-from eisperiods.numerics import PoleError, raw_scale
+from eisperiods.numerics import GUARD_BITS, PoleError, raw_scale
 
 PREC = 192
 M = 200
@@ -72,6 +74,40 @@ class TestBoundedState:
             want = mp.power(a, -s2) * mp.gammainc(s2, a, mp.inf)
         assert second != first
         assert abs(second - want) < mpf(2) ** -204 * abs(want)
+
+
+class TestMellinRows:
+    """lvalue_numeric sums each series against a cached row of
+    incomplete-gamma factors, held as mpf where the factor is real."""
+
+    @staticmethod
+    def _factor(s, j, N):
+        """E(s; 2 pi j / N) as an mpc, at the working precision."""
+        a = 2 * mp.pi * j / N
+        return mpc(mp.power(a, -s) * mp.gammainc(s, a, mp.inf))
+
+    def test_row_sum_equals_per_term_sum(self):
+        """The row sum has the bits of the fsum of each coefficient times
+        its mpc factor, for real s (every r, and a seeded non-integer) and
+        for complex s."""
+        from eisperiods.lseries import _mellin_row
+
+        rng = random.Random(23)
+        for k, N, l1, l2 in ((4, 1, 0, 0), (5, 3, 1, 2), (6, 2, 1, 1)):
+            _, ca = eisenstein.e_series_values(k, lam(N, l1, l2), N, 12, PREC)
+            real = [mpc(r) for r in range(1, k)] + [mpc(rng.randint(1, 8 * k - 1) / 8 + 1 / 32)]
+            cplx = [mpc(rng.randint(-8, 8 * k) / 8, rng.randint(1, 24) / 8)]
+            for s in real + cplx:
+                row = _mellin_row(s, N, len(ca), PREC)
+                assert _mellin_row(s, N, len(ca), PREC) is row
+                with mp.workprec(PREC + GUARD_BITS):
+                    terms = [self._factor(s, j, N) for j in range(1, len(ca) + 1)]
+                    want = mp.fsum((c * e for c, e in zip(ca, terms)), absolute=False)
+                    got = mp.fsum(map(mul, ca, row), absolute=False)
+                assert got._mpc_ == want._mpc_
+                assert [mpc(e)._mpc_ for e in row] == [e._mpc_ for e in terms]
+                kinds = {type(e) for e in row}
+                assert kinds == ({mpf} if s.imag == 0 else {mpc})
 
 
 class TestIExt:

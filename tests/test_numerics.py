@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+import random
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -24,6 +25,7 @@ from eisperiods.numerics import (
     PoleError,
     e_of,
     hurwitz_zeta,
+    hurwitz_zeta_ds,
     polylog,
     polylog_s,
     prec_guard,
@@ -69,6 +71,57 @@ class TestHurwitz:
             v1 = hurwitz_zeta(a, s, 128)
             v2 = hurwitz_zeta(a, s, 192)
             assert abs(v1 - v2) < mpf(2) ** (8 - 128) * (1 + abs(v2))
+
+
+class TestHurwitzCache:
+    """hurwitz_zeta and hurwitz_zeta_ds are memoised on (a, s, prec) as
+    passed; an entry must hold the bits the bare function computes."""
+
+    FUNCTIONS = (hurwitz_zeta, hurwitz_zeta_ds)
+
+    @staticmethod
+    def _cases(rng):
+        """Seeded (a, s): a in (0, 1], s a non-positive integer, a positive
+        integer other than 1, a real non-integer and a complex number."""
+        for _ in range(3):
+            den = rng.randint(1, 12)
+            a = QQ(rng.randint(1, den), den)
+            yield a, -rng.randint(0, 10)
+            yield a, rng.randint(2, 12)
+            yield a, mpf(rng.randint(-80, 80)) / 8 + mpf(1) / 16
+            yield a, mpc(mpf(rng.randint(-40, 40)) / 8, mpf(rng.randint(1, 40)) / 8)
+
+    @pytest.mark.parametrize("fn", FUNCTIONS, ids=lambda f: f.__name__)
+    def test_cached_bits_equal_uncached(self, fn):
+        rng = random.Random(41)
+        fn.cache_clear()
+        for a, s in self._cases(rng):
+            with mp.workprec(53):
+                want = fn.__wrapped__(a, s, PREC)
+            with mp.workprec(4 * PREC):
+                got = fn(a, s, PREC)
+            assert fn(a, s, PREC) is got
+            assert got._mpc_ == want._mpc_
+        assert fn.cache_info().hits == fn.cache_info().misses == 12
+
+    @pytest.mark.parametrize("fn", FUNCTIONS, ids=lambda f: f.__name__)
+    def test_keys_equal_in_value_share_bits(self, fn):
+        """Keys equal in value share an entry when they hash alike (mpmath
+        hashes a negative real mpc unlike the int), so whichever type fills
+        it, every type must compute the same bits."""
+        forms = [
+            ((1, QQ(1)), (2, QQ(2), mpf(2), mpc(2))),
+            ((QQ(1, 2), QQ(2, 4)), (-3, QQ(-3), mpf(-3), mpc(-3, 0))),
+            ((QQ(2, 3),), (QQ(5, 2), mpf("2.5"), mpc("2.5"))),
+            ((QQ(3, 4),), (mpc("0.5", "3.25"), complex(0.5, 3.25))),
+        ]
+        for a_forms, s_forms in forms:
+            keys = [(a, s) for a in a_forms for s in s_forms]
+            bits = {fn.__wrapped__(a, s, PREC)._mpc_ for a, s in keys}
+            assert len(bits) == 1
+            for order in (keys, keys[::-1]):
+                fn.cache_clear()
+                assert {fn(a, s, PREC)._mpc_ for a, s in order} == bits
 
 
 class TestPolylog:
@@ -250,9 +303,12 @@ def test_every_cache_is_bounded():
         "eisperiods.invariant._psi_value",
         "eisperiods.lseries._exp_mellin",
         "eisperiods.lseries._lvalue_terms",
+        "eisperiods.lseries._mellin_row",
         "eisperiods.modgroup.parameter_orbit",
         "eisperiods.numerics._polylog_cached",
         "eisperiods.numerics.e_of",
+        "eisperiods.numerics.hurwitz_zeta",
+        "eisperiods.numerics.hurwitz_zeta_ds",
     ):
         assert name in found
     assert [name for name, params in found.items() if params["maxsize"] is None] == []
