@@ -31,6 +31,7 @@ import os
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import lru_cache
 from json.encoder import encode_basestring
 from math import inf
 
@@ -475,14 +476,14 @@ def _config_json(config: RunConfig) -> dict:
     }
 
 
-def _add_global_options(parser: argparse.ArgumentParser, suppress: bool):
+def _add_global_options(parser: argparse.ArgumentParser, suppress: bool, env_prec: str):
     """Global flags are accepted both before and after the subcommand; the
-    after-subcommand copies use SUPPRESS so they only override when given."""
+    after-subcommand copies use SUPPRESS so they only override when given.
+    env_prec is the value of EISP_PREC, the default of --prec."""
 
     def default(value):
         return argparse.SUPPRESS if suppress else value
 
-    env_prec = os.environ.get("EISP_PREC", "192")
     try:
         default_prec = int(env_prec)
     except ValueError:
@@ -507,18 +508,22 @@ def _add_lattice_options(parser: argparse.ArgumentParser):
     group.add_argument("--data", type=str, default=None)
 
 
-def build_parser() -> argparse.ArgumentParser:
+@lru_cache(maxsize=1)
+def build_parser(env_prec: str) -> argparse.ArgumentParser:
+    """The `eisp` parser, built once per value of EISP_PREC: parsing leaves
+    it as it was, and building it costs about 3 ms, more than many
+    commands."""
     parser = argparse.ArgumentParser(
         prog="eisp",
         description="Eisenstein-series Fourier expansions, L-values, period "
         "cocycles and lattice invariants with exact certification.",
     )
     parser.add_argument("--version", action="version", version=f"eisp {__version__}")
-    _add_global_options(parser, suppress=False)
+    _add_global_options(parser, False, env_prec)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fourier", help="Fourier coefficients, optionally checked against the lattice oracle")
-    _add_global_options(p, suppress=True)
+    _add_global_options(p, True, env_prec)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--N", type=int, required=True)
@@ -534,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fourier)
 
     p = sub.add_parser("lvalues", help="special L-values by all three routes")
-    _add_global_options(p, suppress=True)
+    _add_global_options(p, True, env_prec)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=_parse_lambda, required=True)
@@ -542,14 +547,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lvalues)
 
     p = sub.add_parser("periods", help="period polynomials at T and S")
-    _add_global_options(p, suppress=True)
+    _add_global_options(p, True, env_prec)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=_parse_lambda, required=True)
     p.set_defaults(func=cmd_periods)
 
     p = sub.add_parser("rationality", help="coboundary modification and exact rationality certification")
-    _add_global_options(p, suppress=True)
+    _add_global_options(p, True, env_prec)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--k-max", type=int, default=8)
@@ -558,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rationality)
 
     p = sub.add_parser("relations", help="exact cocycle-relation verification")
-    _add_global_options(p, suppress=True)
+    _add_global_options(p, True, env_prec)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--k-max", type=int, default=8)
@@ -567,14 +572,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_relations)
 
     p = sub.add_parser("invariant", help="lattice-invariant rationality certification")
-    _add_global_options(p, suppress=True)
+    _add_global_options(p, True, env_prec)
     p.add_argument("--m", type=int, required=True)
     _add_lattice_options(p)
     p.add_argument("--gamma", type=str, default=None)
     p.set_defaults(func=cmd_invariant)
 
     p = sub.add_parser("hecke", help="class-by-class L-value assembly")
-    _add_global_options(p, suppress=True)
+    _add_global_options(p, True, env_prec)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--delta", type=int, default=0)
     _add_lattice_options(p)
@@ -584,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = build_parser(os.environ.get("EISP_PREC", "192"))
     args = parser.parse_args(argv)
     prec = args.prec
     if args.command in ("invariant", "hecke") and prec < 256:

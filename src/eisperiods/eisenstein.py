@@ -28,6 +28,8 @@ from .exact import QQ, bernoulli_value, cyclo_canonical, formal_binomial, qq_str
 from .modgroup import IndexSetError, ResiduePair, in_index_set
 from .numerics import (
     DEFAULT_PREC,
+    _fixed,
+    _man_exp,
     _to_mp,
     cyclo_value,
     e_of,
@@ -143,9 +145,31 @@ def e_fourier(k: int, lam: ResiduePair, N: int, M: int) -> HoloFourier:
 def e_series_values(k: int, lam: ResiduePair, N: int, M: int, prec: int) -> Tuple[mpc, tuple]:
     """Constant and q_N coefficients of the normalized series e_fourier(k,
     lam, N, M), embedded by mu_N -> e(1/N): the one numeric copy shared by
-    the L-values and the invariant.  The constant is rational."""
-    f = e_fourier(k, lam, N, M)
-    return mpc(_to_mp(f.const)), tuple(cyclo_value(c, prec) for c in f.coeffs)
+    the L-values and the invariant.  The constant is rational.
+
+    A series already embedded at a higher order of the same (k, lam, N,
+    prec) is served as its first M coefficients: they are the same bits,
+    since `_divisor_pairs` lists the pairs of each j by m whatever the
+    order."""
+    key = (k, lam, N, prec)
+    longest = _LONGEST_SERIES.get(key)
+    if longest is None or len(longest[1]) < M:
+        f = e_fourier(k, lam, N, M)
+        longest = mpc(_to_mp(f.const)), tuple(cyclo_value(c, prec) for c in f.coeffs)
+        _LONGEST_SERIES.pop(key, None)
+        _LONGEST_SERIES[key] = longest
+        for old in list(_LONGEST_SERIES)[:-LONGEST_SERIES_KEYS]:
+            _LONGEST_SERIES.pop(old, None)
+    const, coeffs = longest
+    return const, coeffs[:M]
+
+
+# The longest series embedded so far per (k, lam, N, prec), the most recently
+# grown last; `e_series_values` drops the oldest beyond LONGEST_SERIES_KEYS.
+# Each caller slices the series it fetched or built itself, so two threads
+# racing on one key may both build it, but neither reads a wrong value.
+LONGEST_SERIES_KEYS = 8
+_LONGEST_SERIES: dict = {}
 
 
 @prec_guard
@@ -569,19 +593,6 @@ def lattice_sum(params: LatticeParams, tau, prec: int = DEFAULT_PREC) -> mpc:
         re, im = acc_re[j] + sign * acc_re[jm], acc_im[j] + sign * acc_im[jm]
         total += phase * mpc(mp.ldexp(re, shift), mp.ldexp(im, shift))
     return total
-
-
-def _man_exp(x: mpf):
-    """(man, exp) with x = man 2^exp and the sign on man."""
-    sign, man, exp, _ = x._mpf_
-    return (-man if sign else man), exp
-
-
-def _fixed(x: int, e: int) -> int:
-    """x 2^e rounded to an integer."""
-    if e >= 0:
-        return x << e
-    return (x + (1 << (-e - 1))) >> -e
 
 
 def _fixed_pow(x: int, n: int, P: int) -> int:

@@ -5,7 +5,8 @@ holomorphic Eisenstein family, by three mutually independent routes:
                             polylog symbols with powers of i tracked exactly),
   * lvalue_numeric       -- the entire-integral split of the Mellin transform,
                             integrating the truncated Fourier expansion
-                            termwise against incomplete-gamma factors,
+                            termwise against incomplete-gamma factors
+                            (a fixed-point kernel at real non-integer s),
   * lvalue_lerch_product -- the Dirichlet-series factorization into a polylog
                             times a Hurwitz zeta, valid on the continued
                             domain.
@@ -30,6 +31,7 @@ from .modgroup import S, ResiduePair, admissible
 from .numerics import (
     DEFAULT_PREC,
     PoleError,
+    exp_mellin_row,
     ext_scalar_value,
     hurwitz_zeta,
     hurwitz_zeta_ds,
@@ -149,8 +151,9 @@ class LFunctionSpec:
         return cls(k, N, lam, lam.act(S.inverse()), M)
 
 
-# Sized from one `lvalue-invariant` benchmark round (seed 1), which asks for
-# 1,799 distinct incomplete-gamma factors, 3,902 times (all of them while
+# Integer and complex s only: `_mellin_row` takes real non-integer s to
+# `exp_mellin_row`.  Sized from one `lvalue-invariant` benchmark round (seed
+# 1), which asks for 1,225 distinct factors 3,328 times (all of them while
 # building rows); keyed by the exact mpc s.
 
 
@@ -167,17 +170,23 @@ def _exp_mellin(s: mpc, j: int, N: int, prec: int):
     return e.real if e.imag == 0 else e
 
 
-# One row per (s, N, J, prec), holding the values that `_exp_mellin` holds.
-# The same round asks for 58 distinct rows 670 times; 256 entries hold the
-# 192 rows (27,610 terms, 8 bytes each) of every `lvalues` cell of k <= 8,
-# N <= 8 at one M and precision.
+# One row per (s, N, J, prec).  The same round asks for 58 distinct rows 670
+# times, 6 of them (each asked for twice) at the non-integer s of its
+# functional-equation checks; 256 entries hold the 192 rows (27,610 terms,
+# 8 bytes each) of every `lvalues` cell of k <= 8, N <= 8 at one M and
+# precision.
 
 
 @lru_cache(maxsize=256)
 @prec_guard
 def _mellin_row(s: mpc, N: int, J: int, prec: int) -> tuple:
     """The factors E(s; 2 pi j / N) for j = 1..J, as `lvalue_numeric` sums
-    them against the q_N coefficients."""
+    them against the q_N coefficients.  At real non-integer s the row comes
+    from the fixed-point kernel `exp_mellin_row`, within 2^-(prec + 12)
+    relative per factor; integer and complex s keep the per-term
+    `_exp_mellin`, so every integer L-value keeps its bits."""
+    if s.imag == 0 and not mp.isint(s.real):
+        return exp_mellin_row(s.real, N, J, prec)
     return tuple(_exp_mellin(s, j, N, prec) for j in range(1, J + 1))
 
 
@@ -231,6 +240,11 @@ def lvalue_numeric(spec: LFunctionSpec, s, prec: int = DEFAULT_PREC) -> mpc:
     is summed to J = min(J_bound, spec.M) terms, J_bound being the first
     order at which `lvalue_tail_bound`, taken at sigma = max(k, Re s,
     k - Re s) rounded up, is below the working precision (`tail_cutoff`).
+
+    The incomplete-gamma factors come from `_mellin_row`: at real
+    non-integer s from the fixed-point kernel `exp_mellin_row`, each within
+    2^-(prec + 12) relative; at integer s (every CLI value) and complex s
+    from mpmath's `gammainc`, one factor at a time.
     """
     k, N = spec.k, spec.N
     s = mpc(s)

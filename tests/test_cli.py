@@ -1,11 +1,15 @@
 import inspect
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from mpmath import mp, mpf
 
+import eisperiods
 from eisperiods import cli
 from eisperiods.cli import MAX_PREC, main
 
@@ -399,3 +403,32 @@ def test_every_command_takes_args_and_config():
     assert len(commands) == 7
     for name, fn in commands.items():
         assert list(inspect.signature(fn).parameters) == ["args", "config"], name
+
+
+def test_one_process_matches_fresh_processes(capsys):
+    """The parser is built once per process; a run of commands in one
+    process, a rejected one among them, gives each command the stdout, the
+    exit code and, on a rejection, the stderr of a fresh `eisp` process."""
+    runs = [
+        "periods --k 4 --N 2 --lambda 0,1",
+        "lvalues --k 4 --N 3 --lambda 1,2 --r 2",
+        "fourier --k 4 --N 1 --lambda zz",
+        "--prec 96 periods --k 5 --N 3 --lambda 1,2",
+        "fourier --kind e --k 3 --N 1 --lambda 0,0",
+        "periods --k 4 --N 2 --lambda 0,1",
+    ]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(eisperiods.__path__[0])}
+    env.pop("EISP_PREC", None)
+    for argv in runs:
+        try:
+            code = main(argv.split())
+        except SystemExit as exc:
+            code = exc.code
+        here = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "eisperiods.cli", *argv.split()],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert (code, here.out) == (fresh.returncode, fresh.stdout), argv
+        if code:
+            assert code == 2 and here.err == fresh.stderr and ": error: " in here.err, argv

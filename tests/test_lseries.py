@@ -51,6 +51,7 @@ class TestBoundedState:
             return real(k, lamv, N, M)
 
         monkeypatch.setattr(eisenstein, "e_fourier", counted)
+        monkeypatch.setattr(eisenstein, "_LONGEST_SERIES", {})
         eisenstein.e_series_values.cache_clear()
         cell = lam(5, 1, 2)
         for partner in (cell, cell.act(S)):
@@ -59,17 +60,43 @@ class TestBoundedState:
         assert len(keys) == 3
         assert len(calls) == 3 and set(calls) == keys
 
+    def test_shorter_order_is_a_prefix(self, monkeypatch):
+        """A series asked for at a lower order after a higher one is served
+        from it, with the bits of a fresh build at that order; the store of
+        longest series stays bounded."""
+        calls = []
+        real = eisenstein.e_fourier
+
+        def counted(k, lamv, N, M):
+            calls.append(M)
+            return real(k, lamv, N, M)
+
+        monkeypatch.setattr(eisenstein, "e_fourier", counted)
+        monkeypatch.setattr(eisenstein, "_LONGEST_SERIES", {})
+        eisenstein.e_series_values.cache_clear()
+        cell = lam(3, 1, 2)
+        const, longer = eisenstein.e_series_values(6, cell, 3, 60, PREC)
+        short_const, short = eisenstein.e_series_values(6, cell, 3, 25, PREC)
+        assert calls == [60]
+        fresh = real(6, cell, 3, 25)
+        want = [eisenstein.cyclo_value(c, PREC) for c in fresh.coeffs]
+        assert short_const == const and short == longer[:25]
+        assert [z._mpc_ for z in short] == [z._mpc_ for z in want]
+        for k in range(4, 4 + 2 * (eisenstein.LONGEST_SERIES_KEYS + 2), 2):
+            eisenstein.e_series_values(k, cell, 3, 5, PREC)
+        assert len(eisenstein._LONGEST_SERIES) == eisenstein.LONGEST_SERIES_KEYS
+
     def test_gamma_factor_keyed_by_exact_s(self):
         """Arguments that print alike at the working precision still get
-        their own incomplete-gamma factor: s2 - s1 is a few ulps, and a
-        small a = 2 pi / 1000 spreads that over about 80 ulps of E."""
-        from eisperiods.lseries import _exp_mellin
+        their own incomplete-gamma row: s2 - s1 is a few ulps, and a small
+        a = 2 pi / 1000 spreads that over about 80 ulps of E."""
+        from eisperiods.lseries import _mellin_row
 
         with mp.workprec(PREC + 32):
             s1 = mpc(mpf(5) / 2)
             s2 = s1 + mpf(2) ** -204
-            first = _exp_mellin(s1, 1, 1000, PREC)
-            second = _exp_mellin(s2, 1, 1000, PREC)
+            first = _mellin_row(s1, 1000, 1, PREC)[0]
+            second = _mellin_row(s2, 1000, 1, PREC)[0]
             a = 2 * mp.pi / 1000
             want = mp.power(a, -s2) * mp.gammainc(s2, a, mp.inf)
         assert second != first
@@ -87,9 +114,11 @@ class TestMellinRows:
         return mpc(mp.power(a, -s) * mp.gammainc(s, a, mp.inf))
 
     def test_row_sum_equals_per_term_sum(self):
-        """The row sum has the bits of the fsum of each coefficient times
-        its mpc factor, for real s (every r, and a seeded non-integer) and
-        for complex s."""
+        """At integer and complex s the row sum has the bits of the fsum of
+        each coefficient times its mpc factor.  At a seeded non-integer real
+        s the row comes from `exp_mellin_row`: each factor, and so the sum,
+        is within 2^-(PREC + 12) relative of its value at PREC + 64 bits, and
+        the sum within that much of the sum over those values."""
         from eisperiods.lseries import _mellin_row
 
         rng = random.Random(23)
@@ -100,14 +129,25 @@ class TestMellinRows:
             for s in real + cplx:
                 row = _mellin_row(s, N, len(ca), PREC)
                 assert _mellin_row(s, N, len(ca), PREC) is row
+                kinds = {type(e) for e in row}
+                assert kinds == ({mpf} if s.imag == 0 else {mpc})
+                with mp.workprec(PREC + GUARD_BITS):
+                    got = mp.fsum(map(mul, ca, row), absolute=False)
+                if s.imag == 0 and not mp.isint(s.real):
+                    with mp.workprec(PREC + 64):
+                        terms = [self._factor(s, j, N) for j in range(1, len(ca) + 1)]
+                        want = mp.fsum((c * e for c, e in zip(ca, terms)), absolute=False)
+                        scale = mp.fsum(abs(c * e) for c, e in zip(ca, terms))
+                        eps = mpf(2) ** -(PREC + 12)
+                        assert all(abs(e - t) <= eps * abs(t) for e, t in zip(row, terms))
+                        # each product in `got` is rounded at PREC + GUARD_BITS
+                        assert abs(got - want) <= (eps + mpf(2) ** -(PREC + GUARD_BITS)) * scale
+                    continue
                 with mp.workprec(PREC + GUARD_BITS):
                     terms = [self._factor(s, j, N) for j in range(1, len(ca) + 1)]
                     want = mp.fsum((c * e for c, e in zip(ca, terms)), absolute=False)
-                    got = mp.fsum(map(mul, ca, row), absolute=False)
                 assert got._mpc_ == want._mpc_
                 assert [mpc(e)._mpc_ for e in row] == [e._mpc_ for e in terms]
-                kinds = {type(e) for e in row}
-                assert kinds == ({mpf} if s.imag == 0 else {mpc})
 
 
 class TestIExt:

@@ -24,6 +24,7 @@ from eisperiods.numerics import (
     GUARD_BITS,
     PoleError,
     e_of,
+    exp_mellin_row,
     hurwitz_zeta,
     hurwitz_zeta_ds,
     polylog,
@@ -274,6 +275,52 @@ def test_every_prec_function_is_guarded():
     assert unguarded == []
 
 
+# s below 0, in (0, 1), within 2^-20 of an integer (0 included) and up to
+# 16, as exact binary floats; rows whose a_j = 2 pi j / N run from
+# 2 pi / 1000 to 2 pi 70 > 400
+KERNEL_ARGUMENTS = [-1.3, 0.37, 15.7, 1 - 2.0 ** -21, 7 + 2.0 ** -23, -2 + 2.0 ** -22, 2.0 ** -25]
+KERNEL_ROWS = ((1000, 3), (12, 40), (1, 70))
+
+
+@pytest.mark.parametrize("prec", [53, 192, 256])
+def test_exp_mellin_row_against_gammainc(prec):
+    """Every sampled value of the kernel is within 2^-(prec + 12) relative of
+    a^-s Gamma(s, a) from mp.gammainc at prec + 64 bits, a taken at that
+    precision; the samples include the last j of each row below the
+    crossover and the first above it.  Every value also obeys |E| <=
+    e^-a / (a - c), c = max(s - 1, 0), the bound `lvalue_tail_bound`
+    assumes."""
+    rng = random.Random(prec)
+    args = KERNEL_ARGUMENTS + [-rng.uniform(0.1, 8), rng.uniform(0.05, 0.95), rng.uniform(1, 16)]
+    a_x = (prec + GUARD_BITS) / 13
+    eps = mpf(2) ** -(prec + 12)
+    for s in args:
+        for N, J in KERNEL_ROWS:
+            row = exp_mellin_row(s, N, J, prec)
+            assert len(row) == J
+            j_x = int(a_x * N / (2 * mp.pi)) + 1  # first j with a_j >= a_x
+            js = {1, J, j_x - 1, j_x, *rng.sample(range(1, J + 1), 3)}
+            with mp.workprec(prec + 64):
+                c = max(mpf(s) - 1, 0)
+                for j in range(1, J + 1):
+                    a = 2 * mp.pi * j / N
+                    if j in js:
+                        want = mp.power(a, -s) * mp.gammainc(s, a, mp.inf)
+                        assert abs(row[j - 1] - want) <= eps * want, (s, N, j)
+                    if a > c:
+                        assert abs(row[j - 1]) <= mp.exp(-a) / (a - c), (s, N, j)
+
+
+def test_exp_mellin_row_is_a_prefix_and_rejects_poles():
+    """A row is the prefix of any longer one, bit for bit (the sums cut by
+    `tail_cutoff` rely on it), and s at a pole of Gamma is refused."""
+    s = mpf(2.3)
+    assert exp_mellin_row(s, 3, 20, PREC) == exp_mellin_row(s, 3, 200, PREC)[:20]
+    for pole in (0, -2):
+        with pytest.raises(ValueError):
+            exp_mellin_row(pole, 3, 5, PREC)
+
+
 def _lru_caches():
     """(qualified name, cache_parameters()) for every lru_cache bound at
     module or class level anywhere in the package."""
@@ -292,6 +339,7 @@ def test_every_cache_is_bounded():
     process; every cache in the package has a finite maxsize."""
     found = dict(_lru_caches())
     for name in (
+        "eisperiods.cli.build_parser",
         "eisperiods.cocycle._action_matrix",
         "eisperiods.cocycle._t_run_matrix",
         "eisperiods.cocycle.coboundary_value",
