@@ -511,8 +511,8 @@ def _add_lattice_options(parser: argparse.ArgumentParser):
 @lru_cache(maxsize=1)
 def build_parser(env_prec: str) -> argparse.ArgumentParser:
     """The `eisp` parser, built once per value of EISP_PREC: parsing leaves
-    it as it was, and building it costs about 3 ms, more than many
-    commands."""
+    it as it was, and building it costs about 3 ms, which a process running
+    many commands would otherwise pay on each."""
     parser = argparse.ArgumentParser(
         prog="eisp",
         description="Eisenstein-series Fourier expansions, L-values, period "
