@@ -111,6 +111,8 @@ def _parse_tau(text: str) -> mpc:
         tau = mpc(mpf(re_s), mpf(im_s))
     except Exception:
         raise argparse.ArgumentTypeError(f"expected 're,im', got {text!r}")
+    if not (mp.isfinite(tau.real) and mp.isfinite(tau.imag)):
+        raise argparse.ArgumentTypeError(f"tau must be finite, got {text!r}")
     if tau.imag <= 0:
         raise argparse.ArgumentTypeError("tau must have positive imaginary part")
     return tau
@@ -319,6 +321,9 @@ def cmd_periods(args, config: RunConfig) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
+EMPTY_SWEEP = "empty sweep: no admissible parameters in the requested range"
+
+
 def _sweep_cells(args):
     ks = [args.k] if args.k is not None else list(range(2, args.k_max + 1))
     ns = [args.N] if args.N is not None else list(range(1, args.N_max + 1))
@@ -350,7 +355,7 @@ def cmd_rationality(args, config: RunConfig) -> tuple[dict, int]:
         "summary": {"cells": cells, "certified": cells - failures, "failed": failures},
     }
     if cells == 0:
-        out["warning"] = "empty sweep: no admissible parameters in the requested range"
+        out["warning"] = EMPTY_SWEEP
     return out, EXIT_TOLERANCE if failures else EXIT_OK
 
 
@@ -368,7 +373,10 @@ def cmd_relations(args, config: RunConfig) -> tuple[dict, int]:
                 )
                 if not ok:
                     bad += 1
-    return {"records": records, "failed": bad}, EXIT_TOLERANCE if bad else EXIT_OK
+    out = {"records": records, "failed": bad}
+    if not records:
+        out["warning"] = EMPTY_SWEEP
+    return out, EXIT_TOLERANCE if bad else EXIT_OK
 
 
 def _load_data(path: str, build):

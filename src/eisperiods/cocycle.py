@@ -21,19 +21,19 @@ reconstructed through the cocycle rule along an S/T word.  T-power runs are
 evaluated in closed form (Bernoulli sums over arithmetic progressions), so
 evaluation cost is logarithmic in the matrix entries.
 
-Every per-coset loop runs on a quotient of the coset set: the coarsest
-partition on which the stored values are constant and which right
-multiplication by T and S maps class to class.  Every value the cocycle rule
-builds is then constant on the classes too, so it is computed once per class
-and expanded to one entry per coset only when returned.  The values of
-build_induced and coboundary depend on the transported parameter lambda sigma
-only, so there the classes are the lambda-orbit (12, 24 and 24 classes at
-N = 4, 5, 6 for lambda = (0,1), against 48, 120 and 144 cosets).  The orbit
-is enumerated once per (lambda, N) (modgroup.parameter_orbit) and handed to
-the cochain, so building, certifying and evaluating a cell run no Moore
-refinement and compute one value per orbit element; a cochain edited after
-it was built is refined afresh.  Evaluation cost scales with the orbit, not
-with |SL2(Z/N)|.
+Every per-coset loop runs on a quotient of the coset set on which the stored
+values are constant and which right multiplication by T and S maps class to
+class.  Every value the cocycle rule builds is then constant on the classes
+too, so it is computed once per class and expanded to one entry per coset
+only when returned.  The values of build_induced and coboundary depend on
+the transported parameter lambda sigma only, so the classes are the
+lambda-orbit (12, 24 and 24 classes at N = 4, 5, 6 for lambda = (0,1),
+against 48, 120 and 144 cosets).  The orbit is enumerated once per
+(lambda, N) (modgroup.parameter_orbit), handed to the cochain, and handed on
+by modify_and_certify to the modified cochain, so building, certifying and
+evaluating a cell compute one value per orbit element.  A cochain edited
+after it was built is evaluated on the discrete quotient, one class per
+coset.  Evaluation cost scales with the orbit, not with |SL2(Z/N)|.
 """
 from __future__ import annotations
 
@@ -87,10 +87,10 @@ class PeriodPoly:
         if len(coeffs) != k - 1:
             raise ValueError(f"weight-{k} period polynomial needs {k - 1} coefficients")
         scalars = [c if isinstance(c, ExtScalar) else ExtScalar(c) for c in coeffs]
-        den = lcm(*(int(q.denominator) for c in scalars for q in (c.rational, *c.symbols.values())))
+        den = lcm(*(q.denominator for c in scalars for q in (c.rational, *c.symbols.values())))
 
         def numerator(q) -> int:
-            return int(q.numerator) * (den // int(q.denominator))
+            return q.numerator * (den // q.denominator)
 
         syms = {}
         for j, c in enumerate(scalars):
@@ -356,8 +356,10 @@ class InducedCochain:
     each of the generators T and S.  Evaluation runs on the same data with
     one entry per class of a CosetQuotient as its table (see _reduce).
 
-    build_induced sets orbit, the lambda-orbit quotient its values are
-    constant on; copy() drops it, so an edited copy is refined afresh."""
+    orbit is a closed quotient whose classes each hold one value object:
+    build_induced sets the lambda-orbit, and modify_and_certify hands on the
+    quotient it ran on.  copy() drops it, so an edited copy is evaluated
+    per coset."""
 
     k: int
     N: int
@@ -375,8 +377,8 @@ class InducedCochain:
     def quotient(self) -> CosetQuotient:
         """A coset quotient on which val_T and val_S are constant and which
         is closed under right multiplication; evaluation runs per class.  It
-        is the coarsest one, except after an in-place edit that keeps the
-        values constant on the orbit's classes (see _quotient)."""
+        is the orbit while the values are one object per orbit class, and
+        the discrete quotient otherwise (see _quotient)."""
         return _quotient(self)
 
 
@@ -390,23 +392,16 @@ def _constant_on(quot: CosetQuotient, values: Sequence[PeriodPoly]) -> bool:
 def _quotient(cochain: InducedCochain, *extra: Sequence[PeriodPoly]) -> CosetQuotient:
     """A closed quotient on which the cochain's values and the extra
     per-coset lists are constant.  While every list is one object per class
-    of the cochain's lambda-orbit, that is the orbit, with no refinement: the
-    values of build_induced, coboundary and the period caches depend on
-    lambda sigma only, and distinct parameters give distinct objects, so
-    there the orbit is also the coarsest.  Otherwise the coarsest, found by
-    Moore refinement."""
+    of the cochain's orbit, that is the orbit: the values of build_induced,
+    coboundary and the period caches depend on lambda sigma only, and
+    distinct parameters give distinct objects, so there the lambda-orbit is
+    also the coarsest.  Otherwise the discrete quotient, one class per
+    coset."""
     values = (cochain.val_T, cochain.val_S, *extra)
     orbit = cochain.orbit
     if orbit is not None and all(_constant_on(orbit, v) for v in values):
         return orbit
-    return _coset_quotient(cochain.table, *values)
-
-
-def _coset_quotient(table: CosetTable, *per_coset: Sequence[PeriodPoly]) -> CosetQuotient:
-    """The coarsest quotient of table on which every per-coset list is
-    constant, comparing values by object identity: cosets that share one
-    PeriodPoly object share a class, so no polynomial is compared."""
-    return CosetQuotient(table, list(zip(*([id(p) for p in vals] for vals in per_coset))))
+    return CosetQuotient.closed(cochain.table, range(len(cochain.table)))
 
 
 def _on_classes(quot: CosetQuotient, values: Sequence[PeriodPoly]) -> List[PeriodPoly]:
@@ -539,7 +534,7 @@ def modify_and_certify(
     new_T = [_sum(k, (_term(a), m, _term(f, -1))) for a, m, f in zip(val_T, moved_T, cob_values)]
     new_S = [_sum(k, (_term(a), m, _term(f, -1))) for a, m, f in zip(val_S, moved_S, cob_values)]
     modified = InducedCochain(
-        cochain.k, cochain.N, cochain.lam, cochain.table, quot.expand(new_T), quot.expand(new_S)
+        cochain.k, cochain.N, cochain.lam, cochain.table, quot.expand(new_T), quot.expand(new_S), quot
     )
     failures = []
     for gen, vals in (("T", new_T), ("S", new_S)):

@@ -7,19 +7,13 @@ so the whole layer is safe for unrestricted concurrent use.
 """
 from __future__ import annotations
 
+from fractions import Fraction as QQ
 from functools import lru_cache
 from math import factorial, gcd
-from typing import Dict, List, Sequence, Tuple, Union
-
-try:
-    from gmpy2 import mpq as QQ
-except ImportError:
-    from fractions import Fraction as QQ
-
-RatLike = Union[int, str, "QQ"]
+from typing import Dict, List, Sequence, Tuple
 
 
-def qq(x: RatLike, den: int | None = None) -> QQ:
+def qq(x, den: int | None = None) -> QQ:
     """Coerce to an exact rational."""
     if den is not None:
         return QQ(x, den)
@@ -154,9 +148,8 @@ def euler_phi(N: int) -> int:
 class Cyclo:
     """Element of Q(mu_N), mu_N = exp(2 pi i / N), as a coefficient vector of
     length phi(N) over the power basis 1, mu_N, ..., mu_N^{phi(N)-1}: the
-    canonical form modulo Phi_N that cyclo_canonical returns.  Equality and
-    zero tests are coefficient comparisons; numeric values come from
-    numerics.cyclo_value.
+    canonical form modulo Phi_N that cyclo_canonical returns.  Values are
+    compared through .coeffs; numeric values come from numerics.cyclo_value.
     """
 
     __slots__ = ("N", "coeffs")
@@ -168,17 +161,6 @@ class Cyclo:
             raise ValueError(f"need exactly phi({N}) = {phi} coefficients")
         self.N = N
         self.coeffs = tuple(coeffs)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def __eq__(self, other):
-        if isinstance(other, Cyclo):
-            return self.N == other.N and self.coeffs == other.coeffs
-        return self.is_rational() and self.coeffs[0] == qq(other)
 
     def __repr__(self):
         return f"Cyclo({self.N}, {[str(c) for c in self.coeffs]})"
@@ -270,23 +252,23 @@ def _reduce_one_symbol(w: int, arg) -> Tuple[QQ, "PolylogSymbol | None", QQ]:
         if w % 2 == 0:
             # 2 PL(w; arg) = -B_w(arg)/w! forces a rational value
             return (-bernoulli_value(w, arg) / (2 * factorial(w)), None, QQ(0))
-        sym = PolylogSymbol(w, int(arg.numerator), int(arg.denominator))
+        sym = PolylogSymbol(w, arg.numerator, arg.denominator)
         return (QQ(0), sym, QQ(1))
     if two < 1:
-        sym = PolylogSymbol(w, int(arg.numerator), int(arg.denominator))
+        sym = PolylogSymbol(w, arg.numerator, arg.denominator)
         return (QQ(0), sym, QQ(1))
     # reflect: PL(w; 1-x) = -B_w(x)/w! - (-1)^w PL(w; x) with x = 1 - arg
     x = 1 - arg
     rat = -bernoulli_value(w, x) / factorial(w)
-    sym = PolylogSymbol(w, int(x.numerator), int(x.denominator))
+    sym = PolylogSymbol(w, x.numerator, x.denominator)
     return (rat, sym, QQ(-1) if w % 2 == 0 else QQ(1))
 
 
 class ExtScalar:
     """Element of Q + Q-span of canonical polylog symbols.
 
-    Supports exact addition, subtraction and multiplication by rationals
-    (products of two genuinely transcendental elements are rejected).
+    Supports exact addition and subtraction, of another ExtScalar or of a
+    rational, and negation.
     """
 
     __slots__ = ("rational", "symbols")
@@ -309,9 +291,6 @@ class ExtScalar:
     def from_symbol(sym: PolylogSymbol, coeff=1) -> "ExtScalar":
         return ExtScalar(0, {sym: qq(coeff)})
 
-    def is_rational(self) -> bool:
-        return not self.symbols
-
     def is_zero(self) -> bool:
         return self.rational == 0 and not self.symbols
 
@@ -327,8 +306,6 @@ class ExtScalar:
                 syms[s] = v
         return ExtScalar(self.rational + other.rational, syms)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return ExtScalar(-self.rational, {s: -c for s, c in self.symbols.items()})
 
@@ -337,39 +314,10 @@ class ExtScalar:
             return ExtScalar(self.rational - qq(other), self.symbols)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, ExtScalar):
-            if other.is_rational():
-                other = other.rational
-            elif self.is_rational():
-                self, other = other, self.rational
-            else:
-                raise TypeError("product of two transcendental scalars is not in the ring")
-        x = qq(other)
-        if x == 0:
-            return ExtScalar.zero()
-        return ExtScalar(self.rational * x, {s: c * x for s, c in self.symbols.items()})
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self * (QQ(1) / qq(other))
-
-    def __eq__(self, other):
-        if not isinstance(other, ExtScalar):
-            return self.is_rational() and self.rational == qq(other)
-        return self.rational == other.rational and self.symbols == other.symbols
-
-    def __hash__(self):
-        return hash((self.rational, tuple(sorted(self.symbols.items(), key=lambda t: t[0].key()))))
-
     def __repr__(self):
-        if self.is_rational():
+        if not self.symbols:
             return f"ExtScalar({self.rational})"
-        terms = " + ".join(f"({c})*{s}" for s, c in sorted(self.symbols.items(), key=lambda t: t[0].key()))
+        terms = " + ".join(f"({c})*{s}" for s, c in self.sorted_symbols())
         return f"ExtScalar({self.rational} + {terms})"
 
     def sorted_symbols(self):

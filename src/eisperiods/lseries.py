@@ -74,9 +74,6 @@ class IExt:
     def __add__(self, other: "IExt") -> "IExt":
         return IExt(self.one + other.one, self.ipart + other.ipart)
 
-    def __eq__(self, other):
-        return isinstance(other, IExt) and self.one == other.one and self.ipart == other.ipart
-
     def pure_part(self) -> ExtScalar:
         if not self.ipart.is_zero():
             raise ValueError("value has a nonzero i component")

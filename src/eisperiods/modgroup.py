@@ -1,7 +1,8 @@
 """SL2(Z) utilities: matrices, S/T word decomposition by the Euclidean
 algorithm, enumeration of SL2(Z/N) = Gamma(N) \\ SL2(Z) by residues, the
 right action on residue pairs, and the coset quotients the cocycle engine
-runs on: the lambda-orbit, and Moore refinement for any other per-coset keys.
+runs on, built from partitions already closed under right multiplication,
+such as the lambda-orbit.
 
 A coset is its residue matrix: the engine transports parameters and looks up
 right multiplication on residues only, so no coset is lifted to SL2(Z).
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import floor
-from typing import Hashable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -236,56 +237,31 @@ class CosetTable(_RightMultiplication):
         return self.index_of(IDENTITY)
 
 
-def _first_occurrence_ids(keys: Sequence[Hashable]) -> List[int]:
-    """Number the distinct keys 0, 1, ... in order of first occurrence."""
-    ids: dict = {}
-    return [ids.setdefault(key, len(ids)) for key in keys]
-
-
 class CosetQuotient(_RightMultiplication):
-    """The coarsest partition of a coset table that refines the given
-    per-coset keys and is closed under right multiplication by T and S, with
-    the right-multiplication tables on its classes.
+    """A partition of a coset table that right multiplication by T and S maps
+    class to class, with the right-multiplication tables on its classes.
+    Classes are numbered in order of their first coset; built by closed."""
 
-    Found by Moore refinement: split classes by the classes of the T^-1 and
-    S^-1 neighbours until the class count stops growing.  Closure under the
-    permutations T^-1 and S^-1 of a finite set gives closure under T and S.
-    Classes are numbered in order of their first coset.
-    """
-
-    def __init__(self, table: CosetTable, keys: Sequence[Hashable]):
-        if len(keys) != len(table):
-            raise ValueError("need one key per coset")
-        cls = _first_occurrence_ids(keys)
-        while True:
-            refined = _first_occurrence_ids(
-                [(c, cls[t], cls[s]) for c, t, s in zip(cls, table.rmul_T_inv, table.rmul_S_inv)]
-            )
-            if refined == cls:  # no class split: the count stopped growing
-                break
-            cls = refined
-        self._set_classes(table, cls)
+    class_of: Tuple[int, ...]
+    representatives: Tuple[int, ...]
 
     @classmethod
     def closed(cls, table: CosetTable, class_of: Sequence[int]) -> "CosetQuotient":
         """The quotient by a partition that is already closed under right
         multiplication, given as class indices numbered in order of first
-        coset; no refinement runs."""
+        coset."""
         quot = cls.__new__(cls)
-        quot._set_classes(table, class_of)
-        return quot
-
-    def _set_classes(self, table: CosetTable, class_of: Sequence[int]) -> None:
-        self.N = table.N
-        cls = self.class_of = tuple(class_of)
+        quot.N = table.N
+        classes = quot.class_of = tuple(class_of)
         reps: List[int] = []  # the first coset of each class
-        for i, c in enumerate(cls):
+        for i, c in enumerate(classes):
             if c == len(reps):
                 reps.append(i)
-        self.representatives: Tuple[int, ...] = tuple(reps)
-        self.rmul_T = tuple(cls[table.rmul_T[r]] for r in reps)
-        self.rmul_T_inv = tuple(cls[table.rmul_T_inv[r]] for r in reps)
-        self.rmul_S_inv = tuple(cls[table.rmul_S_inv[r]] for r in reps)
+        quot.representatives = tuple(reps)
+        quot.rmul_T = tuple(classes[table.rmul_T[r]] for r in reps)
+        quot.rmul_T_inv = tuple(classes[table.rmul_T_inv[r]] for r in reps)
+        quot.rmul_S_inv = tuple(classes[table.rmul_S_inv[r]] for r in reps)
+        return quot
 
     def __len__(self):
         return len(self.representatives)
@@ -309,9 +285,8 @@ def parameter_orbit(lam: ResiduePair) -> Tuple[CosetQuotient, Tuple[ResiduePair,
     T and S generate SL2(Z/N), so the orbit is the set of the lam sigma: one
     pass over the cosets numbers them in order of first coset, which gives the
     coset -> orbit-index map.  The partition is closed under right
-    multiplication, since lam (sigma g) = (lam sigma) g, so no refinement
-    runs.  The orbit has at most N^2 elements, against |SL2(Z/N)| cosets.
-    Cached per (lam, N)."""
+    multiplication, since lam (sigma g) = (lam sigma) g.  The orbit has at
+    most N^2 elements, against |SL2(Z/N)| cosets.  Cached per (lam, N)."""
     table = enumerate_sl2(lam.N)
     N, l1, l2 = lam.N, lam.l1, lam.l2
     index: dict = {}

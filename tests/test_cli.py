@@ -120,6 +120,13 @@ class TestRelationsCommand:
         code, doc = run(capsys, "relations", "--k", "4", "--N", "2")
         assert code == 0
         assert all(rec["relations_hold"] for rec in doc["records"])
+        assert "warning" not in doc
+
+    def test_empty_sweep_warns(self, capsys):
+        code, doc = run(capsys, "relations", "--k", "3", "--N", "1")
+        assert code == 0
+        assert doc["records"] == [] and doc["failed"] == 0
+        assert doc["warning"].startswith("empty sweep: ")
 
 
 class TestInvariantCommand:
@@ -347,6 +354,15 @@ class TestBadConfiguration:
         # every "residual >= tol" test false too
         err = self.exits_2(capsys, ["--tol", tol, "lvalues", "--k", "4", "--N", "1", "--lambda", "0,0"])
         assert "--tol" in err
+
+    @pytest.mark.parametrize("tau", ["0,inf", "nan,1", "inf,1", "0,nan", "-inf,2"])
+    def test_non_finite_tau(self, capsys, tau):
+        # an infinite Im tau divides by zero in the lattice sum, and a NaN
+        # one passes "Im tau > 0" and writes a NaN residual
+        argv = ["fourier", "--kind", "e", "--k", "4", "--N", "3", "--lambda", "1,2",
+                f"--tau={tau}", "--check-lattice"]
+        err = self.exits_2(capsys, argv)
+        assert err.count("error:") == 1 and "tau must be finite" in err
 
     def test_precision_above_cap(self, capsys, monkeypatch):
         def refuse(*args):

@@ -37,10 +37,10 @@ class TestEFourier:
     def test_level_one_weight_four(self):
         f = e_fourier(4, lam(1, 0, 0), 1, 6)
         assert f.const == QQ(1, 720)
-        assert f.coeffs[0] == QQ(1, 3)
+        assert f.coeffs[0].coeffs == (QQ(1, 3),)
         # 2 sigma_3(j)/6 for j = 2, 3
-        assert f.coeffs[1] == QQ(2 * 9, 6)
-        assert f.coeffs[2] == QQ(2 * 28, 6)
+        assert f.coeffs[1].coeffs == (QQ(2 * 9, 6),)
+        assert f.coeffs[2].coeffs == (QQ(2 * 28, 6),)
         assert f.nonholo == 0
 
     def test_weight_two_nonzero_parameter_holomorphic(self):
@@ -59,7 +59,7 @@ class TestEFourier:
     def test_odd_weight_zero_parameter_vanishes(self):
         f = e_fourier(3, lam(3, 0, 0), 3, 12)
         assert f.const == 0
-        assert all(c.is_zero() for c in f.coeffs)
+        assert all(c.coeffs == (0, 0) for c in f.coeffs)
 
     def test_duality_with_g_series(self):
         # the twisted series is the b-weighted sum of congruence series

@@ -27,6 +27,12 @@ from eisperiods.numerics import (
 )
 
 
+def parts(x: ExtScalar):
+    """The canonical fields of an ExtScalar, compared in place of the
+    scalar."""
+    return x.rational, x.symbols
+
+
 def series_bernoulli_oracle(n_max):
     """Expand X exp(tX)/(exp(X)-1) as a power series in X with polynomial
     coefficients in t, via exact power-series division.  Independent of the
@@ -116,9 +122,9 @@ class TestFormalBinomial:
 
 class TestCyclo:
     def test_canonical_examples(self):
-        assert cyclo_canonical(4, [0, 0, 1, 0]) == -1
-        assert cyclo_canonical(3, [1, 1, 1]).is_zero()
-        assert cyclo_canonical(1, [QQ(5, 7)]) == QQ(5, 7)
+        assert cyclo_canonical(4, [0, 0, 1, 0]).coeffs == (-1, 0)
+        assert cyclo_canonical(3, [1, 1, 1]).coeffs == (0, 0)
+        assert cyclo_canonical(1, [QQ(5, 7)]).coeffs == (QQ(5, 7),)
 
     def test_cyclotomic_polynomials(self):
         assert cyclotomic_polynomial(1) == (-1, 1)
@@ -158,12 +164,12 @@ class TestSymbolReduce:
 
     def test_even_weight_argument_zero(self):
         out = symbol_reduce(2, {QQ(0): QQ(1)})
-        assert out == ExtScalar(QQ(-1, 24))
+        assert parts(out) == (QQ(-1, 24), {})
 
     def test_even_weight_argument_half(self):
         # Li_2(-1) = -pi^2/12, so PL(2; 1/2) = 1/48
         out = symbol_reduce(2, {QQ(1, 2): QQ(1)})
-        assert out == ExtScalar(QQ(1, 48))
+        assert parts(out) == (QQ(1, 48), {})
 
     def test_canonical_argument_untouched(self):
         out = symbol_reduce(3, {QQ(1, 3): QQ(1)})
@@ -193,7 +199,7 @@ class TestSymbolReduce:
         again = ExtScalar(once.rational)
         for sym, c in once.symbols.items():
             again = again + symbol_term(sym.w, sym.argument, c)
-        assert once == again
+        assert parts(once) == parts(again)
 
     def test_numeric_faithfulness(self):
         rng = random.Random(13)
@@ -228,11 +234,5 @@ class TestExtScalar:
         s = symbol_term(3, QQ(1, 3))
         t = symbol_term(3, QQ(1, 3), QQ(-1))
         assert (s + t).is_zero()
-        assert (QQ(2) * s - s) == s
-        assert (s / 2 + s / 2) == s
-
-    def test_no_symbol_products(self):
-        s = symbol_term(3, QQ(1, 3))
-        with pytest.raises(TypeError):
-            s * s
-        assert (s * ExtScalar(QQ(3))) == QQ(3) * s
+        assert parts(s + s - s) == parts(s) == parts(-t)
+        assert parts(s + QQ(1, 2) - 1) == (QQ(-1, 2), s.symbols)

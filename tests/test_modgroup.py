@@ -224,40 +224,64 @@ class TestCosetTable:
             assert table.rmul_t_power(i, n) == want
 
 
+def moore_refinement(table, keys):
+    """Reference: the coarsest partition that refines the per-coset keys and
+    is closed under right multiplication by T and S, as class indices in
+    order of first coset.  Split classes by the classes of the T^-1 and S^-1
+    neighbours until no class splits; closure under the permutations T^-1
+    and S^-1 of a finite set gives closure under T and S."""
+
+    def number(items):
+        ids = {}
+        return [ids.setdefault(x, len(ids)) for x in items]
+
+    cls = number(keys)
+    while True:
+        refined = number(zip(cls, [cls[t] for t in table.rmul_T_inv], [cls[s] for s in table.rmul_S_inv]))
+        if refined == cls:
+            return cls
+        cls = refined
+
+
 class TestCosetQuotient:
     def test_extremes(self):
         table = enumerate_sl2(3)
         n = len(table)
-        one = CosetQuotient(table, [0] * n)
+        one = CosetQuotient.closed(table, [0] * n)
         assert len(one) == 1 and one.class_of == (0,) * n
         assert one.rmul_T == one.rmul_T_inv == one.rmul_S_inv == (0,)
-        full = CosetQuotient(table, list(range(n)))
-        assert full.class_of == tuple(range(n))
+        full = CosetQuotient.closed(table, range(n))
+        assert full.class_of == tuple(range(n)) and full.representatives == tuple(range(n))
         assert (full.rmul_T, full.rmul_T_inv, full.rmul_S_inv) == (
             table.rmul_T, table.rmul_T_inv, table.rmul_S_inv
         )
+        for i in range(n):
+            for m in (-5, -1, 2, 7):
+                assert full.rmul_t_power(i, m) == table.rmul_t_power(i, m)
 
-    def test_single_key_refines_to_closed_partition(self):
+    def test_class_tables_follow_the_cosets(self):
+        """On a closed quotient coarser than the table, right multiplication
+        of a class is that of any of its cosets."""
         table = enumerate_sl2(4)
-        keys = [0] * len(table)
-        keys[table.identity_index()] = 1
-        quot = CosetQuotient(table, keys)
+        quot, _ = parameter_orbit(ResiduePair(4, 2, 1))
+        assert 1 < len(quot) < len(table)
         for i, c in enumerate(quot.class_of):
             assert quot.rmul_T_inv[c] == quot.class_of[table.rmul_T_inv[i]]
             assert quot.rmul_S_inv[c] == quot.class_of[table.rmul_S_inv[i]]
             assert quot.rmul_T[c] == quot.class_of[table.rmul_T[i]]
-            for n in (-5, -1, 2, 7):
-                assert quot.rmul_t_power(c, n) == quot.class_of[table.rmul_t_power(i, n)]
-
+            for m in (-5, -1, 2, 7):
+                assert quot.rmul_t_power(c, m) == quot.class_of[table.rmul_t_power(i, m)]
 
     def test_parameter_orbit_matches_refinement(self):
         """The lambda-orbit quotient, read off one pass over the cosets with no
-        refinement, is the quotient that refining the keys lambda sigma finds."""
+        refinement, is the quotient that Moore refinement of the keys
+        lambda sigma finds."""
         for N in range(1, 13):
             table = enumerate_sl2(N)
             for lam in index_set(N, 4):
                 orbit, params = parameter_orbit(lam)
-                quot = CosetQuotient(table, [lam.act(sigma) for sigma in table.elements])
+                refined = moore_refinement(table, [lam.act(sigma) for sigma in table.elements])
+                quot = CosetQuotient.closed(table, refined)
                 for attr in ("class_of", "representatives", "rmul_T", "rmul_T_inv", "rmul_S_inv"):
                     assert getattr(orbit, attr) == getattr(quot, attr), (lam, attr)
                 assert params == tuple(lam.act(table.elements[r]) for r in quot.representatives)
