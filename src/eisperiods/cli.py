@@ -285,6 +285,7 @@ def cmd_lvalues(args, config: RunConfig) -> tuple[dict, int]:
     scale = raw_scale(args.k, config.prec)
     for r in rs:
         closed = lvalue_closed(args.k, lam, args.N, r)
+        one, ipart = closed.parts()
         c_num = closed.numeric(config.prec)
         v_num = lvalue_numeric(spec, r, config.prec)
         v_ler = lvalue_lerch_product(args.k, lam, args.N, r, config.prec) / scale
@@ -293,8 +294,8 @@ def cmd_lvalues(args, config: RunConfig) -> tuple[dict, int]:
             {
                 "r": r,
                 "closed": {
-                    "one": closed.value.one.to_json(),
-                    "i": closed.value.ipart.to_json(),
+                    "one": one.to_json(),
+                    "i": ipart.to_json(),
                 },
                 "closed_numeric": _num(c_num),
                 "mellin_numeric": _num(v_num),

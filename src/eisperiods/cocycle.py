@@ -46,7 +46,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from mpmath import mpc
 
-from .exact import QQ, ExtScalar, PolylogSymbol, bernoulli_value, symbol_term
+from .exact import QQ, ExtScalar, PolylogSymbol, bernoulli_value
 from .lseries import lvalue_closed
 from .modgroup import (
     IndexSetError,  # raised by admissible; callers catch it from here
@@ -327,27 +327,16 @@ def period_T(k: int, lam: ResiduePair, N: int) -> PeriodPoly:
 
 @lru_cache(maxsize=1024)
 def period_S(k: int, lam: ResiduePair, N: int) -> PeriodPoly:
-    """Value of the period at S: a Bernoulli-product polynomial plus polylog
-    symbols in the X^0 coefficient (when l1 = 0) and the X^{k-2} coefficient
-    (when l2 = 0), each with rational coefficient of size 1/(k-1).  Cached
-    per (k, lambda, N), like period_T."""
-    lam = admissible(k, lam, N)
-    l1, l2 = lam.l1, lam.l2
-    denom = factorial(k) * (k - 1)
-    coeffs = [ExtScalar.zero() for _ in range(k - 1)]
-    for r in range(k - 1):
-        val = (
-            -comb(k, r + 1)
-            * bernoulli_value(k - r - 1, QQ(l1, N))
-            * bernoulli_value(r + 1, QQ(l2, N))
-            / denom
-        )
-        coeffs[k - 2 - r] = coeffs[k - 2 - r] + ExtScalar(val)
-    if l1 == 0:
-        coeffs[0] = coeffs[0] + symbol_term(k - 1, QQ(l2, N), QQ((-1) ** (k - 1), k - 1))
-    if l2 == 0:
-        coeffs[k - 2] = coeffs[k - 2] + symbol_term(k - 1, QQ(-l1, N), QQ(1, k - 1))
-    return PeriodPoly(k, coeffs)
+    """Value of the period at S, read from the closed L-values by the
+    Eichler-Shimura relation: the coefficient of X^{k-1-r} is
+    i^{2-r} C(k-2, r-1) L*(lambda, r) = -C(k-2, r-1) v_r for r = 1..k-1,
+    where L*(lambda, r) = i^r v_r (lvalue_closed).  So polylog symbols sit
+    in the X^0 coefficient (r = k-1, when l1 = 0) and the X^{k-2}
+    coefficient (r = 1, when l2 = 0).  Cached per (k, lambda, N), like
+    period_T."""
+    return PeriodPoly(
+        k, [lvalue_closed(k, lam, N, k - 1 - j).value.scale(-comb(k - 2, j)) for j in range(k - 1)]
+    )
 
 
 @dataclass
@@ -447,13 +436,12 @@ class CoboundaryData:
 @lru_cache(maxsize=1024)
 def coboundary_value(k: int, mu: ResiduePair, N: int) -> PeriodPoly:
     """The coboundary constant of the coset whose transported parameter is
-    mu: i^{3-k} L*(mu, k-1) for k >= 3; for k = 2, i L*(mu, 1) when mu has
-    first coordinate 0 and zero otherwise.  Cached per (k, mu, N), like
-    period_T and period_S."""
+    mu: -v_{k-1} = i^{3-k} L*(mu, k-1) (lvalue_closed), which is the X^0
+    coefficient of period_S; for k = 2, zero when mu has first coordinate
+    other than 0.  Cached per (k, mu, N), like period_T and period_S."""
     if k == 2 and mu.l1 != 0:
         return PeriodPoly.zero(k)
-    scal = lvalue_closed(k, mu, N, k - 1).value.times_i_power(3 - k).pure_part()
-    return PeriodPoly.constant(k, scal)
+    return PeriodPoly.constant(k, -lvalue_closed(k, mu, N, k - 1).value)
 
 
 def coboundary(k: int, lam: ResiduePair, N: int) -> CoboundaryData:

@@ -268,7 +268,7 @@ class ExtScalar:
     """Element of Q + Q-span of canonical polylog symbols.
 
     Supports exact addition and subtraction, of another ExtScalar or of a
-    rational, and negation.
+    rational, negation and scaling by a rational.
     """
 
     __slots__ = ("rational", "symbols")
@@ -291,9 +291,6 @@ class ExtScalar:
     def from_symbol(sym: PolylogSymbol, coeff=1) -> "ExtScalar":
         return ExtScalar(0, {sym: qq(coeff)})
 
-    def is_zero(self) -> bool:
-        return self.rational == 0 and not self.symbols
-
     def __add__(self, other):
         if not isinstance(other, ExtScalar):
             return ExtScalar(self.rational + qq(other), self.symbols)
@@ -306,8 +303,13 @@ class ExtScalar:
                 syms[s] = v
         return ExtScalar(self.rational + other.rational, syms)
 
+    def scale(self, c) -> "ExtScalar":
+        """c times this element, for a rational c."""
+        c = qq(c)
+        return ExtScalar(self.rational * c, {s: x * c for s, x in self.symbols.items()})
+
     def __neg__(self):
-        return ExtScalar(-self.rational, {s: -c for s, c in self.symbols.items()})
+        return self.scale(-1)
 
     def __sub__(self, other):
         if not isinstance(other, ExtScalar):

@@ -1,8 +1,8 @@
 """Special values of the completed L-function attached to the normalized
 holomorphic Eisenstein family, by three mutually independent routes:
 
-  * lvalue_closed        -- exact closed form (Bernoulli products plus gated
-                            polylog symbols with powers of i tracked exactly),
+  * lvalue_closed        -- exact closed form i^r v_r, v_r in Q + Q<PL> a
+                            Bernoulli product plus gated polylog symbols,
   * lvalue_numeric       -- the entire-integral split of the Mellin transform,
                             integrating the truncated Fourier expansion
                             termwise against incomplete-gamma factors
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from operator import mul
+from typing import Tuple
 
 from mpmath import mp, mpc, mpf
 
@@ -41,91 +42,50 @@ from .numerics import (
 )
 
 
-class IExt:
-    """a + i*b with a, b in the polylog-symbol ring; tracks powers of i
-    exactly so closed L-values stay rational data."""
-
-    __slots__ = ("one", "ipart")
-
-    def __init__(self, one: ExtScalar | None = None, ipart: ExtScalar | None = None):
-        self.one = one if one is not None else ExtScalar.zero()
-        self.ipart = ipart if ipart is not None else ExtScalar.zero()
-
-    def add_i_power(self, power: int, term: ExtScalar) -> "IExt":
-        p = power % 4
-        one, ipart = self.one, self.ipart
-        if p == 0:
-            one = one + term
-        elif p == 1:
-            ipart = ipart + term
-        elif p == 2:
-            one = one - term
-        else:
-            ipart = ipart - term
-        return IExt(one, ipart)
-
-    def times_i_power(self, power: int) -> "IExt":
-        p = power % 4
-        out = IExt(self.one, self.ipart)
-        for _ in range(p):
-            out = IExt(-out.ipart, out.one)
-        return out
-
-    def __add__(self, other: "IExt") -> "IExt":
-        return IExt(self.one + other.one, self.ipart + other.ipart)
-
-    def pure_part(self) -> ExtScalar:
-        if not self.ipart.is_zero():
-            raise ValueError("value has a nonzero i component")
-        return self.one
-
-    @prec_guard
-    def numeric(self, prec: int = DEFAULT_PREC) -> mpc:
-        return ext_scalar_value(self.one, prec) + 1j * ext_scalar_value(self.ipart, prec)
-
-
 @dataclass
 class LValueClosed:
-    """Exact structured value of the completed L-function of the normalized
-    series at integer argument r: a Bernoulli product carried on i^r plus the
-    two indicator-gated polylog contributions."""
+    """Exact value of the completed L-function of the normalized series at
+    integer argument r: L* = i^r value, with value (v_r) in Q + Q<PL>, a
+    Bernoulli product plus the two indicator-gated polylog contributions."""
 
     k: int
     N: int
     lam: ResiduePair
     r: int
-    value: IExt
-    bernoulli_coeff: QQ
+    value: ExtScalar
+
+    def parts(self) -> Tuple[ExtScalar, ExtScalar]:
+        """(a, b) with L* = a + i b: the value rotated by i^r."""
+        v = -self.value if self.r % 4 >= 2 else self.value
+        return (v, ExtScalar.zero()) if self.r % 2 == 0 else (ExtScalar.zero(), v)
 
     @prec_guard
     def numeric(self, prec: int = DEFAULT_PREC) -> mpc:
-        return self.value.numeric(prec)
+        one, ipart = self.parts()
+        return ext_scalar_value(one, prec) + 1j * ext_scalar_value(ipart, prec)
 
 
 def lvalue_closed(k: int, lam: ResiduePair, N: int, r: int) -> LValueClosed:
-    """L*(normalized series, r) for 1 <= r <= k-1, exactly.
+    """L*(normalized series, r) = i^r v_r for 1 <= r <= k-1, exactly.
 
-    The main term is i^r B_{k-r}(l1/N) B_r(l2/N) / ((k-1)! r (k-r)); a polylog
-    symbol of weight k-1 enters only at r = k-1 (when l1 = 0) and at r = 1
-    (when l2 = 0).
+    v_r is B_{k-r}(l1/N) B_r(l2/N) / ((k-1)! r (k-r)), plus a polylog symbol
+    of weight k-1 at r = k-1 (when l1 = 0; it enters L* on i^{k+1} = -i^r)
+    and at r = 1 (when l2 = 0; on i^1).
     """
     if not 1 <= r <= k - 1:
         raise ValueError(f"special argument r={r} outside [1, {k - 1}]")
     lam = admissible(k, lam, N)
     l1, l2 = lam.l1, lam.l2
-    beta = (
+    val = ExtScalar(
         bernoulli_value(k - r, QQ(l1, N))
         * bernoulli_value(r, QQ(l2, N))
         / (factorial(k - 1) * r * (k - r))
     )
-    val = IExt().add_i_power(r, ExtScalar(beta))
     if l1 == 0 and r == k - 1:
-        term = symbol_term(k - 1, QQ(l2, N), QQ((-1) ** (k - 1), k - 1))
-        val = val.add_i_power(k + 1, term)
+        val = val - symbol_term(k - 1, QQ(l2, N), QQ((-1) ** (k - 1), k - 1))
     if l2 == 0 and r == 1:
-        term = symbol_term(k - 1, QQ(-l1, N), QQ(-1, k - 1))
-        val = val.add_i_power(1, term)
-    return LValueClosed(k, N, lam, r, val, beta)
+        val = val + symbol_term(k - 1, QQ(-l1, N), QQ(-1, k - 1))
+    return LValueClosed(k, N, lam, r, val)
 
 
 @dataclass(frozen=True)

@@ -306,6 +306,13 @@ REJECTED_INPUTS = {
     "--l 2 --N 1 --lambda 0,0 --tau 0.1,1.2 --check-lattice",
 }
 
+# arguments that a subcommand's own parser rejects: name -> (command, argv)
+SUBPARSER_REJECTED = {
+    "lambda_not_a_pair": ("periods", "periods --k 4 --N 3 --lambda x"),
+    "tau_not_finite": ("fourier", "fourier --kind e --k 4 --N 3 --lambda 1,2 --tau=0,inf"),
+    "r_not_an_integer": ("lvalues", "lvalues --k 4 --N 3 --lambda 1,0 --r x"),
+}
+
 # --data payloads that parse as JSON and are rejected while loading
 MALFORMED_DATA = {
     "omega2_zero_denominator": ("invariant", {"minpoly": [1, 0, 1], "omega2": "1/0", "N": 1}),
@@ -335,6 +342,14 @@ class TestBadConfiguration:
     def test_rejected_input(self, capsys, name):
         err = self.exits_2(capsys, REJECTED_INPUTS[name].split())
         assert err.count("eisp: error:") == 1
+
+    @pytest.mark.parametrize("name", sorted(SUBPARSER_REJECTED))
+    def test_subparser_rejection(self, capsys, name):
+        # argparse names the subcommand whose parser rejected the argument
+        command, argv = SUBPARSER_REJECTED[name]
+        err = self.exits_2(capsys, argv.split())
+        lines = [line for line in err.splitlines() if "error:" in line]
+        assert len(lines) == 1 and lines[0].startswith(f"eisp {command}: error: ")
 
     @pytest.mark.parametrize("command", ["invariant", "hecke"])
     @pytest.mark.parametrize("m", ["0", "1", "7", "9"])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from eisperiods import cocycle
-from eisperiods.exact import QQ, ExtScalar, PolylogSymbol, qq, qq_str
+from eisperiods.exact import QQ, ExtScalar, PolylogSymbol, bernoulli_value, qq, qq_str, symbol_term
 from eisperiods.cocycle import (
     CoboundaryData,
     IndexSetError,
@@ -16,6 +16,7 @@ from eisperiods.cocycle import (
     build_induced,
     certify_parameter,
     coboundary,
+    coboundary_value,
     evaluate_cocycle,
     evaluate_word,
     modify_and_certify,
@@ -32,6 +33,7 @@ from eisperiods.modgroup import (
     Mat2,
     ResiduePair,
     STWord,
+    admissible,
     decompose_ST,
     index_set,
     parameter_orbit,
@@ -151,6 +153,29 @@ def scalar_act(coeffs, g):
             for j, y in enumerate(bottom):
                 out[i + j] = out[i + j] + scaled(c, x * y)
     return out
+
+
+def reference_period_S(k, mu, N):
+    """The period at S written out from its own Bernoulli products and the
+    two polylog gates, coefficient by coefficient: an exact reference for
+    the value that period_S reads from the closed L-values."""
+    mu = admissible(k, mu, N)
+    l1, l2 = mu.l1, mu.l2
+    denom = math.factorial(k) * (k - 1)
+    coeffs = [ExtScalar.zero() for _ in range(k - 1)]
+    for r in range(k - 1):
+        val = (
+            -math.comb(k, r + 1)
+            * bernoulli_value(k - r - 1, QQ(l1, N))
+            * bernoulli_value(r + 1, QQ(l2, N))
+            / denom
+        )
+        coeffs[k - 2 - r] = coeffs[k - 2 - r] + ExtScalar(val)
+    if l1 == 0:
+        coeffs[0] = coeffs[0] + symbol_term(k - 1, QQ(l2, N), QQ((-1) ** (k - 1), k - 1))
+    if l2 == 0:
+        coeffs[k - 2] = coeffs[k - 2] + symbol_term(k - 1, QQ(-l1, N), QQ(1, k - 1))
+    return coeffs
 
 
 def scalar_failures(coeffs):
@@ -331,6 +356,17 @@ class TestPeriodValues:
             period_T(3, lam(2, 1, 1), 2)
         with pytest.raises(IndexSetError):
             period_S(2, lam(3, 0, 0), 3)
+
+    def test_period_S_matches_reference(self):
+        # every admissible cell with N <= 6 and k <= 8, exactly
+        cells = [(k, mu, N) for N in range(1, 7) for k in range(2, 9) for mu in index_set(N, k)]
+        assert len(cells) == 616
+        for k, mu, N in cells:
+            got = period_S(k, mu, N).coeffs
+            assert [parts(c) for c in got] == [parts(c) for c in reference_period_S(k, mu, N)]
+            if k >= 3:
+                # the coboundary constant is the X^0 coefficient
+                assert coboundary_value(k, mu, N) == PeriodPoly.constant(k, got[0])
 
     def test_period_S_against_lvalue_oracle(self):
         # numeric check of the coefficient formula

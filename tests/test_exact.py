@@ -233,6 +233,8 @@ class TestExtScalar:
     def test_linear_ops(self):
         s = symbol_term(3, QQ(1, 3))
         t = symbol_term(3, QQ(1, 3), QQ(-1))
-        assert (s + t).is_zero()
+        assert parts(s + t) == (0, {})
         assert parts(s + s - s) == parts(s) == parts(-t)
         assert parts(s + QQ(1, 2) - 1) == (QQ(-1, 2), s.symbols)
+        assert parts((s + QQ(1, 2)).scale(-2)) == (QQ(-1), {PolylogSymbol(3, 1, 3): QQ(-2)})
+        assert parts(s.scale(0)) == (0, {})

@@ -22,6 +22,13 @@ CASES = {
     "relations": (0, "relations --k-max 4 --N-max 3"),
     "lvalues": (0, "lvalues --k 4 --N 3 --lambda 1,0"),
     "lvalues_n5": (0, "lvalues --k 4 --N 5 --lambda 1,2"),
+    # r = 4 = 0 mod 4, and the l1 = 0 polylog gate at r = k - 1
+    "lvalues_k6_n2": (0, "lvalues --k 6 --N 2 --lambda 0,1"),
+    # both polylog gates of the S-period fire (l1 = l2 = 0); at odd weight
+    # their symbols are rational and cancel the Bernoulli products exactly
+    "periods_k5_n3": (0, "periods --k 5 --N 3 --lambda 0,0"),
+    # both gates fire and leave a symbol, PL(5; 0), at X^0 and X^4
+    "periods_k6_n2": (0, "periods --k 6 --N 2 --lambda 0,0"),
     "fourier_e": (0, "--trunc 24 fourier --kind e --k 4 --N 3 --lambda 1,2"),
     "fourier_g": (0, "--trunc 24 fourier --kind g --k 4 --N 3 --lambda 1,2"),
     "check_lattice": (

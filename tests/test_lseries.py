@@ -8,14 +8,13 @@ from mpmath import mp, mpc, mpf
 from eisperiods import eisenstein
 from eisperiods.exact import QQ, ExtScalar, PolylogSymbol
 from eisperiods.lseries import (
-    IExt,
     LFunctionSpec,
     lvalue_closed,
     lvalue_lerch_product,
     lvalue_numeric,
 )
 from eisperiods.modgroup import S, ResiduePair, index_set
-from eisperiods.numerics import GUARD_BITS, PoleError, raw_scale
+from eisperiods.numerics import GUARD_BITS, PoleError, ext_scalar_value, raw_scale
 
 PREC = 192
 M = 200
@@ -27,6 +26,12 @@ def setup_module():
 
 def lam(N, l1, l2):
     return ResiduePair(N, l1, l2)
+
+
+def parts(x: ExtScalar):
+    """The canonical fields of an ExtScalar, compared in place of the
+    scalar."""
+    return x.rational, x.symbols
 
 
 class TestBoundedState:
@@ -150,20 +155,25 @@ class TestMellinRows:
                 assert [mpc(e)._mpc_ for e in row] == [e._mpc_ for e in terms]
 
 
-class TestIExt:
-    def test_rotation(self):
-        x = IExt().add_i_power(0, ExtScalar(QQ(3)))
-        y = x.times_i_power(2)
-        assert (y.one.rational, y.one.symbols) == (QQ(-3), {}) and y.ipart.is_zero()
-        z = x.times_i_power(1)
-        assert z.one.is_zero() and (z.ipart.rational, z.ipart.symbols) == (QQ(3), {})
-        w = x.times_i_power(4)
-        assert (w.one.rational, w.one.symbols) == (QQ(3), {}) and w.ipart.is_zero()
+class TestClosedRotation:
+    """L* = i^r v_r: parts() rotates the one symbol-ring value by i^r."""
 
-    def test_pure_part_guard(self):
-        x = IExt().add_i_power(1, ExtScalar(QQ(1)))
-        with pytest.raises(ValueError):
-            x.pure_part()
+    @pytest.mark.parametrize("r", range(1, 8))
+    @pytest.mark.parametrize("N, l1, l2", [(3, 0, 0), (5, 1, 2)])
+    def test_parts_rotate_by_i_power(self, N, l1, l2, r):
+        # at (0, 0) the polylog gates fire at r = 1 and r = 7; at (1, 2)
+        # every v_r is a nonzero rational
+        lv = lvalue_closed(8, lam(N, l1, l2), N, r)
+        v = lv.value
+        if l1 or r in (1, 7):
+            assert parts(v) != (0, {})
+        one, ipart = lv.parts()
+        on_axis, off_axis = (one, ipart) if r % 2 == 0 else (ipart, one)
+        assert parts(on_axis) == parts(v if r % 4 < 2 else -v)
+        assert parts(off_axis) == (0, {})
+        with mp.workprec(PREC + GUARD_BITS):
+            want = (1, 1j, -1, -1j)[r % 4] * ext_scalar_value(v, PREC)
+        assert lv.numeric(PREC)._mpc_ == want._mpc_
 
 
 class TestClosedValues:
@@ -171,7 +181,8 @@ class TestClosedValues:
         lv = lvalue_closed(4, lam(1, 0, 0), 1, 2)
         raw = lv.numeric(PREC) * raw_scale(4, PREC)
         assert abs(raw - (-mp.pi ** 4 / 54)) < mpf(2) ** -150
-        assert lv.bernoulli_coeff == QQ(1, 864)
+        # no polylog gate at r = 2: the value is the Bernoulli product alone
+        assert parts(lv.value) == (QQ(1, 864), {})
 
     def test_weight_three_value(self):
         lv = lvalue_closed(3, lam(3, 1, 1), 3, 1)
@@ -180,11 +191,10 @@ class TestClosedValues:
 
     def test_polylog_term_gating(self):
         lv = lvalue_closed(4, lam(2, 0, 1), 2, 3)
-        syms = set(lv.value.one.symbols) | set(lv.value.ipart.symbols)
-        assert PolylogSymbol(3, 1, 2) in syms
+        assert PolylogSymbol(3, 1, 2) in lv.value.symbols
         # no gate fires away from the boundary arguments
         lv2 = lvalue_closed(4, lam(2, 1, 1), 2, 2)
-        assert not lv2.value.one.symbols and not lv2.value.ipart.symbols
+        assert not lv2.value.symbols
 
     def test_argument_range(self):
         with pytest.raises(ValueError):
