@@ -366,7 +366,10 @@ def cmd_relations(args, config: RunConfig) -> tuple[dict, int]:
     bad = 0
     for N in ns:
         for k in ks:
-            lams = [ResiduePair(N, *args.lam)] if args.lam else index_set(N, k)
+            lams = index_set(N, k)
+            if args.lam:
+                # a fixed lambda runs at every cell of the range that admits it
+                lams = [lam for lam in lams if lam == ResiduePair(N, *args.lam)]
             for lam in lams:
                 ok = verify_relations(build_induced(k, lam, N))
                 records.append(

@@ -21,30 +21,29 @@ reconstructed through the cocycle rule along an S/T word.  T-power runs are
 evaluated in closed form (Bernoulli sums over arithmetic progressions), so
 evaluation cost is logarithmic in the matrix entries.
 
-Every per-coset loop runs on a quotient of the coset set on which the stored
-values are constant and which right multiplication by T and S maps class to
-class.  Every value the cocycle rule builds is then constant on the classes
-too, so it is computed once per class and expanded to one entry per coset
-only when returned.  The values of build_induced and coboundary depend on
-the transported parameter lambda sigma only, so the classes are the
-lambda-orbit (12, 24 and 24 classes at N = 4, 5, 6 for lambda = (0,1),
-against 48, 120 and 144 cosets).  The orbit is enumerated once per
-(lambda, N) (modgroup.parameter_orbit), handed to the cochain, and handed on
-by modify_and_certify to the modified cochain, so building, certifying and
-evaluating a cell compute one value per orbit element.  A cochain edited
-after it was built is evaluated on the discrete quotient, one class per
-coset.  Evaluation cost scales with the orbit, not with |SL2(Z/N)|.
+A cochain holds a quotient of the coset set that right multiplication by
+T and S maps class to class, and one value at T and one at S per class of
+it.  Every value the cocycle rule builds is then constant on the classes
+too, so it is computed once per class; values are expanded to one entry per
+coset only at the report boundary: RationalityReport.to_json and the returns
+of evaluate_word and evaluate_cocycle.  The values of build_induced and
+coboundary depend on the transported parameter lambda sigma only, so their
+quotient is the lambda-orbit (12, 24 and 24 classes at N = 4, 5, 6 for
+lambda = (0,1), against 48, 120 and 144 cosets), enumerated once per
+(lambda, N) (modgroup.parameter_orbit); modify_and_certify keeps the
+quotient of the cochain it modifies.  InducedCochain.copy() puts a cochain
+on the discrete quotient, one class per coset, so that an edit can change
+one coset alone.  Evaluation cost scales with the quotient, not with
+|SL2(Z/N)|.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from math import comb, factorial, gcd, lcm
-from operator import add, is_, mul
+from operator import add, mul
 from typing import List, Optional, Sequence, Tuple, Union
-
-from mpmath import mpc
 
 from .exact import QQ, ExtScalar, PolylogSymbol, bernoulli_value
 from .lseries import lvalue_closed
@@ -62,7 +61,6 @@ from .modgroup import (
     parameter_orbit,
     t_power,
 )
-from .numerics import DEFAULT_PREC, ext_scalar_value, prec_guard
 
 Channel = Sequence[int]
 # One signed summand for _sum: (sign, den, rational channel, symbol channels);
@@ -148,14 +146,6 @@ class PeriodPoly:
     def act(self, g: Mat2) -> "PeriodPoly":
         """Right weight action, through the cached matrix of g."""
         return _apply(_action_matrix(self.k, g), self)
-
-    def shift(self, n: int) -> "PeriodPoly":
-        """P(X + n), the T^n action."""
-        return self.act(t_power(n))
-
-    @prec_guard
-    def numeric_coeffs(self, prec: int = DEFAULT_PREC) -> List[mpc]:
-        return [ext_scalar_value(c, prec) for c in self.coeffs]
 
     def symbol_failures(self) -> List[Tuple[int, str, str]]:
         """(coefficient index, symbol, coefficient) for every surviving
@@ -341,95 +331,75 @@ def period_S(k: int, lam: ResiduePair, N: int) -> PeriodPoly:
 
 @dataclass
 class InducedCochain:
-    """Cocycle data on the coset module: one period polynomial per coset at
-    each of the generators T and S.  Evaluation runs on the same data with
-    one entry per class of a CosetQuotient as its table (see _reduce).
-
-    orbit is a closed quotient whose classes each hold one value object:
-    build_induced sets the lambda-orbit, and modify_and_certify hands on the
-    quotient it ran on.  copy() drops it, so an edited copy is evaluated
-    per coset."""
+    """Cocycle data on the coset module, stored on a quotient of the coset
+    table: one period polynomial per class of the quotient at each of the
+    generators T and S, shared by the cosets of the class.  quotient is
+    closed under right multiplication, so every value the cocycle rule
+    builds is constant on its classes.  build_induced stores the
+    lambda-orbit, modify_and_certify keeps the quotient of the cochain it
+    modifies, and copy() stores the discrete quotient."""
 
     k: int
     N: int
     lam: ResiduePair
-    table: Union[CosetTable, CosetQuotient]
+    table: CosetTable
+    quotient: CosetQuotient
     val_T: List[PeriodPoly]
     val_S: List[PeriodPoly]
-    orbit: Optional[CosetQuotient] = field(default=None, repr=False, compare=False)
 
     def copy(self) -> "InducedCochain":
+        """The cochain on the discrete quotient, one class per coset, with
+        its values expanded, so that an edit changes one coset alone."""
         return InducedCochain(
-            self.k, self.N, self.lam, self.table, list(self.val_T), list(self.val_S)
+            self.k,
+            self.N,
+            self.lam,
+            self.table,
+            CosetQuotient.closed(self.table, range(len(self.table))),
+            self.quotient.expand(self.val_T),
+            self.quotient.expand(self.val_S),
         )
 
-    def quotient(self) -> CosetQuotient:
-        """A coset quotient on which val_T and val_S are constant and which
-        is closed under right multiplication; evaluation runs per class.  It
-        is the orbit while the values are one object per orbit class, and
-        the discrete quotient otherwise (see _quotient)."""
-        return _quotient(self)
 
-
-def _constant_on(quot: CosetQuotient, values: Sequence[PeriodPoly]) -> bool:
-    """Whether the per-coset values are one object on each class of quot."""
-    return len(values) == len(quot.class_of) and all(
-        map(is_, values, quot.expand(_on_classes(quot, values)))
-    )
-
-
-def _quotient(cochain: InducedCochain, *extra: Sequence[PeriodPoly]) -> CosetQuotient:
-    """A closed quotient on which the cochain's values and the extra
-    per-coset lists are constant.  While every list is one object per class
-    of the cochain's orbit, that is the orbit: the values of build_induced,
-    coboundary and the period caches depend on lambda sigma only, and
-    distinct parameters give distinct objects, so there the lambda-orbit is
-    also the coarsest.  Otherwise the discrete quotient, one class per
-    coset."""
-    values = (cochain.val_T, cochain.val_S, *extra)
-    orbit = cochain.orbit
-    if orbit is not None and all(_constant_on(orbit, v) for v in values):
-        return orbit
-    return CosetQuotient.closed(cochain.table, range(len(cochain.table)))
-
-
-def _on_classes(quot: CosetQuotient, values: Sequence[PeriodPoly]) -> List[PeriodPoly]:
-    return [values[r] for r in quot.representatives]
-
-
-def _reduce(cochain: InducedCochain) -> InducedCochain:
-    """The cochain with one entry per class of its quotient, which is its
-    table."""
-    quot = cochain.quotient()
-    return InducedCochain(
-        cochain.k,
-        cochain.N,
-        cochain.lam,
-        quot,
-        _on_classes(quot, cochain.val_T),
-        _on_classes(quot, cochain.val_S),
-    )
+def _classes_of(cochain: InducedCochain) -> CosetQuotient:
+    """The cochain's quotient, after checking that it holds one value per
+    class at T and at S (zip would silently truncate a longer list)."""
+    quot = cochain.quotient
+    if not len(cochain.val_T) == len(cochain.val_S) == len(quot):
+        raise ValueError(
+            f"cochain holds {len(cochain.val_T)} values at T and {len(cochain.val_S)} at S "
+            f"for the {len(quot)} classes of its quotient"
+        )
+    return quot
 
 
 def build_induced(k: int, lam: ResiduePair, N: int) -> InducedCochain:
     """Cochain whose value at gamma on the coset of sigma is the period of
-    the series with parameter transported by sigma: one value per element
-    of the lambda-orbit, shared by the cosets of its class."""
+    the series with parameter transported by sigma: stored on the
+    lambda-orbit, one value per transported parameter."""
     lam = admissible(k, lam, N)
     orbit, params = parameter_orbit(lam)
-    val_T = orbit.expand([period_T(k, mu, N) for mu in params])
-    val_S = orbit.expand([period_S(k, mu, N) for mu in params])
-    return InducedCochain(k, N, lam, enumerate_sl2(N), val_T, val_S, orbit)
+    return InducedCochain(
+        k,
+        N,
+        lam,
+        enumerate_sl2(N),
+        orbit,
+        [period_T(k, mu, N) for mu in params],
+        [period_S(k, mu, N) for mu in params],
+    )
 
 
 @dataclass
 class CoboundaryData:
-    """Constant polynomials (scalars for weight 2), one per coset, whose
-    coboundary removes every transcendental term from the stored cocycle."""
+    """Constant polynomials (scalars for weight 2) whose coboundary removes
+    every transcendental term from the stored cocycle: one per class of the
+    lambda-orbit, the constant of its transported parameter."""
 
     k: int
     N: int
     lam: ResiduePair
+    orbit: CosetQuotient
     values: List[PeriodPoly]
 
 
@@ -446,11 +416,10 @@ def coboundary_value(k: int, mu: ResiduePair, N: int) -> PeriodPoly:
 
 def coboundary(k: int, lam: ResiduePair, N: int) -> CoboundaryData:
     """Exact coboundary data from the closed L-values: coboundary_value of
-    the transported parameter lambda sigma on each coset sigma, one value
-    per element of the lambda-orbit."""
+    the transported parameter, one value per element of the lambda-orbit."""
     lam = admissible(k, lam, N)
     orbit, params = parameter_orbit(lam)
-    return CoboundaryData(k, N, lam, orbit.expand([coboundary_value(k, mu, N) for mu in params]))
+    return CoboundaryData(k, N, lam, orbit, [coboundary_value(k, mu, N) for mu in params])
 
 
 @dataclass
@@ -471,24 +440,20 @@ class RationalityReport:
             "rational": self.certified,
             "failures": self.failures,
         }
-        # cosets of one class share one PeriodPoly: serialize each once
-        memo = {}
 
-        def values(polys: List[PeriodPoly]) -> list:
-            for p in polys:
-                if id(p) not in memo:
-                    memo[id(p)] = p.to_json()
-            return [memo[id(p)] for p in polys]
+        def values(cochain: InducedCochain, polys: List[PeriodPoly]) -> list:
+            # each class serialized once, its cosets sharing the result
+            return cochain.quotient.expand([p.to_json() for p in polys])
 
         if original is not None:
             out["cosets"] = len(original.table)
             if include_values:
-                out["values_T"] = values(original.val_T)
-                out["values_S"] = values(original.val_S)
+                out["values_T"] = values(original, original.val_T)
+                out["values_S"] = values(original, original.val_S)
         if modified is not None:
             out["cosets"] = len(modified.table)
             if include_values:
-                out["modified"] = {"T": values(modified.val_T), "S": values(modified.val_S)}
+                out["modified"] = {"T": values(modified, modified.val_T), "S": values(modified, modified.val_S)}
         return out
 
 
@@ -499,8 +464,8 @@ def _transport(values: List[PeriodPoly], sources: Sequence[int], matrix, sign: i
     return [_image(matrix, values[j], sign) for j in sources]
 
 
-def _t_sources(table: CosetQuotient, n: int) -> List[int]:
-    return [table.rmul_t_power(i, -n) for i in range(len(table))]
+def _t_sources(quot: CosetQuotient, n: int) -> List[int]:
+    return [quot.rmul_t_power(i, -n) for i in range(len(quot))]
 
 
 def modify_and_certify(
@@ -509,21 +474,19 @@ def modify_and_certify(
     """Add the coboundary F|_gamma - F to the stored values at T and S and
     report, per coset and coefficient, whether every polylog-symbol
     coefficient cancelled exactly.  The sums and the symbol scan run once per
-    class of the quotient on which the cochain and F are constant."""
-    if (cochain.k, cochain.N) != (cob.k, cob.N):
-        raise ValueError("cochain and coboundary data have incompatible (k, N)")
-    quot = _quotient(cochain, cob.values)
-    val_T, val_S, cob_values = (
-        _on_classes(quot, vals) for vals in (cochain.val_T, cochain.val_S, cob.values)
-    )
+    class of the cochain's quotient, which refines the lambda-orbit F is
+    stored on (it is that orbit, or the discrete quotient of a copy), so F is
+    read at each class representative."""
+    if (cochain.k, cochain.N, cochain.lam) != (cob.k, cob.N, cob.lam):
+        raise ValueError("cochain and coboundary data have incompatible (k, N, lambda)")
+    quot = _classes_of(cochain)
+    F = [cob.values[cob.orbit.class_of[r]] for r in quot.representatives]
     k = cochain.k
-    moved_T = _transport(cob_values, _t_sources(quot, 1), _action_matrix(k, T))
-    moved_S = _transport(cob_values, quot.rmul_S_inv, _action_matrix(k, S))
-    new_T = [_sum(k, (_term(a), m, _term(f, -1))) for a, m, f in zip(val_T, moved_T, cob_values)]
-    new_S = [_sum(k, (_term(a), m, _term(f, -1))) for a, m, f in zip(val_S, moved_S, cob_values)]
-    modified = InducedCochain(
-        cochain.k, cochain.N, cochain.lam, cochain.table, quot.expand(new_T), quot.expand(new_S), quot
-    )
+    moved_T = _transport(F, _t_sources(quot, 1), _action_matrix(k, T))
+    moved_S = _transport(F, quot.rmul_S_inv, _action_matrix(k, S))
+    new_T = [_sum(k, (_term(a), m, _term(f, -1))) for a, m, f in zip(cochain.val_T, moved_T, F)]
+    new_S = [_sum(k, (_term(a), m, _term(f, -1))) for a, m, f in zip(cochain.val_S, moved_S, F)]
+    modified = InducedCochain(k, cochain.N, cochain.lam, cochain.table, quot, new_T, new_S)
     failures = []
     for gen, vals in (("T", new_T), ("S", new_S)):
         class_failures = [poly.symbol_failures() for poly in vals]
@@ -532,7 +495,7 @@ def modify_and_certify(
                 failures.append(
                     {"coset": i, "generator": gen, "coeff_index": idx, "symbol": sym, "coeff": coeff}
                 )
-    report = RationalityReport(cochain.k, cochain.N, cochain.lam, not failures, failures)
+    report = RationalityReport(k, cochain.N, cochain.lam, not failures, failures)
     return modified, report
 
 
@@ -541,7 +504,7 @@ def modify_and_certify(
 
 
 def _zero_values(cochain: InducedCochain) -> List[PeriodPoly]:
-    return [PeriodPoly.zero(cochain.k) for _ in range(len(cochain.table))]
+    return [PeriodPoly.zero(cochain.k) for _ in range(len(cochain.quotient))]
 
 
 def _t_run_value(cochain: InducedCochain, n: int) -> List[PeriodPoly]:
@@ -551,40 +514,40 @@ def _t_run_value(cochain: InducedCochain, n: int) -> List[PeriodPoly]:
         return _zero_values(cochain)
     if n == 1:
         return list(cochain.val_T)
-    table = cochain.table
+    quot = cochain.quotient
     k, N = cochain.k, cochain.N
     if n < 0:
         # c(T^n) = -c(T^{-n})|_{T^n}
         back = _t_run_value(cochain, -n)
-        moved = _transport(back, _t_sources(table, n), _action_matrix(k, t_power(n)), -1)
+        moved = _transport(back, _t_sources(quot, n), _action_matrix(k, t_power(n)), -1)
         return [_sum(k, (m,)) for m in moved]
     # residue class r of j < n holds (n - 1 - r) // N + 1 terms
     runs = [_t_run_matrix(k, r, N, (n - 1 - r) // N + 1) for r in range(min(N, n))]
     out = []
-    for i in range(len(table)):
+    for i in range(len(quot)):
         terms = []
         idx = i
         for run in runs:
             # idx now points at sigma T^{-r}
             terms.append(_image(run, cochain.val_T[idx]))
-            idx = table.rmul_T_inv[idx]
+            idx = quot.rmul_T_inv[idx]
         out.append(_sum(k, terms))
     return out
 
 
 def _evaluate_classes(cochain: InducedCochain, tokens) -> List[PeriodPoly]:
     """Cocycle value along a token word via c(uv) = c(u)|_v + c(v), one
-    step per T-run and per letter S."""
-    table = cochain.table
+    step per T-run and per letter S, one value per class of the quotient."""
+    quot = _classes_of(cochain)
     acc: Optional[List[PeriodPoly]] = None
     for kind, n in tokens:
         if kind not in ("S", "T"):
             raise ValueError(f"unknown token {kind!r}")
         for _ in range(n if kind == "S" else 1):
             if kind == "S":
-                value, sources, g = cochain.val_S, table.rmul_S_inv, S
+                value, sources, g = cochain.val_S, quot.rmul_S_inv, S
             else:
-                value, sources, g = _t_run_value(cochain, n), _t_sources(table, n), t_power(n)
+                value, sources, g = _t_run_value(cochain, n), _t_sources(quot, n), t_power(n)
             if acc is None:
                 acc = list(value)
             else:
@@ -596,8 +559,7 @@ def _evaluate_classes(cochain: InducedCochain, tokens) -> List[PeriodPoly]:
 def evaluate_word(cochain: InducedCochain, tokens) -> List[PeriodPoly]:
     """Cocycle value along a token word, one polynomial per coset (cosets of
     one class share the object)."""
-    reduced = _reduce(cochain)
-    return reduced.table.expand(_evaluate_classes(reduced, tokens))
+    return cochain.quotient.expand(_evaluate_classes(cochain, tokens))
 
 
 def evaluate_cocycle(cochain: InducedCochain, gamma: Mat2) -> List[PeriodPoly]:
@@ -608,15 +570,14 @@ def evaluate_cocycle(cochain: InducedCochain, gamma: Mat2) -> List[PeriodPoly]:
 def verify_relations(cochain: InducedCochain) -> bool:
     """Exact well-definedness: the values along S^4 must vanish and the
     values along (ST)^3 must equal those along S^2."""
-    reduced = _reduce(cochain)
-    k, back = reduced.k, reduced.table.rmul_S_inv
-    s2 = _evaluate_classes(reduced, [("S", 2)])
+    k, back = cochain.k, cochain.quotient.rmul_S_inv
+    s2 = _evaluate_classes(cochain, [("S", 2)])
     # c(S^4) = c(S^2)|S^2 + c(S^2): one transport by S^2 = -I, whose source
     # for sigma is sigma S^-2
     moved = _transport(s2, [back[back[i]] for i in range(len(back))], _action_matrix(k, S * S))
     if not all(_sum(k, (m, _term(v))).is_zero() for m, v in zip(moved, s2)):
         return False
-    st3 = _evaluate_classes(reduced, [("S", 1), ("T", 1)] * 3)
+    st3 = _evaluate_classes(cochain, [("S", 1), ("T", 1)] * 3)
     return all(a == b for a, b in zip(st3, s2))
 
 

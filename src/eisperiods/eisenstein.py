@@ -238,19 +238,6 @@ class MaassFourier:
     def w(self) -> int:
         return self.k + self.l
 
-    def v_exponent_bounds_ok(self) -> bool:
-        """Shape assertion: A_j uses v^-(l+r), 0 <= r <= k-1; C_j uses
-        v^-(k+r), 0 <= r <= l-1; C0 is a multiple of v^{1-w}."""
-        for d in self.A:
-            for ex in d:
-                if not (-(self.l + self.k - 1) <= ex <= -self.l):
-                    return False
-        for d in self.C:
-            for ex in d:
-                if not (-(self.k + self.l - 1) <= ex <= -self.k):
-                    return False
-        return all(ex == 1 - self.w for ex in self.C0)
-
     def to_json(self) -> dict:
         return {
             "kind": "maass",

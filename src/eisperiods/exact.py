@@ -346,17 +346,3 @@ def symbol_term(w: int, arg, coeff=1) -> ExtScalar:
         out = out + ExtScalar.from_symbol(sym, sc * coeff)
     return out
 
-
-def symbol_reduce(w: int, raw_terms: Dict) -> ExtScalar:
-    """Reduce a raw sum of weight-w polylog symbols to canonical form.
-
-    raw_terms maps arguments a/N in [0, 1) to rational coefficients.  Symbols
-    with argument above 1/2 are rewritten through the reflection relation
-    PL(w; 1-x) = -B_w(x)/w! - (-1)^w PL(w; x); even-weight self-paired
-    arguments (0 and 1/2) become rationals; rational byproducts accumulate
-    into the rational part.
-    """
-    out = ExtScalar.zero()
-    for arg, coeff in sorted(raw_terms.items(), key=lambda t: qq(t[0])):
-        out = out + symbol_term(w, arg, coeff)
-    return out

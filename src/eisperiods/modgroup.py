@@ -160,21 +160,6 @@ class ResiduePair:
         return f"({self.l1},{self.l2}) mod {self.N}"
 
 
-def sl2_order(N: int) -> int:
-    """|SL2(Z/N)| = N^3 prod_{p | N} (1 - p^-2)."""
-    order = N ** 3
-    n, p = N, 2
-    while p * p <= n:
-        if n % p == 0:
-            order = order * (p * p - 1) // (p * p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        order = order * (n * n - 1) // (n * n)
-    return order
-
-
 class _RightMultiplication:
     """Right multiplication by T and T^-1 on a set of indexed items (the
     cosets of a CosetTable, or the classes of a CosetQuotient); T^N acts

@@ -128,6 +128,33 @@ class TestRelationsCommand:
         assert doc["records"] == [] and doc["failed"] == 0
         assert doc["warning"].startswith("empty sweep: ")
 
+    def test_fixed_lambda_runs_where_admissible(self, capsys):
+        """A fixed --lambda runs at every cell of the range whose index set
+        holds it mod N, and a range with none gets the empty-sweep warning."""
+        from eisperiods.modgroup import ResiduePair, index_set
+
+        code, doc = run(capsys, "relations", "--lambda", "1,1")
+        assert code == 0 and doc["failed"] == 0 and "warning" not in doc
+        want = [
+            (k, N, [1 % N, 1 % N]) for N in range(1, 7) for k in range(2, 9)
+            if ResiduePair(N, 1, 1) in index_set(N, k)
+        ]
+        assert [(r["k"], r["N"], r["lambda"]) for r in doc["records"]] == want
+        assert (2, 1, [0, 0]) not in want and (4, 1, [0, 0]) in want
+
+        code, doc = run(capsys, "relations", "--k", "3", "--N-max", "4", "--lambda", "1,2")
+        assert code == 0
+        assert [(r["N"], r["lambda"]) for r in doc["records"]] == [(3, [1, 2]), (4, [1, 2])]
+
+        code, doc = run(capsys, "relations", "--k", "3", "--N", "1", "--lambda", "0,0")
+        assert code == 0 and doc["records"] == []
+        assert doc["warning"].startswith("empty sweep: ")
+
+        code, doc = run(capsys, "relations", "--k", "4", "--N", "3", "--lambda", "4,-2")
+        _, full = run(capsys, "relations", "--k", "4", "--N", "3")
+        assert code == 0
+        assert doc["records"] == [r for r in full["records"] if r["lambda"] == [1, 1]]
+
 
 class TestInvariantCommand:
     def test_gaussian_m2(self, capsys):

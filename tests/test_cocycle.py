@@ -37,9 +37,9 @@ from eisperiods.modgroup import (
     decompose_ST,
     index_set,
     parameter_orbit,
-    sl2_order,
     t_power,
 )
+from eisperiods.numerics import ext_scalar_value
 
 PREC = 192
 
@@ -138,6 +138,16 @@ def scaled(c: ExtScalar, x) -> ExtScalar:
     return ExtScalar(c.rational * x, {s: v * x for s, v in c.symbols.items()})
 
 
+def shift(p, n):
+    """P(X + n) by the binomial theorem, coefficient by coefficient in
+    ExtScalar arithmetic: a reference for the T^n action."""
+    c = p.coeffs
+    return PeriodPoly(p.k, [
+        sum((scaled(c[m], math.comb(m, j) * n ** (m - j)) for m in range(j, p.k - 1)), ExtScalar.zero())
+        for j in range(p.k - 1)
+    ])
+
+
 def scalar_act(coeffs, g):
     """(cX+d)^{k-2} P((aX+b)/(cX+d)) coefficient by coefficient in ExtScalar
     arithmetic: the reference for the integer channel kernel."""
@@ -206,7 +216,7 @@ class TestPeriodPolyAction:
         rng = random.Random(23)
         p = PeriodPoly(6, [ExtScalar(QQ(rng.randrange(-5, 6))) for _ in range(5)])
         for n in (-3, -1, 1, 2, 7):
-            assert p.shift(n) == p.act(t_power(n))
+            assert shift(p, n) == p.act(t_power(n))
 
     def test_minus_identity(self):
         p = rational_poly(5, ["1/2", "-2/3", "1/1", "5/7"])
@@ -249,7 +259,7 @@ class TestPeriodPolyAction:
             for r, step, terms in ((0, 1, 1), (2, 3, 4), (1, 4, 7), (3, 5, 0)):
                 want = PeriodPoly.zero(p.k)
                 for i in range(terms):
-                    want = want + p.shift(r + i * step)
+                    want = want + shift(p, r + i * step)
                 assert _apply(_t_run_matrix(p.k, r, step, terms), p) == want
 
 
@@ -382,7 +392,7 @@ class TestPeriodValues:
         for k, lamv, N in cases:
             p = period_S(k, lamv, N)
             spec = LFunctionSpec.for_e_series(k, lamv, N, 200)
-            got = p.numeric_coeffs(PREC)
+            got = [ext_scalar_value(c, PREC) for c in p.coeffs]
             for r in range(k - 1):
                 want = mpc(1j) ** (1 - r) * math.comb(k - 2, r) * lvalue_numeric(spec, r + 1, PREC)
                 assert abs(got[k - 2 - r] - want) < mpf(10) ** -18
@@ -398,10 +408,39 @@ class TestInducedCochain:
     def test_coset_transport(self):
         c = build_induced(2, lam(2, 0, 1), 2)
         assert len(c.table) == 6
+        val_T, val_S = c.quotient.expand(c.val_T), c.quotient.expand(c.val_S)
         for i in range(6):
             mu = transported(c.lam, c.table.elements[i])
-            assert c.val_T[i] == period_T(2, mu, 2)
-            assert c.val_S[i] == period_S(2, mu, 2)
+            assert val_T[i] == period_T(2, mu, 2)
+            assert val_S[i] == period_S(2, mu, 2)
+
+    def test_copy_is_discrete_and_expanded(self):
+        """copy() is the per-coset constructor: one class per coset, its
+        right multiplication that of the table, the values expanded."""
+        c = build_induced(6, lam(4, 2, 1), 4)
+        d = c.copy()
+        quot, table = d.quotient, d.table
+        assert table is c.table and len(c.quotient) < len(quot) == len(table)
+        assert quot.class_of == quot.representatives == tuple(range(len(table)))
+        assert (quot.rmul_T, quot.rmul_T_inv, quot.rmul_S_inv) == (
+            table.rmul_T, table.rmul_T_inv, table.rmul_S_inv
+        )
+        assert d.val_T == c.quotient.expand(c.val_T) and d.val_S == c.quotient.expand(c.val_S)
+        assert d.val_S is not c.val_S
+
+    def test_values_must_match_the_quotient(self):
+        """A per-coset list assigned to a cochain stored on its orbit is
+        rejected, not silently truncated."""
+        c = build_induced(4, lam(3, 1, 1), 3)
+        per_coset = c.quotient.expand(c.val_S)
+        assert len(per_coset) > len(c.quotient)
+        c.val_S = per_coset
+        with pytest.raises(ValueError, match="classes of its quotient"):
+            evaluate_word(c, [("S", 1)])
+        with pytest.raises(ValueError, match="classes of its quotient"):
+            verify_relations(c)
+        with pytest.raises(ValueError, match="classes of its quotient"):
+            modify_and_certify(c, coboundary(4, lam(3, 1, 1), 3))
 
 
 class TestCoboundaryAndCertification:
@@ -420,10 +459,11 @@ class TestCoboundaryAndCertification:
         N = 2
         cob = coboundary(2, lam(N, 0, 1), N)
         table = build_induced(2, lam(N, 0, 1), N).table
+        values = cob.orbit.expand(cob.values)
         for i in range(len(table)):
             mu = transported(lam(N, 0, 1), table.elements[i])
             if mu.l1 != 0:
-                assert cob.values[i].is_zero()
+                assert values[i].is_zero()
 
     def test_t_value_unchanged_at_level_one_even_weight(self):
         # at N = 1 the coboundary is constant across cosets and T acts
@@ -442,13 +482,13 @@ class TestCoboundaryAndCertification:
         """Adding the coboundary F|g - F to a cocycle gives a cocycle: the
         modified cochain of every admissible cell with N <= 5, k <= 8 (365
         cells) satisfies the S^4 and (ST)^3 relations, evaluated on the
-        orbit it was handed."""
+        quotient of the cochain it came from."""
         cells = 0
         for N in range(1, 6):
             for k in range(2, 9):
                 for lamv in index_set(N, k):
                     cochain, modified, _ = certify_parameter(k, lamv, N)
-                    assert modified.quotient() is cochain.orbit, (k, N, lamv)
+                    assert modified.quotient is cochain.quotient, (k, N, lamv)
                     assert verify_relations(modified), (k, N, lamv)
                     cells += 1
         assert cells == 365
@@ -461,6 +501,25 @@ class TestCoboundaryAndCertification:
         assert doc["cosets"] == 6
         assert len(doc["modified"]["S"]) == 6
 
+    def test_copy_certifies_as_the_orbit(self):
+        """modify_and_certify on the discrete copy reads F at every coset and
+        gives the orbit's values and report, coset by coset."""
+        for k, N, lamv in [(2, 4, lam(4, 0, 3)), (5, 3, lam(3, 1, 0)), (6, 4, lam(4, 2, 1))]:
+            cochain, modified, report = certify_parameter(k, lamv, N)
+            per_coset, again = modify_and_certify(cochain.copy(), coboundary(k, lamv, N))
+            assert per_coset.quotient is not cochain.quotient
+            assert per_coset.val_T == modified.quotient.expand(modified.val_T)
+            assert per_coset.val_S == modified.quotient.expand(modified.val_S)
+            assert again == report
+
+    def test_coboundary_of_another_parameter_is_rejected(self):
+        """F is read on the lambda-orbit of its own parameter, so the check
+        covers lambda, even one of the same orbit as the cochain's."""
+        cochain = build_induced(4, lam(5, 0, 1), 5)
+        for other in ((4, lam(5, 1, 0), 5), (6, lam(5, 0, 1), 5)):
+            with pytest.raises(ValueError, match=r"incompatible \(k, N, lambda\)"):
+                modify_and_certify(cochain, coboundary(*other))
+
 
 class TestEvaluation:
     def test_identity_is_zero(self):
@@ -472,15 +531,18 @@ class TestEvaluation:
         c = build_induced(4, lam(2, 0, 1), 2)
         got = evaluate_word(c, [("T", 2)])
         # c(T^2) = c(T)|_T + c(T)
+        d = c.copy()
         want = [
-            c.val_T[c.table.rmul_T_inv[i]].shift(1) + c.val_T[i]
-            for i in range(len(c.table))
+            shift(d.val_T[d.table.rmul_T_inv[i]], 1) + d.val_T[i]
+            for i in range(len(d.table))
         ]
         assert all(a == b for a, b in zip(got, want))
 
     def test_t_run_of_one_is_the_stored_value(self):
         c = build_induced(5, lam(3, 1, 2), 3)
-        assert all(a is b for a, b in zip(evaluate_word(c, [("T", 1)]), c.val_T))
+        got = evaluate_word(c, [("T", 1)])
+        assert len(got) == len(c.table)
+        assert all(a is b for a, b in zip(got, c.quotient.expand(c.val_T)))
 
     def test_t_run_closed_form_matches_letters(self):
         c = build_induced(3, lam(3, 1, 2), 3)
@@ -495,8 +557,9 @@ class TestEvaluation:
     def test_s_inverse(self):
         c = build_induced(4, lam(2, 1, 0), 2)
         got = evaluate_cocycle(c, S.inverse())
+        val_S = c.quotient.expand(c.val_S)
         want = [
-            -(c.val_S[coset_times(c.table, i, S)].act(S.inverse()))
+            -(val_S[coset_times(c.table, i, S)].act(S.inverse()))
             for i in range(len(c.table))
         ]
         assert all(a == b for a, b in zip(got, want))
@@ -535,14 +598,15 @@ def naive_evaluate(c, tokens):
     on every coset, with the cosets looked up from residue products."""
     table = c.table
     cosets = range(len(table))
+    val_T, val_S = c.quotient.expand(c.val_T), c.quotient.expand(c.val_S)
 
     def letter_value(letter, i):
         if letter == "S":
-            return c.val_S[i]
+            return val_S[i]
         if letter == "T":
-            return c.val_T[i]
+            return val_T[i]
         # c(T^-1)(sigma) = -c(T)(sigma T)|T^-1, from c(T T^-1) = 0
-        return -c.val_T[coset_times(table, i, T)].act(t_power(-1))
+        return -val_T[coset_times(table, i, T)].act(t_power(-1))
 
     acc = [PeriodPoly.zero(c.k) for _ in cosets]
     for letter in STWord(tokens).letters():
@@ -566,8 +630,8 @@ WORDS = st.lists(
 
 
 class TestOrbitQuotient:
-    """Evaluation runs once per class of the coset quotient; the results must
-    be those of a per-coset evaluation."""
+    """Evaluation runs once per class of the cochain's quotient; the results
+    must be those of a per-coset evaluation."""
 
     @given(
         cell=st.sampled_from(SMALL_CELLS),
@@ -587,48 +651,38 @@ class TestOrbitQuotient:
         assert got == naive_evaluate(c, tokens)
 
     def test_orbit_class_counts(self):
-        for N, classes in ((4, 12), (5, 24), (6, 24)):
+        for N, cosets, classes in ((4, 48, 12), (5, 120, 24), (6, 144, 24)):
             for k in (2, 3, 4):
                 c = build_induced(k, lam(N, 0, 1), N)
-                assert (len(c.table), len(c.quotient())) == (sl2_order(N), classes)
+                assert (len(c.table), len(c.quotient), len(c.val_T), len(c.val_S)) == (
+                    cosets, classes, classes, classes
+                )
 
-    def test_perturbed_quotient_is_finer_and_closed(self):
-        c = build_induced(6, lam(4, 2, 1), 4)
-        bad = perturbed(c, "S", 0)
-        quot = bad.quotient()
-        assert len(c.quotient()) < len(quot) <= len(c.table)
-        table = bad.table
-        for i, cls in enumerate(quot.class_of):
-            rep = quot.representatives[cls]
-            assert bad.val_T[i] is bad.val_T[rep] and bad.val_S[i] is bad.val_S[rep]
-            assert quot.rmul_T[cls] == quot.class_of[table.rmul_T[i]]
-            assert quot.rmul_T_inv[cls] == quot.class_of[table.rmul_T_inv[i]]
-            assert quot.rmul_S_inv[cls] == quot.class_of[table.rmul_S_inv[i]]
-
-    def test_build_hands_over_its_orbit(self):
-        """build_induced's cochain carries its cached lambda-orbit and is
-        evaluated on it; an in-place edit that splits a class falls back to
-        the discrete quotient and is caught."""
+    def test_build_stores_its_orbit(self):
+        """build_induced's cochain is stored on its cached lambda-orbit, one
+        value per parameter; an edit to one coset of its copy is caught."""
         cell = (6, lam(4, 2, 1), 4)
         c = build_induced(*cell)
-        orbit, _ = parameter_orbit(cell[1])
-        assert c.orbit is orbit and c.quotient() is orbit
-        assert c.copy().orbit is None
-        coeffs = list(c.val_S[0].coeffs)
+        orbit, params = parameter_orbit(cell[1])
+        assert c.quotient is orbit
+        assert c.val_T == [period_T(6, mu, 4) for mu in params]
+        assert c.val_S == [period_S(6, mu, 4) for mu in params]
+        bad = c.copy()
+        coeffs = list(bad.val_S[0].coeffs)
         coeffs[1] = coeffs[1] + ExtScalar(QQ(1, 5))
-        c.val_S[0] = PeriodPoly(6, coeffs)
-        assert len(c.quotient()) == len(c.table) > len(orbit)
-        assert not verify_relations(c)
+        bad.val_S[0] = PeriodPoly(6, coeffs)
+        assert not verify_relations(bad)
+        assert verify_relations(c)
 
     def test_sweep_runs_no_refinement(self, monkeypatch):
         """Building, certifying, checking and descending a cell, and checking
-        its modified cochain, runs on the lambda-orbit alone: the discrete
-        fallback never builds a quotient."""
+        its modified cochain, runs on the lambda-orbit alone: no discrete
+        quotient (copy()) is ever built."""
 
         class Refuse:
             @staticmethod
             def closed(*args):
-                raise AssertionError("the discrete fallback ran")
+                raise AssertionError("a discrete quotient was built")
 
         monkeypatch.setattr(cocycle, "CosetQuotient", Refuse)
         for k, N, lamv in [(2, 4, lam(4, 0, 3)), (3, 5, lam(5, 1, 2)), (6, 6, lam(6, 2, 3))]:
@@ -640,8 +694,9 @@ class TestOrbitQuotient:
     def test_modified_cochain_keeps_the_orbit(self):
         cochain, modified, report = certify_parameter(4, lam(5, 0, 1), 5)
         assert report.certified
-        assert modified.orbit is cochain.orbit and modified.quotient() is cochain.orbit
-        assert len(cochain.orbit) == 24
+        orbit, _ = parameter_orbit(lam(5, 0, 1))
+        assert modified.quotient is cochain.quotient is orbit
+        assert len(orbit) == len(modified.val_T) == len(modified.val_S) == 24
 
 
 class TestRelations:
@@ -683,7 +738,7 @@ class TestRelations:
         and S^2 evaluated letter by letter."""
         rng = random.Random(17)
         for k, N, l1, l2 in [(6, 4, 2, 1), (3, 3, 1, 1), (5, 3, 1, 0), (4, 2, 0, 1), (2, 3, 1, 2)]:
-            cochain = build_induced(k, lam(N, l1, l2), N)
+            cochain = build_induced(k, lam(N, l1, l2), N).copy()
             table = cochain.table
             F = [rational_poly(k, [QQ(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(k - 1)])
                  for _ in range(len(table))]

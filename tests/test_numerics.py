@@ -268,7 +268,7 @@ def test_every_prec_function_is_guarded():
         "eisperiods.numerics.tail_cutoff",
         "eisperiods.invariant.QuadLatticeData.tau",
         "eisperiods.invariant.BiPoly.substitute",
-        "eisperiods.cocycle.PeriodPoly.numeric_coeffs",
+        "eisperiods.numerics.ext_scalar_value",
     ):
         assert name in found
     unguarded = [name for name, fn in found.items() if not getattr(fn, "prec_guarded", False)]
