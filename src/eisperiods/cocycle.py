@@ -26,15 +26,15 @@ T and S maps class to class, and one value at T and one at S per class of
 it.  Every value the cocycle rule builds is then constant on the classes
 too, so it is computed once per class; values are expanded to one entry per
 coset only at the report boundary: RationalityReport.to_json and the returns
-of evaluate_word and evaluate_cocycle.  The values of build_induced and
-coboundary depend on the transported parameter lambda sigma only, so their
-quotient is the lambda-orbit (12, 24 and 24 classes at N = 4, 5, 6 for
-lambda = (0,1), against 48, 120 and 144 cosets), enumerated once per
-(lambda, N) (modgroup.parameter_orbit); modify_and_certify keeps the
-quotient of the cochain it modifies.  InducedCochain.copy() puts a cochain
-on the discrete quotient, one class per coset, so that an edit can change
-one coset alone.  Evaluation cost scales with the quotient, not with
-|SL2(Z/N)|.
+of evaluate_word and evaluate_cocycle.  The values of build_induced depend
+on the transported parameter lambda sigma only, so their quotient is the
+lambda-orbit (12, 24 and 24 classes at N = 4, 5, 6 for lambda = (0,1),
+against 48, 120 and 144 cosets), enumerated once per (lambda, N)
+(modgroup.parameter_orbit).  modify_and_certify keeps the quotient of the
+cochain it modifies and reads the coboundary constant of each class from
+that orbit.  InducedCochain.copy() puts a cochain on the discrete quotient,
+one class per coset, so that an edit can change one coset alone.
+Evaluation cost scales with the quotient, not with |SL2(Z/N)|.
 """
 from __future__ import annotations
 
@@ -390,19 +390,6 @@ def build_induced(k: int, lam: ResiduePair, N: int) -> InducedCochain:
     )
 
 
-@dataclass
-class CoboundaryData:
-    """Constant polynomials (scalars for weight 2) whose coboundary removes
-    every transcendental term from the stored cocycle: one per class of the
-    lambda-orbit, the constant of its transported parameter."""
-
-    k: int
-    N: int
-    lam: ResiduePair
-    orbit: CosetQuotient
-    values: List[PeriodPoly]
-
-
 @lru_cache(maxsize=1024)
 def coboundary_value(k: int, mu: ResiduePair, N: int) -> PeriodPoly:
     """The coboundary constant of the coset whose transported parameter is
@@ -412,14 +399,6 @@ def coboundary_value(k: int, mu: ResiduePair, N: int) -> PeriodPoly:
     if k == 2 and mu.l1 != 0:
         return PeriodPoly.zero(k)
     return PeriodPoly.constant(k, -lvalue_closed(k, mu, N, k - 1).value)
-
-
-def coboundary(k: int, lam: ResiduePair, N: int) -> CoboundaryData:
-    """Exact coboundary data from the closed L-values: coboundary_value of
-    the transported parameter, one value per element of the lambda-orbit."""
-    lam = admissible(k, lam, N)
-    orbit, params = parameter_orbit(lam)
-    return CoboundaryData(k, N, lam, orbit, [coboundary_value(k, mu, N) for mu in params])
 
 
 @dataclass
@@ -468,25 +447,24 @@ def _t_sources(quot: CosetQuotient, n: int) -> List[int]:
     return [quot.rmul_t_power(i, -n) for i in range(len(quot))]
 
 
-def modify_and_certify(
-    cochain: InducedCochain, cob: CoboundaryData
-) -> Tuple[InducedCochain, RationalityReport]:
+def modify_and_certify(cochain: InducedCochain) -> Tuple[InducedCochain, RationalityReport]:
     """Add the coboundary F|_gamma - F to the stored values at T and S and
     report, per coset and coefficient, whether every polylog-symbol
-    coefficient cancelled exactly.  The sums and the symbol scan run once per
-    class of the cochain's quotient, which refines the lambda-orbit F is
-    stored on (it is that orbit, or the discrete quotient of a copy), so F is
-    read at each class representative."""
-    if (cochain.k, cochain.N, cochain.lam) != (cob.k, cob.N, cob.lam):
-        raise ValueError("cochain and coboundary data have incompatible (k, N, lambda)")
+    coefficient cancelled exactly.  F at a coset is the coboundary_value of
+    its transported parameter, looked up in the cached lambda-orbit.  F is
+    constant on the classes of the cochain's quotient, which refines that
+    orbit (it is the orbit, or the discrete quotient of a copy), so F is read
+    at each class representative and the sums and the symbol scan run once
+    per class."""
     quot = _classes_of(cochain)
-    F = [cob.values[cob.orbit.class_of[r]] for r in quot.representatives]
-    k = cochain.k
+    k, N, lam = cochain.k, cochain.N, cochain.lam
+    orbit, params = parameter_orbit(lam)
+    F = [coboundary_value(k, params[orbit.class_of[r]], N) for r in quot.representatives]
     moved_T = _transport(F, _t_sources(quot, 1), _action_matrix(k, T))
     moved_S = _transport(F, quot.rmul_S_inv, _action_matrix(k, S))
     new_T = [_sum(k, (_term(a), m, _term(f, -1))) for a, m, f in zip(cochain.val_T, moved_T, F)]
     new_S = [_sum(k, (_term(a), m, _term(f, -1))) for a, m, f in zip(cochain.val_S, moved_S, F)]
-    modified = InducedCochain(k, cochain.N, cochain.lam, cochain.table, quot, new_T, new_S)
+    modified = InducedCochain(k, N, lam, cochain.table, quot, new_T, new_S)
     failures = []
     for gen, vals in (("T", new_T), ("S", new_S)):
         class_failures = [poly.symbol_failures() for poly in vals]
@@ -495,7 +473,7 @@ def modify_and_certify(
                 failures.append(
                     {"coset": i, "generator": gen, "coeff_index": idx, "symbol": sym, "coeff": coeff}
                 )
-    report = RationalityReport(k, cochain.N, cochain.lam, not failures, failures)
+    report = RationalityReport(k, N, lam, not failures, failures)
     return modified, report
 
 
@@ -564,7 +542,7 @@ def evaluate_word(cochain: InducedCochain, tokens) -> List[PeriodPoly]:
 
 def evaluate_cocycle(cochain: InducedCochain, gamma: Mat2) -> List[PeriodPoly]:
     """The unique cocycle extension of the stored values to any gamma."""
-    return evaluate_word(cochain, decompose_ST(gamma).tokens)
+    return evaluate_word(cochain, decompose_ST(gamma))
 
 
 def verify_relations(cochain: InducedCochain) -> bool:
@@ -592,6 +570,4 @@ def shapiro_descend(cochain: InducedCochain, gamma: Mat2) -> PeriodPoly:
 def certify_parameter(k: int, lam: ResiduePair, N: int) -> Tuple[InducedCochain, InducedCochain, RationalityReport]:
     """Build, modify and certify one (k, N, lambda) cell."""
     cochain = build_induced(k, lam, N)
-    cob = coboundary(k, lam, N)
-    modified, report = modify_and_certify(cochain, cob)
-    return cochain, modified, report
+    return (cochain, *modify_and_certify(cochain))

@@ -281,9 +281,7 @@ def maass_fourier(
         / (mpf(N) ** w * (-2j) ** (w - 1))
     )
     C0 = {1 - w: c0val} if c0val != 0 else {}
-    A, C = _kernel_divisor_sums(
-        k, l, N, M, prec, m_class=l1, twist=l2, twist_on="n", extra_N_power=0
-    )
+    A, C = _kernel_divisor_sums(k, l, lam, M, prec, elliptic=False)
     return MaassFourier(k, l, N, lam, M, A0, C0, A, C)
 
 
@@ -300,12 +298,13 @@ def _i_times_int_power(a: int, p: int) -> mpc:
 
 
 @prec_guard
-def _kernel_divisor_sums(k, l, N, M, prec, m_class, twist, twist_on, extra_N_power):
+def _kernel_divisor_sums(k, l, lam: ResiduePair, M, prec, elliptic: bool):
     """Shared (m, n) divisor-pair sums for both double-index expansions.
 
-    twist_on selects whether the congruence condition sits on the m or the n
-    member of the pair and which of them twists the root of unity; the
-    elliptic variant drops one power of N (extra_N_power = 1).
+    The congruence series (elliptic false) keeps the pairs with m = l1 mod N
+    and twists the root of unity by n l2; the elliptic series keeps those
+    with n = l1 mod N, twists by m l2 and drops one power of N (e = 1, else
+    e = 0).
 
     The pair (m, n) = sgn (m0, n0), m0 n0 = j, adds to the v^-(l+r) term of A_j
 
@@ -322,8 +321,9 @@ def _kernel_divisor_sums(k, l, N, M, prec, m_class, twist, twist_on, extra_N_pow
     divisor pairs of j, so every sum keeps its bits; it also leaves one row
     of den live at a time.
     """
+    N, l1, l2 = lam.N, lam.l1, lam.l2
+    e = 1 if elliptic else 0
     two_pi_i = 2j * mp.pi
-    maass = twist_on == "n"
     small = M // 8  # a row of prepow past it serves at most seven pairs
     phases: Dict[int, mpc] = {}
     A: List[Dict[int, mpc]] = [{} for _ in range(M)]
@@ -332,7 +332,7 @@ def _kernel_divisor_sums(k, l, N, M, prec, m_class, twist, twist_on, extra_N_pow
     # and of n in the elliptic condition and the maass twist
     for out, side, base, a, c in ((A, 1, -two_pi_i, k, l), (C, -1, two_pi_i, l, k)):
         prefix = {
-            sgn: [base * sgn / mpf(N) ** (a - r - extra_N_power) * _fb(-c, r) for r in range(a)]
+            sgn: [base * sgn / mpf(N) ** (a - r - e) * _fb(-c, r) for r in range(a)]
             for sgn in (1, -1)
         }
         # a zero binomial is the only way a term vanishes
@@ -342,7 +342,7 @@ def _kernel_divisor_sums(k, l, N, M, prec, m_class, twist, twist_on, extra_N_pow
             for sgn in (1, -1):
                 m = sgn * m0
                 # maass: condition on m, twist by n; elliptic: the reverse
-                if maass and m % N != m_class:
+                if not elliptic and m % N != l1:
                     continue
                 den = [
                     _i_times_int_power(-side * 2 * m, c + r) * mp.factorial(a - 1 - r)
@@ -350,9 +350,9 @@ def _kernel_divisor_sums(k, l, N, M, prec, m_class, twist, twist_on, extra_N_pow
                 ]
                 for n0 in range(1, M // m0 + 1):
                     n = sgn * n0
-                    if not maass and (side * n) % N != m_class:
+                    if elliptic and (side * n) % N != l1:
                         continue
-                    t = (side * n if maass else m) * twist
+                    t = (m if elliptic else side * n) * l2
                     phase = phases.get(t)
                     if phase is None:
                         phase = phases[t] = e_of(QQ(t, N), prec)
@@ -400,9 +400,7 @@ def elliptic_maass_fourier(
         )
         if c0val != 0:
             C0[1 - w] = c0val
-    A, C = _kernel_divisor_sums(
-        k, l, N, M, prec, m_class=l1, twist=l2, twist_on="m", extra_N_power=1
-    )
+    A, C = _kernel_divisor_sums(k, l, lam, M, prec, elliptic=True)
     return MaassFourier(k, l, N, lam, M, A0, C0, A, C)
 
 

@@ -220,10 +220,6 @@ class PolylogSymbol:
         self.num = num
         self.den = den
 
-    @property
-    def argument(self) -> QQ:
-        return QQ(self.num, self.den)
-
     def key(self):
         return (self.w, self.num, self.den)
 

@@ -191,6 +191,11 @@ class QuadLatticeData:
     lam: ResiduePair
 
     def __post_init__(self):
+        # JSON input: ResiduePair reduces a float mod a float level, and gcd
+        # takes a bool, without complaint
+        fields = (self.a, self.b, self.c, self.N, self.lam.l1, self.lam.l2)
+        if not all(type(x) is int for x in fields):
+            raise ValueError(f"minpoly, level and lambda must be integers, got {fields}")
         if self.a <= 0:
             raise ValueError("leading coefficient must be positive")
         if gcd(gcd(abs(self.a), abs(self.b)), abs(self.c)) != 1:
@@ -487,8 +492,8 @@ class IdealClassTerm:
     def __post_init__(self):
         if qq(self.norm_b) <= 0:
             raise ValueError("norm_b must be positive")
-        if self.chi == 0:
-            raise ValueError("chi must be nonzero")
+        if self.chi == 0 or not mp.isfinite(self.chi):
+            raise ValueError(f"chi must be finite and nonzero, got {self.chi}")
 
 
 @prec_guard

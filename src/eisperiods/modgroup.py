@@ -63,48 +63,14 @@ def t_power(n: int) -> Mat2:
     return Mat2(1, n, 0, 1)
 
 
-# tokens: ("S", 1) or ("T", n) with n a nonzero integer (run-length compressed)
+# tokens: ("S", n) for S^n, or ("T", n) with n a nonzero integer (run-length
+# compressed T-powers)
 Token = Tuple[str, int]
 
 
-class STWord:
-    """Word in the generators; stored with T-power run compression, expanded
-    to single letters S / T / T^-1 on demand (S^-1 is spelled S^3)."""
-
-    __slots__ = ("tokens",)
-
-    def __init__(self, tokens: List[Token]):
-        self.tokens = [t for t in tokens if not (t[0] == "T" and t[1] == 0)]
-
-    def letters(self) -> List[str]:
-        out = []
-        for kind, n in self.tokens:
-            if kind == "S":
-                out.extend(["S"] * n)
-            else:
-                out.extend(["T" if n > 0 else "T^-1"] * abs(n))
-        return out
-
-    def to_matrix(self) -> Mat2:
-        acc = IDENTITY
-        for kind, n in self.tokens:
-            if kind == "S":
-                for _ in range(n):
-                    acc = acc * S
-            else:
-                acc = acc * t_power(n)
-        return acc
-
-    def __len__(self):
-        return len(self.letters())
-
-    def __repr__(self):
-        return f"STWord({self.tokens})"
-
-
-def decompose_ST(gamma: Mat2) -> STWord:
-    """Express gamma as a word in S and T by the continued-fraction algorithm
-    on the left column; -Id is spelled S^2.
+def decompose_ST(gamma: Mat2) -> List[Token]:
+    """Express gamma as a token word in S and T by the continued-fraction
+    algorithm on the left column; -Id is spelled S^2.
 
     Peels gamma = T^q S gamma' with |c'| <= |c|/2 (nearest-integer division),
     so the word length is O(log max-entry).
@@ -127,7 +93,7 @@ def decompose_ST(gamma: Mat2) -> STWord:
         tokens.append(("S", 2))
         if g.b:
             tokens.append(("T", -g.b))
-    return STWord(tokens)
+    return tokens
 
 
 @dataclass(frozen=True)
@@ -160,23 +126,7 @@ class ResiduePair:
         return f"({self.l1},{self.l2}) mod {self.N}"
 
 
-class _RightMultiplication:
-    """Right multiplication by T and T^-1 on a set of indexed items (the
-    cosets of a CosetTable, or the classes of a CosetQuotient); T^N acts
-    trivially."""
-
-    N: int
-    rmul_T: Tuple[int, ...]
-    rmul_T_inv: Tuple[int, ...]
-
-    def rmul_t_power(self, i: int, n: int) -> int:
-        table = self.rmul_T if n >= 0 else self.rmul_T_inv
-        for _ in range(abs(n) % self.N if self.N > 1 else 0):
-            i = table[i]
-        return i
-
-
-class CosetTable(_RightMultiplication):
+class CosetTable:
     """Enumeration of SL2(Z/N) with right-multiplication tables for T, T^-1
     and S^-1; this indexes the cosets Gamma(N) \\ SL2(Z).
 
@@ -222,7 +172,7 @@ class CosetTable(_RightMultiplication):
         return self.index_of(IDENTITY)
 
 
-class CosetQuotient(_RightMultiplication):
+class CosetQuotient:
     """A partition of a coset table that right multiplication by T and S maps
     class to class, with the right-multiplication tables on its classes.
     Classes are numbered in order of their first coset; built by closed."""
@@ -250,6 +200,13 @@ class CosetQuotient(_RightMultiplication):
 
     def __len__(self):
         return len(self.representatives)
+
+    def rmul_t_power(self, i: int, n: int) -> int:
+        """The class of sigma T^n for sigma in class i; T^N acts trivially."""
+        table = self.rmul_T if n >= 0 else self.rmul_T_inv
+        for _ in range(abs(n) % self.N if self.N > 1 else 0):
+            i = table[i]
+        return i
 
     def expand(self, per_class: Sequence) -> list:
         """One entry per coset, in table order, from one entry per class."""

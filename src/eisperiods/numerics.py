@@ -225,8 +225,7 @@ def rational_reconstruct(z, den_bound: int, eps, prec: int = DEFAULT_PREC):
     if abs(mp.im(z)) >= eps:
         return None
     x = mp.re(z)
-    p, q = _mpf_ratio(x)  # exact binary rational of the mpf value
-    target = QQ(p, q)
+    target = _mpf_ratio(x)
     convergents = _convergents(target)
     for i, (pn, qn) in enumerate(convergents):
         if qn > den_bound:
@@ -406,20 +405,17 @@ def _mellin_series(s: mpf, N: int, j: int, wp: int, Qs: int, gammas: dict) -> mp
     raise PrecisionError(f"series for E({s}; 2 pi {j}/{N}) needs more than {Qs} bits")
 
 
-def _mpf_ratio(x):
-    sign, man, exp, _ = mp.mpf(x)._mpf_
-    man = -man if sign else man
-    if exp >= 0:
-        return man * (1 << exp), 1
-    return man, 1 << (-exp)
+def _mpf_ratio(x) -> QQ:
+    """The exact binary rational of an mpf value."""
+    man, exp = _man_exp(mpf(x))
+    return QQ(man << exp) if exp >= 0 else QQ(man, 1 << -exp)
 
 
 def mpf_hex(x) -> str:
     """Deterministic full-precision rendering of a real value as a
     hex-significand string 0x<mantissa>p<exponent>."""
-    sign, man, exp, _ = mpf(x)._mpf_
-    m = -man if sign else man
-    return f"{'-' if m < 0 else ''}0x{abs(m):x}p{exp}"
+    man, exp = _man_exp(mpf(x))
+    return f"{'-' if man < 0 else ''}0x{abs(man):x}p{exp}"
 
 
 def mpc_json(z) -> dict:
@@ -468,16 +464,4 @@ def ext_scalar_value(x, prec: int = DEFAULT_PREC) -> mpc:
     acc = mpc(_to_mp(x.rational))
     for sym, coeff in x.sorted_symbols():
         acc += _to_mp(coeff) * polylog_symbol_value(sym, prec)
-    return acc
-
-
-@prec_guard
-def raw_symbol_sum_value(w: int, raw_terms: dict, prec: int = DEFAULT_PREC) -> mpc:
-    """Numeric value of an unreduced symbol sum sum coeff * PL(w; arg)."""
-    m2pi = raw_scale(w, prec)
-    acc = mpc(0)
-    for arg, coeff in raw_terms.items():
-        a = qq(arg)
-        a = a - (a.numerator // a.denominator)
-        acc += _to_mp(qq(coeff)) * polylog(w, a, prec) / m2pi
     return acc

@@ -351,6 +351,15 @@ MALFORMED_DATA = {
         "hecke", {"classes": [{"lattice": {"preset": "gaussian"}, "chi": {"re": "0", "im": "0"}}]},
     ),
     "w_f_not_integer": ("hecke", {"classes": [{"lattice": {"preset": "gaussian"}}], "w_f": "four"}),
+    # a float level or lambda entry would reach Fraction in e_fourier, and a
+    # boolean minpoly would be echoed into the report
+    "level_not_integer": ("invariant", {"minpoly": [1, 0, 1], "N": 2.5}),
+    "minpoly_boolean": ("invariant", {"minpoly": [True, 0, True], "N": 1}),
+    "lambda_not_integer": ("invariant", {"minpoly": [1, 0, 1], "N": 2, "lambda": [0.5, 1]}),
+    "hecke_level_not_integer": ("hecke", {"classes": [{"lattice": {"minpoly": [1, 0, 1], "N": 2.5}}]}),
+    # a non-finite chi would make the assembled value NaN
+    "chi_nan": ("hecke", {"classes": [{"lattice": {"preset": "gaussian"}, "chi": {"re": "nan"}}]}),
+    "chi_inf": ("hecke", {"classes": [{"lattice": {"preset": "gaussian"}, "chi": {"re": "1", "im": "inf"}}]}),
 }
 
 

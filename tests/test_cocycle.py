@@ -10,12 +10,10 @@ from mpmath import mp, mpc, mpf
 from eisperiods import cocycle
 from eisperiods.exact import QQ, ExtScalar, PolylogSymbol, bernoulli_value, qq, qq_str, symbol_term
 from eisperiods.cocycle import (
-    CoboundaryData,
     IndexSetError,
     PeriodPoly,
     build_induced,
     certify_parameter,
-    coboundary,
     coboundary_value,
     evaluate_cocycle,
     evaluate_word,
@@ -32,7 +30,6 @@ from eisperiods.modgroup import (
     T,
     Mat2,
     ResiduePair,
-    STWord,
     admissible,
     decompose_ST,
     index_set,
@@ -440,7 +437,7 @@ class TestInducedCochain:
         with pytest.raises(ValueError, match="classes of its quotient"):
             verify_relations(c)
         with pytest.raises(ValueError, match="classes of its quotient"):
-            modify_and_certify(c, coboundary(4, lam(3, 1, 1), 3))
+            modify_and_certify(c)
 
 
 class TestCoboundaryAndCertification:
@@ -451,19 +448,32 @@ class TestCoboundaryAndCertification:
         assert modified.val_T[0] == cochain.val_T[0]
 
     def test_coboundary_carries_symbol_at_level_one(self):
-        cob = coboundary(4, lam(1, 0, 0), 1)
-        syms = cob.values[0].coeffs[0].symbols
+        syms = coboundary_value(4, lam(1, 0, 0), 1).coeffs[0].symbols
         assert PolylogSymbol(3, 0, 1) in syms
 
     def test_weight_two_case_gating(self):
         N = 2
-        cob = coboundary(2, lam(N, 0, 1), N)
         table = build_induced(2, lam(N, 0, 1), N).table
-        values = cob.orbit.expand(cob.values)
-        for i in range(len(table)):
-            mu = transported(lam(N, 0, 1), table.elements[i])
+        for sigma in table.elements:
+            mu = transported(lam(N, 0, 1), sigma)
             if mu.l1 != 0:
-                assert values[i].is_zero()
+                assert coboundary_value(2, mu, N).is_zero()
+
+    def test_coboundary_is_read_at_each_coset(self):
+        """The modified value at g in (T, S) on coset sigma is
+        P(sigma) + F(sigma g^-1)|g - F(sigma), F(sigma) the coboundary
+        constant of the transported parameter lambda sigma."""
+        k, N, lamv = 5, 3, lam(3, 1, 0)
+        cochain, modified, _ = certify_parameter(k, lamv, N)
+        table = cochain.table
+
+        def F(i):
+            return coboundary_value(k, transported(lamv, table.elements[i]), N)
+
+        for g, old, new in ((T, cochain.val_T, modified.val_T), (S, cochain.val_S, modified.val_S)):
+            old, new = cochain.quotient.expand(old), modified.quotient.expand(new)
+            for i in range(len(table)):
+                assert new[i] == old[i] + F(coset_times(table, i, g.inverse())).act(g) - F(i)
 
     def test_t_value_unchanged_at_level_one_even_weight(self):
         # at N = 1 the coboundary is constant across cosets and T acts
@@ -506,19 +516,11 @@ class TestCoboundaryAndCertification:
         gives the orbit's values and report, coset by coset."""
         for k, N, lamv in [(2, 4, lam(4, 0, 3)), (5, 3, lam(3, 1, 0)), (6, 4, lam(4, 2, 1))]:
             cochain, modified, report = certify_parameter(k, lamv, N)
-            per_coset, again = modify_and_certify(cochain.copy(), coboundary(k, lamv, N))
+            per_coset, again = modify_and_certify(cochain.copy())
             assert per_coset.quotient is not cochain.quotient
             assert per_coset.val_T == modified.quotient.expand(modified.val_T)
             assert per_coset.val_S == modified.quotient.expand(modified.val_S)
             assert again == report
-
-    def test_coboundary_of_another_parameter_is_rejected(self):
-        """F is read on the lambda-orbit of its own parameter, so the check
-        covers lambda, even one of the same orbit as the cochain's."""
-        cochain = build_induced(4, lam(5, 0, 1), 5)
-        for other in ((4, lam(5, 1, 0), 5), (6, lam(5, 0, 1), 5)):
-            with pytest.raises(ValueError, match=r"incompatible \(k, N, lambda\)"):
-                modify_and_certify(cochain, coboundary(*other))
 
 
 class TestEvaluation:
@@ -570,8 +572,8 @@ class TestEvaluation:
         vals = evaluate_cocycle(c, g)
         # cocycle rule against a different decomposition of the same matrix
         w = decompose_ST(g)
-        assert w.to_matrix() == g
-        again = evaluate_word(c, [("S", 1), ("S", 1), ("S", 1), ("S", 1)] + w.tokens)
+        assert word_matrix(w) == g
+        again = evaluate_word(c, [("S", 1), ("S", 1), ("S", 1), ("S", 1)] + w)
         assert all(a == b for a, b in zip(vals, again))
 
 
@@ -593,6 +595,23 @@ def perturbed(c, gen, i):
 LETTERS = {"S": S, "T": T, "T^-1": t_power(-1)}
 
 
+def letters(tokens):
+    """The single letters S, T, T^-1 of a run-compressed token word (S^-1
+    is spelled S^3)."""
+    out = []
+    for kind, n in tokens:
+        out += ["S"] * n if kind == "S" else ["T" if n > 0 else "T^-1"] * abs(n)
+    return out
+
+
+def word_matrix(tokens):
+    """The product of a token word, one letter at a time."""
+    acc = IDENTITY
+    for letter in letters(tokens):
+        acc = acc * LETTERS[letter]
+    return acc
+
+
 def naive_evaluate(c, tokens):
     """c(uv)(sigma) = c(u)(sigma v^-1)|v + c(v)(sigma), one letter v at a time
     on every coset, with the cosets looked up from residue products."""
@@ -609,7 +628,7 @@ def naive_evaluate(c, tokens):
         return -val_T[coset_times(table, i, T)].act(t_power(-1))
 
     acc = [PeriodPoly.zero(c.k) for _ in cosets]
-    for letter in STWord(tokens).letters():
+    for letter in letters(tokens):
         v = LETTERS[letter]
         acc = [
             acc[coset_times(table, i, v.inverse())].act(v) + letter_value(letter, i)

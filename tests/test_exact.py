@@ -19,11 +19,29 @@ from eisperiods.exact import (
     symbol_term,
 )
 from eisperiods.numerics import (
+    GUARD_BITS,
     cyclo_value,
     e_of,
     ext_scalar_value,
-    raw_symbol_sum_value,
+    polylog,
+    raw_scale,
 )
+
+
+def argument(sym: PolylogSymbol) -> QQ:
+    """The canonical argument a/b of PL(w; a/b), in [0, 1/2]."""
+    return QQ(sym.num, sym.den)
+
+
+def raw_symbol_sum_value(w: int, raw_terms: dict, prec: int):
+    """Reference value of an unreduced symbol sum sum coeff * PL(w; arg),
+    term by term from Li_w(e(arg)) at prec plus the guard bits."""
+    with mp.workprec(prec + GUARD_BITS):
+        m2pi = raw_scale(w, prec)
+        acc = mp.mpc(0)
+        for arg, coeff in raw_terms.items():
+            acc += mp.mpf(coeff.numerator) / coeff.denominator * polylog(w, arg % 1, prec) / m2pi
+        return acc
 
 
 def parts(x: ExtScalar):
@@ -210,7 +228,7 @@ class TestSymbolReduce:
         once = symbol_term(w, arg, QQ(coeff.numerator, coeff.denominator))
         again = ExtScalar(once.rational)
         for sym, c in once.symbols.items():
-            again = again + symbol_term(sym.w, sym.argument, c)
+            again = again + symbol_term(sym.w, argument(sym), c)
         assert parts(once) == parts(again)
 
     def test_numeric_faithfulness(self):

@@ -39,6 +39,23 @@ def sl2_order(N: int) -> int:
     return order
 
 
+def letters(tokens):
+    """The single letters S, T, T^-1 of a run-compressed token word (S^-1
+    is spelled S^3)."""
+    out = []
+    for kind, n in tokens:
+        out += ["S"] * n if kind == "S" else ["T" if n > 0 else "T^-1"] * abs(n)
+    return out
+
+
+def word_matrix(tokens):
+    """The product of a token word, one letter at a time."""
+    acc = IDENTITY
+    for letter in letters(tokens):
+        acc = acc * {"S": S, "T": T, "T^-1": t_power(-1)}[letter]
+    return acc
+
+
 def residue_product(sigma, g, N):
     """The residues of sigma g mod N, for residues sigma and a matrix g."""
     a, b, c, d = sigma
@@ -99,23 +116,22 @@ def _xgcd(p, q):
 
 class TestDecompose:
     def test_identity(self):
-        assert decompose_ST(IDENTITY).tokens == []
+        assert decompose_ST(IDENTITY) == []
 
     def test_st(self):
         g = Mat2(0, -1, 1, 1)
         w = decompose_ST(g)
-        assert w.to_matrix() == g
-        assert w.letters() == ["S", "T"]
+        assert word_matrix(w) == g
+        assert letters(w) == ["S", "T"]
 
     def test_lower_unipotent(self):
         g = Mat2(1, 0, 1, 1)
-        w = decompose_ST(g)
-        assert w.to_matrix() == g
+        assert word_matrix(decompose_ST(g)) == g
 
     def test_minus_identity(self):
         w = decompose_ST(Mat2(-1, 0, 0, -1))
-        assert w.letters() == ["S", "S"]
-        assert w.to_matrix() == Mat2(-1, 0, 0, -1)
+        assert letters(w) == ["S", "S"]
+        assert word_matrix(w) == Mat2(-1, 0, 0, -1)
 
     def test_round_trip_large_entries(self):
         rng = random.Random(42)
@@ -124,10 +140,10 @@ class TestDecompose:
         for _ in range(1000):
             g = random_sl2z(rng, 10 ** 6)
             w = decompose_ST(g)
-            assert w.to_matrix() == g
+            assert word_matrix(w) == g
             # run-compressed length O(log max entry); C = 4 is a generous
             # measured bound for nearest-integer division
-            assert len(w.tokens) <= 4 * max(2.0, math.log(max(map(abs, g)) + 1))
+            assert len(w) <= 4 * max(2.0, math.log(max(map(abs, g)) + 1))
 
     @given(
         c=st.integers(min_value=-10 ** 4, max_value=10 ** 4),
@@ -141,7 +157,7 @@ class TestDecompose:
         _, a, b = _xgcd(d, -c)
         g = Mat2(a + shift * c, b + shift * d, c, d)
         acc = IDENTITY
-        for kind, n in decompose_ST(g).tokens:
+        for kind, n in decompose_ST(g):
             assert (kind == "S" and n in (1, 2)) or (kind == "T" and n != 0)
             for _ in range(n if kind == "S" else 1):
                 acc = acc * (S if kind == "S" else t_power(n))
@@ -151,7 +167,7 @@ class TestDecompose:
         rng = random.Random(1)
         for _ in range(50):
             g = random_sl2z(rng, 1000)
-            assert set(decompose_ST(g).letters()) <= {"S", "T", "T^-1"}
+            assert set(letters(decompose_ST(g))) <= {"S", "T", "T^-1"}
 
 
 class TestResidueAction:
@@ -229,13 +245,16 @@ class TestCosetTable:
                 assert table.rmul_S_inv[sigma_S] == i
 
     def test_t_power_transport(self):
+        """On the discrete quotient, one class per coset, rmul_t_power is
+        right multiplication of the coset by T^n."""
         table = enumerate_sl2(4)
+        full = CosetQuotient.closed(table, range(len(table)))
         g = Mat2(1, 2, 2, 5)
         i = table.index_of(g)
         for n in (-7, -1, 0, 1, 3, 9):
-            assert table.rmul_t_power(i, n) == table.index_of(g * t_power(n))
+            assert full.rmul_t_power(i, n) == table.index_of(g * t_power(n))
             want = table.lookup[residue_product(table.elements[i], t_power(n), 4)]
-            assert table.rmul_t_power(i, n) == want
+            assert full.rmul_t_power(i, n) == want
 
 
 def moore_refinement(table, keys):
@@ -269,9 +288,10 @@ class TestCosetQuotient:
         assert (full.rmul_T, full.rmul_T_inv, full.rmul_S_inv) == (
             table.rmul_T, table.rmul_T_inv, table.rmul_S_inv
         )
-        for i in range(n):
+        for i, sigma in enumerate(table.elements):
             for m in (-5, -1, 2, 7):
-                assert full.rmul_t_power(i, m) == table.rmul_t_power(i, m)
+                assert full.rmul_t_power(i, m) == table.lookup[residue_product(sigma, t_power(m), 3)]
+                assert one.rmul_t_power(0, m) == 0
 
     def test_class_tables_follow_the_cosets(self):
         """On a closed quotient coarser than the table, right multiplication
@@ -284,7 +304,8 @@ class TestCosetQuotient:
             assert quot.rmul_S_inv[c] == quot.class_of[table.rmul_S_inv[i]]
             assert quot.rmul_T[c] == quot.class_of[table.rmul_T[i]]
             for m in (-5, -1, 2, 7):
-                assert quot.rmul_t_power(c, m) == quot.class_of[table.rmul_t_power(i, m)]
+                sigma_t = table.lookup[residue_product(table.elements[i], t_power(m), 4)]
+                assert quot.rmul_t_power(c, m) == quot.class_of[sigma_t]
 
     def test_parameter_orbit_matches_refinement(self):
         """The lambda-orbit quotient, read off one pass over the cosets with no
