@@ -53,6 +53,7 @@ from .cocycle import (
     certify_parameter,
     period_S,
     period_T,
+    rationality_record,
     verify_relations,
 )
 from .invariant import (
@@ -342,15 +343,11 @@ def cmd_rationality(args, config: RunConfig) -> tuple[dict, int]:
     for N in ns:
         for k in ks:
             for lam in index_set(N, k):
-                original, modified, report = certify_parameter(k, lam, N)
+                record = rationality_record(*certify_parameter(k, lam, N), include_values=args.values)
                 cells += 1
-                if not report.certified:
+                if not record["rational"]:
                     failures += 1
-                records.append(
-                    report.to_json(
-                        include_values=args.values, modified=modified, original=original
-                    )
-                )
+                records.append(record)
     out = {
         "records": records,
         "summary": {"cells": cells, "certified": cells - failures, "failed": failures},
@@ -385,14 +382,14 @@ def cmd_relations(args, config: RunConfig) -> tuple[dict, int]:
 
 def _load_data(path: str, build):
     """build(payload) for the JSON payload of a --data file; a missing file,
-    malformed JSON or a bad entry (a zero denominator included) is a
-    configuration error."""
+    malformed JSON or a bad entry (a zero denominator or an infinite
+    rational included) is a configuration error."""
     if not os.path.exists(path):
         raise ValueError(f"data file not found: {path}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return build(json.load(fh))
-    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad data file {path}: {type(exc).__name__}: {exc}") from exc
 
 

@@ -11,10 +11,12 @@ each closed-form T-run sum, is one cached integer matrix, so a transport is
 integer matrix times integer vector on each channel, with no rational
 arithmetic; a sum brings its terms to the lcm of their denominators and
 reduces once.  A polynomial is rational exactly when it has no symbol
-channel, so certification stays symbolic.  ExtScalar coefficients appear
-only at the boundary: the constructor, .coeffs and the JSON and failure
-reports.  The period values at T and S and the coboundary constant are
-cached per (k, lambda, N).
+channel, so certification stays symbolic: modify_and_certify returns the
+modified cochain alone, and a cell is certified when none of its values
+keeps a symbol channel, which rationality_record reads from the cochain.
+ExtScalar coefficients appear only at the boundary: the constructor,
+.coeffs and the JSON and failure reports.  The period values at T and S
+and the coboundary constant are cached per (k, lambda, N).
 
 Cocycles are stored by their values at T and S only; every other value is
 reconstructed through the cocycle rule along an S/T word.  T-power runs are
@@ -25,8 +27,8 @@ A cochain holds a quotient of the coset set that right multiplication by
 T and S maps class to class, and one value at T and one at S per class of
 it.  Every value the cocycle rule builds is then constant on the classes
 too, so it is computed once per class; values are expanded to one entry per
-coset only at the report boundary: RationalityReport.to_json and the returns
-of evaluate_word and evaluate_cocycle.  The values of build_induced depend
+coset only at the report boundary: rationality_record and the returns of
+evaluate_word and evaluate_cocycle.  The values of build_induced depend
 on the transported parameter lambda sigma only, so their quotient is the
 lambda-orbit (12, 24 and 24 classes at N = 4, 5, 6 for lambda = (0,1),
 against 48, 120 and 144 cosets), enumerated once per (lambda, N)
@@ -401,41 +403,6 @@ def coboundary_value(k: int, mu: ResiduePair, N: int) -> PeriodPoly:
     return PeriodPoly.constant(k, -lvalue_closed(k, mu, N, k - 1).value)
 
 
-@dataclass
-class RationalityReport:
-    k: int
-    N: int
-    lam: ResiduePair
-    certified: bool
-    failures: List[dict]
-
-    def to_json(self, include_values: bool = False, modified: Optional[InducedCochain] = None,
-                original: Optional[InducedCochain] = None) -> dict:
-        out = {
-            "k": self.k,
-            "N": self.N,
-            "lambda": [self.lam.l1, self.lam.l2],
-            "cosets": None,
-            "rational": self.certified,
-            "failures": self.failures,
-        }
-
-        def values(cochain: InducedCochain, polys: List[PeriodPoly]) -> list:
-            # each class serialized once, its cosets sharing the result
-            return cochain.quotient.expand([p.to_json() for p in polys])
-
-        if original is not None:
-            out["cosets"] = len(original.table)
-            if include_values:
-                out["values_T"] = values(original, original.val_T)
-                out["values_S"] = values(original, original.val_S)
-        if modified is not None:
-            out["cosets"] = len(modified.table)
-            if include_values:
-                out["modified"] = {"T": values(modified, modified.val_T), "S": values(modified, modified.val_S)}
-        return out
-
-
 def _transport(values: List[PeriodPoly], sources: Sequence[int], matrix, sign: int = 1) -> List[Term]:
     """Right transport by g, times sign, as one term for _sum per sigma:
     (F|g)(sigma) = F(sigma g^{-1})|g, given the index of sigma g^{-1} for
@@ -447,15 +414,15 @@ def _t_sources(quot: CosetQuotient, n: int) -> List[int]:
     return [quot.rmul_t_power(i, -n) for i in range(len(quot))]
 
 
-def modify_and_certify(cochain: InducedCochain) -> Tuple[InducedCochain, RationalityReport]:
-    """Add the coboundary F|_gamma - F to the stored values at T and S and
-    report, per coset and coefficient, whether every polylog-symbol
-    coefficient cancelled exactly.  F at a coset is the coboundary_value of
-    its transported parameter, looked up in the cached lambda-orbit.  F is
-    constant on the classes of the cochain's quotient, which refines that
-    orbit (it is the orbit, or the discrete quotient of a copy), so F is read
-    at each class representative and the sums and the symbol scan run once
-    per class."""
+def modify_and_certify(cochain: InducedCochain) -> InducedCochain:
+    """Add the coboundary F|_gamma - F to the stored values at T and S.  F
+    at a coset is the coboundary_value of its transported parameter, looked
+    up in the cached lambda-orbit.  F is constant on the classes of the
+    cochain's quotient, which refines that orbit (it is the orbit, or the
+    discrete quotient of a copy), so F is read at each class representative
+    and the sums run once per class.  The modified cochain is certified
+    rational when no polylog-symbol coefficient survives in it, which
+    rationality_record reads."""
     quot = _classes_of(cochain)
     k, N, lam = cochain.k, cochain.N, cochain.lam
     orbit, params = parameter_orbit(lam)
@@ -464,17 +431,42 @@ def modify_and_certify(cochain: InducedCochain) -> Tuple[InducedCochain, Rationa
     moved_S = _transport(F, quot.rmul_S_inv, _action_matrix(k, S))
     new_T = [_sum(k, (_term(a), m, _term(f, -1))) for a, m, f in zip(cochain.val_T, moved_T, F)]
     new_S = [_sum(k, (_term(a), m, _term(f, -1))) for a, m, f in zip(cochain.val_S, moved_S, F)]
-    modified = InducedCochain(k, N, lam, cochain.table, quot, new_T, new_S)
-    failures = []
-    for gen, vals in (("T", new_T), ("S", new_S)):
-        class_failures = [poly.symbol_failures() for poly in vals]
-        for i, c in enumerate(quot.class_of):
-            for idx, sym, coeff in class_failures[c]:
-                failures.append(
-                    {"coset": i, "generator": gen, "coeff_index": idx, "symbol": sym, "coeff": coeff}
-                )
-    report = RationalityReport(k, N, lam, not failures, failures)
-    return modified, report
+    return InducedCochain(k, N, lam, cochain.table, quot, new_T, new_S)
+
+
+def rationality_record(
+    cochain: InducedCochain, modified: InducedCochain, include_values: bool = False
+) -> dict:
+    """The report record of one (k, N, lambda) cell from its cochain and
+    the modified cochain: rational exactly when no polylog-symbol
+    coefficient survives in the modified values, and the failures, each
+    class scanned once and listed per coset in table order.  include_values
+    adds both cochains' values, each class serialized once and shared by
+    its cosets."""
+    quot = modified.quotient
+    failures = [
+        {"coset": i, "generator": gen, "coeff_index": idx, "symbol": sym, "coeff": coeff}
+        for gen, vals in (("T", modified.val_T), ("S", modified.val_S))
+        for i, found in enumerate(quot.expand([poly.symbol_failures() for poly in vals]))
+        for idx, sym, coeff in found
+    ]
+    out = {
+        "k": modified.k,
+        "N": modified.N,
+        "lambda": [modified.lam.l1, modified.lam.l2],
+        "cosets": len(modified.table),
+        "rational": not failures,
+        "failures": failures,
+    }
+
+    def values(c: InducedCochain, polys: List[PeriodPoly]) -> list:
+        return c.quotient.expand([p.to_json() for p in polys])
+
+    if include_values:
+        out["values_T"] = values(cochain, cochain.val_T)
+        out["values_S"] = values(cochain, cochain.val_S)
+        out["modified"] = {"T": values(modified, modified.val_T), "S": values(modified, modified.val_S)}
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +559,8 @@ def shapiro_descend(cochain: InducedCochain, gamma: Mat2) -> PeriodPoly:
     return evaluate_cocycle(cochain, gamma)[cochain.table.identity_index()]
 
 
-def certify_parameter(k: int, lam: ResiduePair, N: int) -> Tuple[InducedCochain, InducedCochain, RationalityReport]:
-    """Build, modify and certify one (k, N, lambda) cell."""
+def certify_parameter(k: int, lam: ResiduePair, N: int) -> Tuple[InducedCochain, InducedCochain]:
+    """Build and modify one (k, N, lambda) cell: the cochain and the
+    modified cochain, which rationality_record certifies."""
     cochain = build_induced(k, lam, N)
-    return (cochain, *modify_and_certify(cochain))
+    return cochain, modify_and_certify(cochain)

@@ -134,13 +134,6 @@ def e_fourier(k: int, lam: ResiduePair, N: int, M: int) -> HoloFourier:
     return HoloFourier("e", k, N, lam, M, const, tuple(coeffs), nonholo)
 
 
-# Sized from one `lvalue-invariant` benchmark round (seed 1): 8 entries catch
-# all 86 of its repeated keys.  An entry holds about 25 KB at k = 8, N = 3,
-# prec 192, where the L-value tail bound stops the series at M = 88; the
-# exact expansion it is built from is not kept.
-
-
-@lru_cache(maxsize=8)
 @prec_guard
 def e_series_values(k: int, lam: ResiduePair, N: int, M: int, prec: int) -> Tuple[mpc, tuple]:
     """Constant and q_N coefficients of the normalized series e_fourier(k,
@@ -167,22 +160,20 @@ def e_series_values(k: int, lam: ResiduePair, N: int, M: int, prec: int) -> Tupl
 # The longest series embedded so far per (k, lam, N, prec), the most recently
 # grown last; `e_series_values` drops the oldest beyond LONGEST_SERIES_KEYS.
 # Each caller slices the series it fetched or built itself, so two threads
-# racing on one key may both build it, but neither reads a wrong value.
+# racing on one key may both build it, but neither reads a wrong value.  An
+# entry holds about 25 KB at k = 8, N = 3, prec 192, where the L-value tail
+# bound stops the series at M = 88; the exact expansion it is built from is
+# not kept.
 LONGEST_SERIES_KEYS = 8
 _LONGEST_SERIES: dict = {}
 
 
 @prec_guard
-def _hurwitz_sum_over_class(a: int, N: int, s, prec: int) -> mpc:
-    """sum over n > 0, n = a mod N of n^-s (a taken in (0, N])."""
-    a = a % N or N
-    return hurwitz_zeta(QQ(a, N), s, prec) * mp.power(N, -mpc(s))
-
-
-@prec_guard
 def _two_sided_class_sum(l2: int, N: int, w: int, prec: int) -> mpc:
-    """sum over nonzero n = l2 mod N of n^-w."""
-    return _hurwitz_sum_over_class(l2, N, w, prec) + (-1) ** w * _hurwitz_sum_over_class(-l2, N, w, prec)
+    """sum over nonzero n = l2 mod N of n^-w: the sums over n > 0 in the
+    classes of l2 and -l2, each a Hurwitz zeta value at a in (0, N]."""
+    pos, neg = (hurwitz_zeta(QQ(a % N or N, N), w, prec) * mp.power(N, -mpc(w)) for a in (l2, -l2))
+    return pos + (-1) ** w * neg
 
 
 @prec_guard
@@ -258,31 +249,51 @@ class MaassFourier:
 
 
 @prec_guard
-def maass_fourier(
-    k: int, l: int, lam: ResiduePair, N: int, M: int, prec: int = DEFAULT_PREC
+def _double_index_fourier(
+    k: int, l: int, lam: ResiduePair, N: int, M: int, prec: int, elliptic: bool, head
 ) -> MaassFourier:
-    """Fourier expansion of the double-index congruence series: residue data
-    from the Poisson-summation kernel, with the zeta factor at l1 = 0 read as
-    zeta(1, s)."""
+    """The part both double-index expansions share: the total-weight check,
+    the level reduction, the v^{1-w} term
+
+        C0 = -2 pi i [C(-l, k-1) z+ + C(-k, l-1) z-] / (D (-2i)^{w-1})
+
+    and the divisor-pair kernel.  head(w, l1, l2) gives the series' own
+    constant A0, its pair (z+, z-) (None when it has no v^{1-w} term) and
+    D."""
     w = k + l
     if w < 3:
         raise ValueError("total weight k + l must be >= 3 for absolute convergence")
     if lam.N != N:
         lam = ResiduePair(N, lam.l1, lam.l2)
-    l1, l2 = lam.l1, lam.l2
-    A0 = _two_sided_class_sum(l2, N, w, prec) if l1 == 0 else mpc(0)
-    # C0 = -2 pi i [ C(-l, k-1) zeta*(l1/N, w-1) + C(-k, l-1) zeta(1 - l1/N, w-1) ] / (N^w (-2iv)^{w-1})
-    zs = hurwitz_zeta(QQ(l1, N) if l1 else QQ(1), w - 1, prec)
-    zo = hurwitz_zeta(1 - QQ(l1, N), w - 1, prec)
-    c0val = (
-        -2j
-        * mp.pi
-        * (_fb(-l, k - 1) * zs + _fb(-k, l - 1) * zo)
-        / (mpf(N) ** w * (-2j) ** (w - 1))
-    )
-    C0 = {1 - w: c0val} if c0val != 0 else {}
-    A, C = _kernel_divisor_sums(k, l, lam, M, prec, elliptic=False)
+    A0, pair, D = head(w, lam.l1, lam.l2)
+    C0: Dict[int, mpc] = {}
+    if pair is not None:
+        z_plus, z_minus = pair
+        c0val = (
+            -2j * mp.pi * (_fb(-l, k - 1) * z_plus + _fb(-k, l - 1) * z_minus) / (D * (-2j) ** (w - 1))
+        )
+        if c0val != 0:
+            C0[1 - w] = c0val
+    A, C = _kernel_divisor_sums(k, l, lam, M, prec, elliptic)
     return MaassFourier(k, l, N, lam, M, A0, C0, A, C)
+
+
+@prec_guard
+def maass_fourier(
+    k: int, l: int, lam: ResiduePair, N: int, M: int, prec: int = DEFAULT_PREC
+) -> MaassFourier:
+    """Fourier expansion of the double-index congruence series: residue data
+    from the Poisson-summation kernel, with the zeta factor at l1 = 0 read as
+    zeta(1, s); its v^{1-w} term has z+ = zeta*(l1/N, w-1),
+    z- = zeta(1 - l1/N, w-1) and D = N^w."""
+
+    def head(w, l1, l2):
+        A0 = _two_sided_class_sum(l2, N, w, prec) if l1 == 0 else mpc(0)
+        zs = hurwitz_zeta(QQ(l1, N) if l1 else QQ(1), w - 1, prec)
+        zo = hurwitz_zeta(1 - QQ(l1, N), w - 1, prec)
+        return A0, (zs, zo), mpf(N) ** w
+
+    return _double_index_fourier(k, l, lam, N, M, prec, False, head)
 
 
 def _fb(t: int, n: int) -> mpf:
@@ -377,31 +388,18 @@ def elliptic_maass_fourier(
 ) -> MaassFourier:
     """Fourier expansion of the double-index twisted (elliptic) series: the
     constant is the Bernoulli value of total weight, the v^{1-w} term carries
-    the polylog pair gated by l1 = 0."""
-    w = k + l
-    if w < 3:
-        raise ValueError("total weight k + l must be >= 3 for absolute convergence")
-    if lam.N != N:
-        lam = ResiduePair(N, lam.l1, lam.l2)
-    l1, l2 = lam.l1, lam.l2
-    # numerator and denominator apply one at a time: dividing by the
-    # rational first would round differently and change the reports
-    bw = bernoulli_value(w, QQ(l1, N))
-    A0 = -((-2j * mp.pi) ** w) * mpf(int(bw.numerator)) / int(bw.denominator) / mp.factorial(w)
-    C0: Dict[int, mpc] = {}
-    if l1 == 0:
-        li_p = polylog(w - 1, QQ(l2, N), prec)
-        li_m = polylog(w - 1, QQ(-l2, N), prec)
-        c0val = (
-            -2j
-            * mp.pi
-            * (_fb(-l, k - 1) * li_p + _fb(-k, l - 1) * li_m)
-            / (-2j) ** (w - 1)
-        )
-        if c0val != 0:
-            C0[1 - w] = c0val
-    A, C = _kernel_divisor_sums(k, l, lam, M, prec, elliptic=True)
-    return MaassFourier(k, l, N, lam, M, A0, C0, A, C)
+    the polylog pair z+- = Li_{w-1}(+-l2/N) gated by l1 = 0, with D = 1."""
+
+    def head(w, l1, l2):
+        # numerator and denominator apply one at a time: dividing by the
+        # rational first would round differently and change the reports
+        bw = bernoulli_value(w, QQ(l1, N))
+        A0 = -((-2j * mp.pi) ** w) * mpf(int(bw.numerator)) / int(bw.denominator) / mp.factorial(w)
+        if l1 != 0:
+            return A0, None, 1
+        return A0, (polylog(w - 1, QQ(l2, N), prec), polylog(w - 1, QQ(-l2, N), prec)), 1
+
+    return _double_index_fourier(k, l, lam, N, M, prec, True, head)
 
 
 def elliptic_tail_bound(k: int, l: int, N: int, M: int, v) -> mpf:

@@ -13,10 +13,8 @@ from math import factorial, gcd
 from typing import Dict, List, Sequence, Tuple
 
 
-def qq(x, den: int | None = None) -> QQ:
+def qq(x) -> QQ:
     """Coerce to an exact rational."""
-    if den is not None:
-        return QQ(x, den)
     if type(x) is QQ:  # rationals are immutable: no copy needed
         return x
     return QQ(x)

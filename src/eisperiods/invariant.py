@@ -283,14 +283,9 @@ def eichler_integral_dtau(k: int, lam: ResiduePair, N: int, tau, M: int, prec: i
 
 @dataclass
 class PsiValue:
-    """Numeric invariant value with its evaluation metadata."""
+    """Numeric invariant value and the number of Fourier modes summed."""
 
-    m: int
-    lattice: QuadLatticeData
-    lam: ResiduePair
-    tau: mpc
     value: mpc
-    prec: int
     fourier_terms: int
 
 
@@ -398,7 +393,7 @@ def psi(
     front = mpc(1j) * mp.power(-data.disc, mpf(m - 1) / 2) / (
         mp.pi ** m * vdiff ** (m - 1)
     )
-    return PsiValue(m, data, lam, tau, front * acc, prec, J)
+    return PsiValue(front * acc, J)
 
 
 @lru_cache(maxsize=8)
@@ -512,6 +507,8 @@ def hecke_assemble(
     Norms and character values are caller-supplied data."""
     if w_f <= 0:
         raise ValueError("w_f must be positive")
+    if not classes:
+        raise ValueError("the assembly needs at least one ideal class")
     total = mpc(0)
     for term in classes:
         data = term.lattice

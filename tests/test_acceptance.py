@@ -17,6 +17,7 @@ from eisperiods.cocycle import (
     PeriodPoly,
     build_induced,
     certify_parameter,
+    rationality_record,
     shapiro_descend,
     verify_relations,
 )
@@ -78,9 +79,10 @@ def sweep_results():
         for k in range(2, 9):
             for lam in index_set(N, k):
                 cells += 1
-                cochain, modified, report = certify_parameter(k, lam, N)
-                if not report.certified:
-                    cert_fail.append((k, N, lam.pair(), report.failures[:2]))
+                cochain, modified = certify_parameter(k, lam, N)
+                record = rationality_record(cochain, modified)
+                if not record["rational"]:
+                    cert_fail.append((k, N, lam.pair(), record["failures"][:2]))
                 if not all(
                     p.is_rational() for p in modified.val_T + modified.val_S
                 ):

@@ -360,6 +360,11 @@ MALFORMED_DATA = {
     # a non-finite chi would make the assembled value NaN
     "chi_nan": ("hecke", {"classes": [{"lattice": {"preset": "gaussian"}, "chi": {"re": "nan"}}]}),
     "chi_inf": ("hecke", {"classes": [{"lattice": {"preset": "gaussian"}, "chi": {"re": "1", "im": "inf"}}]}),
+    # JSON numbers that overflow to infinity have no exact rational value
+    "omega2_infinite": ("invariant", {"minpoly": [1, 0, 1], "omega2": float("inf"), "N": 1}),
+    "norm_b_infinite": ("hecke", {"classes": [{"lattice": {"preset": "gaussian"}, "norm_b": 1e400}]}),
+    # an assembly over no ideal class has no value
+    "classes_empty": ("hecke", {"classes": []}),
 }
 
 

@@ -20,6 +20,7 @@ from eisperiods.cocycle import (
     modify_and_certify,
     period_S,
     period_T,
+    rationality_record,
     shapiro_descend,
     verify_relations,
 )
@@ -442,8 +443,8 @@ class TestInducedCochain:
 
 class TestCoboundaryAndCertification:
     def test_level_one_weight_four_cancellation(self):
-        cochain, modified, report = certify_parameter(4, lam(1, 0, 0), 1)
-        assert report.certified
+        cochain, modified = certify_parameter(4, lam(1, 0, 0), 1)
+        assert rationality_record(cochain, modified)["rational"]
         assert modified.val_S[0] == rational_poly(4, ["0/1", "-1/432", "0/1"])
         assert modified.val_T[0] == cochain.val_T[0]
 
@@ -464,7 +465,7 @@ class TestCoboundaryAndCertification:
         P(sigma) + F(sigma g^-1)|g - F(sigma), F(sigma) the coboundary
         constant of the transported parameter lambda sigma."""
         k, N, lamv = 5, 3, lam(3, 1, 0)
-        cochain, modified, _ = certify_parameter(k, lamv, N)
+        cochain, modified = certify_parameter(k, lamv, N)
         table = cochain.table
 
         def F(i):
@@ -478,15 +479,14 @@ class TestCoboundaryAndCertification:
     def test_t_value_unchanged_at_level_one_even_weight(self):
         # at N = 1 the coboundary is constant across cosets and T acts
         # trivially on constants, so the T value is untouched
-        cochain, modified, _ = certify_parameter(6, lam(1, 0, 0), 1)
+        cochain, modified = certify_parameter(6, lam(1, 0, 0), 1)
         assert modified.val_T[0] == cochain.val_T[0]
 
     def test_sweep_certifies(self):
         for N in range(1, 4):
             for k in range(2, 6):
                 for lamv in index_set(N, k):
-                    _, _, rep = certify_parameter(k, lamv, N)
-                    assert rep.certified, (k, N, lamv)
+                    assert rationality_record(*certify_parameter(k, lamv, N))["rational"], (k, N, lamv)
 
     def test_modification_keeps_a_cocycle(self):
         """Adding the coboundary F|g - F to a cocycle gives a cocycle: the
@@ -497,30 +497,81 @@ class TestCoboundaryAndCertification:
         for N in range(1, 6):
             for k in range(2, 9):
                 for lamv in index_set(N, k):
-                    cochain, modified, _ = certify_parameter(k, lamv, N)
+                    cochain, modified = certify_parameter(k, lamv, N)
                     assert modified.quotient is cochain.quotient, (k, N, lamv)
                     assert verify_relations(modified), (k, N, lamv)
                     cells += 1
         assert cells == 365
 
     def test_report_json(self):
-        _, modified, report = certify_parameter(4, lam(2, 0, 1), 2)
-        doc = report.to_json(include_values=True, modified=modified)
+        cochain, modified = certify_parameter(4, lam(2, 0, 1), 2)
+        doc = rationality_record(cochain, modified, include_values=True)
         assert doc["rational"] is True
         assert doc["failures"] == []
         assert doc["cosets"] == 6
-        assert len(doc["modified"]["S"]) == 6
+        assert len(doc["values_T"]) == len(doc["values_S"]) == 6
+        assert len(doc["modified"]["T"]) == len(doc["modified"]["S"]) == 6
+        assert "values_T" not in rationality_record(cochain, modified)
 
     def test_copy_certifies_as_the_orbit(self):
         """modify_and_certify on the discrete copy reads F at every coset and
-        gives the orbit's values and report, coset by coset."""
+        gives the orbit's values and record, coset by coset."""
         for k, N, lamv in [(2, 4, lam(4, 0, 3)), (5, 3, lam(3, 1, 0)), (6, 4, lam(4, 2, 1))]:
-            cochain, modified, report = certify_parameter(k, lamv, N)
-            per_coset, again = modify_and_certify(cochain.copy())
+            cochain, modified = certify_parameter(k, lamv, N)
+            copy = cochain.copy()
+            per_coset = modify_and_certify(copy)
             assert per_coset.quotient is not cochain.quotient
             assert per_coset.val_T == modified.quotient.expand(modified.val_T)
             assert per_coset.val_S == modified.quotient.expand(modified.val_S)
-            assert again == report
+            assert rationality_record(copy, per_coset, include_values=True) == rationality_record(
+                cochain, modified, include_values=True
+            )
+
+
+class TestFailureReport:
+    """A cochain whose symbols do not cancel: the record says so, coset by
+    coset, in table order."""
+
+    SYMBOL = PolylogSymbol(3, 1, 5)
+    INDEX, COEFF = 1, QQ(2, 7)
+
+    def with_symbol(self, poly):
+        extra = [ExtScalar.zero()] * (poly.k - 1)
+        extra[self.INDEX] = ExtScalar.from_symbol(self.SYMBOL, self.COEFF)
+        return poly + PeriodPoly(poly.k, extra)
+
+    def failure(self, coset):
+        return {
+            "coset": coset,
+            "generator": "S",
+            "coeff_index": self.INDEX,
+            "symbol": "PL(3; 1/5)",
+            "coeff": "2/7",
+        }
+
+    def record(self, cochain):
+        return rationality_record(cochain, modify_and_certify(cochain))
+
+    def test_one_coset(self):
+        k, N, lamv = 4, 3, lam(3, 1, 1)
+        bad = build_induced(k, lamv, N).copy()
+        coset = 5
+        bad.val_S[coset] = self.with_symbol(bad.val_S[coset])
+        doc = self.record(bad)
+        assert doc["rational"] is False
+        assert doc["failures"] == [self.failure(coset)]
+        assert doc["cosets"] == len(bad.table) == 24
+
+    def test_one_class_lists_its_cosets(self):
+        k, N, lamv = 5, 4, lam(4, 0, 1)
+        bad = build_induced(k, lamv, N)
+        cls = 2
+        bad.val_S[cls] = self.with_symbol(bad.val_S[cls])
+        cosets = [i for i, c in enumerate(bad.quotient.class_of) if c == cls]
+        assert 1 < len(cosets) < len(bad.table)
+        doc = self.record(bad)
+        assert doc["rational"] is False
+        assert doc["failures"] == [self.failure(i) for i in cosets]
 
 
 class TestEvaluation:
@@ -705,14 +756,15 @@ class TestOrbitQuotient:
 
         monkeypatch.setattr(cocycle, "CosetQuotient", Refuse)
         for k, N, lamv in [(2, 4, lam(4, 0, 3)), (3, 5, lam(5, 1, 2)), (6, 6, lam(6, 2, 3))]:
-            cochain, modified, report = certify_parameter(k, lamv, N)
-            assert report.certified and verify_relations(cochain) and verify_relations(modified)
+            cochain, modified = certify_parameter(k, lamv, N)
+            assert rationality_record(cochain, modified)["rational"]
+            assert verify_relations(cochain) and verify_relations(modified)
             at_identity = evaluate_cocycle(cochain, t_power(N))[cochain.table.identity_index()]
             assert shapiro_descend(cochain, t_power(N)) == at_identity
 
     def test_modified_cochain_keeps_the_orbit(self):
-        cochain, modified, report = certify_parameter(4, lam(5, 0, 1), 5)
-        assert report.certified
+        cochain, modified = certify_parameter(4, lam(5, 0, 1), 5)
+        assert rationality_record(cochain, modified)["rational"]
         orbit, _ = parameter_orbit(lam(5, 0, 1))
         assert modified.quotient is cochain.quotient is orbit
         assert len(orbit) == len(modified.val_T) == len(modified.val_S) == 24

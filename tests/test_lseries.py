@@ -40,7 +40,10 @@ class TestBoundedState:
         with pytest.raises(dataclasses.FrozenInstanceError):
             spec.k = 6
 
-    def test_embedding_keyed_by_coefficients(self):
+    def test_embedding_keyed_by_coefficients(self, monkeypatch):
+        # an empty store, so that the series is built at M = 20 and served
+        # whole, not as a new slice of a longer series left by another test
+        monkeypatch.setattr(eisenstein, "_LONGEST_SERIES", {})
         a = eisenstein.e_series_values(4, lam(3, 1, 2), 3, 20, PREC)
         b = eisenstein.e_series_values(4, lam(3, 1, 2), 3, 20, PREC)
         assert a[1] is b[1]
@@ -57,7 +60,6 @@ class TestBoundedState:
 
         monkeypatch.setattr(eisenstein, "e_fourier", counted)
         monkeypatch.setattr(eisenstein, "_LONGEST_SERIES", {})
-        eisenstein.e_series_values.cache_clear()
         cell = lam(5, 1, 2)
         for partner in (cell, cell.act(S)):
             lvalue_numeric(LFunctionSpec.for_e_series(4, partner, 5, 20), mpf("1.5"), PREC)
@@ -78,7 +80,6 @@ class TestBoundedState:
 
         monkeypatch.setattr(eisenstein, "e_fourier", counted)
         monkeypatch.setattr(eisenstein, "_LONGEST_SERIES", {})
-        eisenstein.e_series_values.cache_clear()
         cell = lam(3, 1, 2)
         const, longer = eisenstein.e_series_values(6, cell, 3, 60, PREC)
         short_const, short = eisenstein.e_series_values(6, cell, 3, 25, PREC)

@@ -347,7 +347,6 @@ def test_every_cache_is_bounded():
         "eisperiods.cocycle.period_T",
         "eisperiods.exact._bernoulli_numbers",
         "eisperiods.exact.euler_phi",
-        "eisperiods.eisenstein.e_series_values",
         "eisperiods.invariant._psi_value",
         "eisperiods.lseries._exp_mellin",
         "eisperiods.lseries._lvalue_terms",
