@@ -8,7 +8,8 @@ write the report.  A `cmd_*` function only builds its report and returns it
 with its exit status.  It rejects an input by raising `ValueError`, as the
 library does (`IndexSetError`, `PrecisionError` and the weight and range
 checks are all `ValueError`s); `main` turns that, or an `OSError` from
-writing `--out`, into one `eisp: error:` line and exit code 2.
+writing `--out`, into one `eisp: error:` line and exit code 2.  A stdout
+closed by its reader is not a bad configuration: it exits 141 silently.
 
 Reports are deterministic byte for byte for a fixed configuration: summation
 orders are fixed, JSON keys are sorted, exact rationals are rendered as p/q
@@ -18,10 +19,13 @@ sort_keys=True, indent=2, ensure_ascii=False), which cannot use the C encoder
 with an indent: the outer levels go to the file or stdout piece by piece, and
 each deeper value is encoded whole with every shared list or dict encoded
 once, memoized by object id (sound only within one call, while the report
-holds its objects).
+holds its objects).  A value that repeats, such as a per-class period
+polynomial shared by the records of one orbit, is kept for the rest of the
+call; a per-record list is not.
 
 Exit codes: 0 success, 1 tolerance or certification failure, 2 bad
-configuration.
+configuration, 141 (128 + SIGPIPE) when the reader of stdout closed it
+before the report was written.
 """
 from __future__ import annotations
 
@@ -48,17 +52,11 @@ from .eisenstein import (
     lattice_sum,
     maass_fourier,
 )
-from .cocycle import (
-    build_induced,
-    certify_parameter,
-    period_S,
-    period_T,
-    rationality_record,
-    verify_relations,
-)
+from .cocycle import certify_parameter, period_S, period_T, rationality_record, relations_hold
 from .invariant import (
     IdealClassTerm,
     QuadLatticeData,
+    json_number,
     psi_gamma_shift,
     psi_value_ratio,
     hecke_assemble,
@@ -76,6 +74,7 @@ MAX_ORDER = 6
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
 EXIT_CONFIG = 2
+EXIT_BROKEN_PIPE = 128 + 13  # 128 + SIGPIPE, as a shell reports a process killed by it
 
 
 @dataclass
@@ -165,10 +164,11 @@ def _members(obj) -> tuple[str, str, list]:
     return "[", "]", [("", value) for value in obj]
 
 
-def _encode(obj, depth: int, memo: dict) -> str:
+def _encode(obj, depth: int, memo: dict, shared: dict) -> str:
     """obj as json.dumps(sort_keys=True, indent=2, ensure_ascii=False)
-    writes it at the given nesting depth; the text of each non-empty
-    container is memoized by (object id, depth)."""
+    writes it at the given nesting depth.  The text of each non-empty
+    container is memoized by (object id, depth) in memo, and moved to shared
+    once the container repeats."""
     if isinstance(obj, str):
         return encode_basestring(obj)
     if not isinstance(obj, (list, tuple, dict)):
@@ -176,41 +176,53 @@ def _encode(obj, depth: int, memo: dict) -> str:
     if not obj:
         return "{}" if isinstance(obj, dict) else "[]"
     key = (id(obj), depth)
-    text = memo.get(key)
-    if text is None:
-        open_, close, members = _members(obj)
-        inner = "\n" + "  " * (depth + 1)
-        text = memo[key] = (
-            open_
-            + inner
-            + ("," + inner).join(prefix + _encode(value, depth + 1, memo) for prefix, value in members)
-            + "\n"
-            + "  " * depth
-            + close
-        )
+    if key in shared:
+        return shared[key]
+    if key in memo:  # a repeat: kept for the rest of the call
+        text = shared[key] = memo[key]
+        return text
+    open_, close, members = _members(obj)
+    inner = "\n" + "  " * (depth + 1)
+    text = memo[key] = (
+        open_
+        + inner
+        + ("," + inner).join(prefix + _encode(value, depth + 1, memo, shared) for prefix, value in members)
+        + "\n"
+        + "  " * depth
+        + close
+    )
     return text
 
 
-def _write_json(write, obj, depth: int = 0) -> None:
+def _write_json(write, obj) -> None:
     """Stream obj to write() in the bytes of json.dumps(obj, sort_keys=True,
     indent=2, ensure_ascii=False): containers above STREAM_DEPTH piece by
     piece, every deeper value whole through _encode.
 
-    Shared objects are encoded once: cosets of one class share one period
-    polynomial, so a report repeats the same list or dict many times.  The
-    memo is keyed by object id, which is sound only while the report holds
-    its objects, that is, within one call; each value encoded whole gets a
-    fresh memo, so the memo never outlives it."""
-    if depth < STREAM_DEPTH and isinstance(obj, (list, tuple, dict)) and obj:
-        open_, close, members = _members(obj)
-        inner = "\n" + "  " * (depth + 1)
-        write(open_)
-        for n, (prefix, value) in enumerate(members):
-            write(("," if n else "") + inner + prefix)
-            _write_json(write, value, depth + 1)
-        write("\n" + "  " * depth + close)
-    else:
-        write(_encode(obj, depth, {}))
+    Shared objects are encoded once: cosets of one class, and the cells that
+    hold one parameter, share one period polynomial, so a report repeats the
+    same list or dict many times.  Each value encoded whole gets a fresh
+    memo, so a per-record list is not kept past its record.  A container
+    that repeats within one such value moves to a memo shared by the whole
+    call, which is how a per-class value is encoded once for every record
+    that holds it.  Both memos are keyed by object id, which is sound only
+    while the report holds its objects, that is, within one call: they are
+    made here and dropped on return."""
+    shared: dict = {}
+
+    def stream(obj, depth: int) -> None:
+        if depth < STREAM_DEPTH and isinstance(obj, (list, tuple, dict)) and obj:
+            open_, close, members = _members(obj)
+            inner = "\n" + "  " * (depth + 1)
+            write(open_)
+            for n, (prefix, value) in enumerate(members):
+                write(("," if n else "") + inner + prefix)
+                stream(value, depth + 1)
+            write("\n" + "  " * depth + close)
+        else:
+            write(_encode(obj, depth, {}, shared))
+
+    stream(obj, 0)
 
 
 def _emit(report: dict, config: RunConfig) -> None:
@@ -218,6 +230,7 @@ def _emit(report: dict, config: RunConfig) -> None:
     with out as fh:
         _write_json(fh.write, report)
         fh.write("\n")
+        fh.flush()  # a closed stdout raises here, not at interpreter exit
 
 
 def _num(z) -> dict:
@@ -368,7 +381,7 @@ def cmd_relations(args, config: RunConfig) -> tuple[dict, int]:
                 # a fixed lambda runs at every cell of the range that admits it
                 lams = [lam for lam in lams if lam == ResiduePair(N, *args.lam)]
             for lam in lams:
-                ok = verify_relations(build_induced(k, lam, N))
+                ok = relations_hold(k, lam, N)
                 records.append(
                     {"k": k, "N": N, "lambda": [lam.l1, lam.l2], "relations_hold": ok}
                 )
@@ -403,14 +416,16 @@ def _load_lattice(args) -> QuadLatticeData:
 
 def _hecke_classes(payload: dict):
     """The ideal-class terms and w_f of a hecke --data payload."""
-    classes = [
-        IdealClassTerm(
-            QuadLatticeData.from_json(entry["lattice"]),
-            qq(entry.get("norm_b", "1/1")),
-            mpc(mpf(entry.get("chi", {}).get("re", "1")), mpf(entry.get("chi", {}).get("im", "0"))),
+    classes = []
+    for entry in payload["classes"]:
+        chi = entry.get("chi", {})
+        classes.append(
+            IdealClassTerm(
+                QuadLatticeData.from_json(entry["lattice"]),
+                qq(json_number(entry.get("norm_b", "1/1"), "norm_b")),
+                mpc(mpf(json_number(chi.get("re", "1"), "chi re")), mpf(json_number(chi.get("im", "0"), "chi im"))),
+            )
         )
-        for entry in payload["classes"]
-    ]
     w_f = payload.get("w_f", 1)
     if type(w_f) is not int or w_f <= 0:
         raise ValueError(f"w_f must be a positive integer, got {w_f!r}")
@@ -623,6 +638,12 @@ def main(argv=None) -> int:
             report, status = args.func(args, config)
         report["config"] = _config_json(config)
         _emit(report, config)
+    except BrokenPipeError:
+        # the reader closed the pipe early (`eisp ... | head`), which is not a
+        # bad configuration; stdout goes to devnull so that the flush at exit
+        # does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ValueError, OSError) as exc:
         parser.error(str(exc))
     return status

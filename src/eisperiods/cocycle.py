@@ -15,8 +15,19 @@ channel, so certification stays symbolic: modify_and_certify returns the
 modified cochain alone, and a cell is certified when none of its values
 keeps a symbol channel, which rationality_record reads from the cochain.
 ExtScalar coefficients appear only at the boundary: the constructor,
-.coeffs and the JSON and failure reports.  The period values at T and S
-and the coboundary constant are cached per (k, lambda, N).
+.coeffs and the JSON and failure reports.
+
+A sweep does each piece of exact work once per orbit element, not once per
+cell.  The period values at T and S, the coboundary constant and the
+modified values (_modified_periods) are cached per (k, mu, N), so every cell
+whose orbit holds mu shares them; certify_parameter reads each class from
+there.  The orbits of SL2(Z/N) on (Z/N)^2 are the gcd(l1, l2, N) classes,
+and the cells of one orbit hold the same per-class values, so
+relations_hold caches one verify_relations verdict per (k, N, orbit).  Each
+polynomial value is serialized once (_poly_json) for the --values report.
+No cache is keyed on a cochain: modify_and_certify and verify_relations
+evaluate whatever cochain they are handed, an edited copy included,
+through the same per-class formula the cache applies.
 
 Cocycles are stored by their values at T and S only; every other value is
 reconstructed through the cocycle rule along an S/T word.  T-power runs are
@@ -40,7 +51,7 @@ Evaluation cost scales with the quotient, not with |SL2(Z/N)|.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain
 from math import comb, factorial, gcd, lcm
@@ -129,6 +140,9 @@ class PeriodPoly:
 
     def __neg__(self) -> "PeriodPoly":
         return _sum(self.k, (_term(self, -1),))
+
+    def __hash__(self):
+        return hash((self.k, self.den, self.rat, self.syms))
 
     def __eq__(self, other):
         return (
@@ -414,24 +428,62 @@ def _t_sources(quot: CosetQuotient, n: int) -> List[int]:
     return [quot.rmul_t_power(i, -n) for i in range(len(quot))]
 
 
+_T_INV, _S_INV = T.inverse(), S.inverse()
+
+
+def _modified(val_T: PeriodPoly, val_S: PeriodPoly, k: int, mu: ResiduePair, N: int
+              ) -> Tuple[PeriodPoly, PeriodPoly]:
+    """The values at T and S of a class whose transported parameter is mu,
+    plus the coboundary F|g - F: val_g + F(mu g^{-1})|g - F(mu) for g in
+    (T, S), F the coboundary_value.  The class of sigma g^{-1} has parameter
+    mu g^{-1}, so the transport is read per parameter, with no coset table."""
+    f = _term(coboundary_value(k, mu, N), -1)
+
+    def modified(value: PeriodPoly, g: Mat2, g_inv: Mat2) -> PeriodPoly:
+        moved = _image(_action_matrix(k, g), coboundary_value(k, mu.act(g_inv), N))
+        return _sum(k, (_term(value), moved, f))
+
+    return modified(val_T, T, _T_INV), modified(val_S, S, _S_INV)
+
+
+@lru_cache(maxsize=256)
+def _modified_periods(k: int, mu: ResiduePair, N: int) -> Tuple[PeriodPoly, PeriodPoly]:
+    """_modified of period_T and period_S at mu: the modified values of
+    every class with parameter mu in every cell of the orbit of mu.  Cached
+    per (k, mu, N), like period_T."""
+    return _modified(period_T(k, mu, N), period_S(k, mu, N), k, mu, N)
+
+
 def modify_and_certify(cochain: InducedCochain) -> InducedCochain:
-    """Add the coboundary F|_gamma - F to the stored values at T and S.  F
-    at a coset is the coboundary_value of its transported parameter, looked
-    up in the cached lambda-orbit.  F is constant on the classes of the
-    cochain's quotient, which refines that orbit (it is the orbit, or the
-    discrete quotient of a copy), so F is read at each class representative
-    and the sums run once per class.  The modified cochain is certified
-    rational when no polylog-symbol coefficient survives in it, which
-    rationality_record reads."""
+    """Add the coboundary F|_gamma - F to the stored values at T and S,
+    through _modified at each class with the transported parameter of its
+    representative, looked up in the cached lambda-orbit.  F is constant on
+    the classes of the cochain's quotient, which refines that orbit (it is
+    the orbit, or the discrete quotient of a copy), so the sums run once per
+    class.  Nothing here is cached: the values of the cochain handed in, an
+    edited copy included, are the ones modified.  The modified cochain is
+    certified rational when no polylog-symbol coefficient survives in it,
+    which rationality_record reads."""
     quot = _classes_of(cochain)
     k, N, lam = cochain.k, cochain.N, cochain.lam
     orbit, params = parameter_orbit(lam)
-    F = [coboundary_value(k, params[orbit.class_of[r]], N) for r in quot.representatives]
-    moved_T = _transport(F, _t_sources(quot, 1), _action_matrix(k, T))
-    moved_S = _transport(F, quot.rmul_S_inv, _action_matrix(k, S))
-    new_T = [_sum(k, (_term(a), m, _term(f, -1))) for a, m, f in zip(cochain.val_T, moved_T, F)]
-    new_S = [_sum(k, (_term(a), m, _term(f, -1))) for a, m, f in zip(cochain.val_S, moved_S, F)]
-    return InducedCochain(k, N, lam, cochain.table, quot, new_T, new_S)
+    return _with_values(cochain, [
+        _modified(a, b, k, params[orbit.class_of[r]], N)
+        for a, b, r in zip(cochain.val_T, cochain.val_S, quot.representatives)
+    ])
+
+
+def _with_values(cochain: InducedCochain, pairs: Sequence[Tuple[PeriodPoly, PeriodPoly]]) -> InducedCochain:
+    """The cochain on the same quotient with one (T, S) value pair per class."""
+    return replace(cochain, val_T=[p[0] for p in pairs], val_S=[p[1] for p in pairs])
+
+
+@lru_cache(maxsize=1024)
+def _poly_json(poly: PeriodPoly) -> list:
+    """poly.to_json(), cached per polynomial value: the cosets and cells
+    that share a value share one list, which the report writer encodes
+    once.  The list is shared, so it must not be modified."""
+    return poly.to_json()
 
 
 def rationality_record(
@@ -441,15 +493,18 @@ def rationality_record(
     the modified cochain: rational exactly when no polylog-symbol
     coefficient survives in the modified values, and the failures, each
     class scanned once and listed per coset in table order.  include_values
-    adds both cochains' values, each class serialized once and shared by
-    its cosets."""
+    adds both cochains' values, each polynomial value serialized once
+    (_poly_json) and shared by its cosets and by the cells that hold it."""
     quot = modified.quotient
-    failures = [
-        {"coset": i, "generator": gen, "coeff_index": idx, "symbol": sym, "coeff": coeff}
-        for gen, vals in (("T", modified.val_T), ("S", modified.val_S))
-        for i, found in enumerate(quot.expand([poly.symbol_failures() for poly in vals]))
-        for idx, sym, coeff in found
-    ]
+    failures = []
+    for gen, vals in (("T", modified.val_T), ("S", modified.val_S)):
+        if not all(poly.is_rational() for poly in vals):
+            found = [poly.symbol_failures() for poly in vals]
+            failures += [
+                {"coset": i, "generator": gen, "coeff_index": idx, "symbol": sym, "coeff": coeff}
+                for i, per_class in enumerate(quot.expand(found))
+                for idx, sym, coeff in per_class
+            ]
     out = {
         "k": modified.k,
         "N": modified.N,
@@ -460,7 +515,7 @@ def rationality_record(
     }
 
     def values(c: InducedCochain, polys: List[PeriodPoly]) -> list:
-        return c.quotient.expand([p.to_json() for p in polys])
+        return c.quotient.expand([_poly_json(p) for p in polys])
 
     if include_values:
         out["values_T"] = values(cochain, cochain.val_T)
@@ -561,6 +616,26 @@ def shapiro_descend(cochain: InducedCochain, gamma: Mat2) -> PeriodPoly:
 
 def certify_parameter(k: int, lam: ResiduePair, N: int) -> Tuple[InducedCochain, InducedCochain]:
     """Build and modify one (k, N, lambda) cell: the cochain and the
-    modified cochain, which rationality_record certifies."""
+    modified cochain, which rationality_record certifies.  The modified
+    value of each class is read from _modified_periods at its parameter, so
+    a sweep modifies each (k, mu, N) once, not once per cell of its orbit."""
     cochain = build_induced(k, lam, N)
-    return cochain, modify_and_certify(cochain)
+    _, params = parameter_orbit(cochain.lam)
+    return cochain, _with_values(cochain, [_modified_periods(k, mu, N) for mu in params])
+
+
+@lru_cache(maxsize=1024)
+def _orbit_relations_hold(k: int, N: int, d: int) -> bool:
+    """verify_relations of the built cochain at (0, d), which lies in the
+    orbit of every lambda with gcd(l1, l2, N) = d.  Cached per (k, N, d)."""
+    return verify_relations(build_induced(k, ResiduePair(N, 0, d), N))
+
+
+def relations_hold(k: int, lam: ResiduePair, N: int) -> bool:
+    """verify_relations(build_induced(k, lam, N)), read per orbit.  The
+    cells of one SL2(Z/N)-orbit, the lambda with one value of
+    gcd(l1, l2, N), hold the same per-class values (period_T and period_S at
+    each orbit element mu) and the same right multiplication mu -> mu g, in
+    another class order, so they share one verdict."""
+    lam = admissible(k, lam, N)
+    return _orbit_relations_hold(k, N, gcd(lam.l1, lam.l2, N))

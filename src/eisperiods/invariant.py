@@ -177,6 +177,14 @@ def dd_m_symmetric_form(m: int, n: int) -> Dict[Tuple[int, int, int], QQ]:
 # Eichler integrals and the invariant
 
 
+def json_number(value, name: str):
+    """A number read from a JSON input, as given; a JSON boolean is
+    rejected, since Fraction and mpf would read it as 0 or 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class QuadLatticeData:
     """Imaginary quadratic lattice input: primitive minimal polynomial
@@ -227,9 +235,8 @@ class QuadLatticeData:
             return QuadLatticeData.preset(obj["preset"])
         a, b, c = obj["minpoly"]
         lam = obj.get("lambda", [0, 0])
-        return QuadLatticeData(
-            a, b, c, qq(obj.get("omega2", "1/1")), obj["N"], ResiduePair(obj["N"], *lam)
-        )
+        omega2 = qq(json_number(obj.get("omega2", "1/1"), "omega2"))
+        return QuadLatticeData(a, b, c, omega2, obj["N"], ResiduePair(obj["N"], *lam))
 
     def to_json(self) -> dict:
         return {

@@ -218,6 +218,14 @@ def enumerate_sl2(N: int) -> CosetTable:
     return CosetTable(N)
 
 
+@lru_cache(maxsize=32)
+def _residue_pairs(N: int) -> Tuple[ResiduePair, ...]:
+    """Every residue pair of level N, (m1, m2) at index m1 N + m2: one
+    object per pair, which every orbit of the level shares, so the caches
+    keyed on a parameter compare their keys by identity."""
+    return tuple(ResiduePair(N, m1, m2) for m1 in range(N) for m2 in range(N))
+
+
 @lru_cache(maxsize=1024)
 def parameter_orbit(lam: ResiduePair) -> Tuple[CosetQuotient, Tuple[ResiduePair, ...]]:
     """The orbit of lam under T and S, as the quotient of the coset table of
@@ -238,7 +246,8 @@ def parameter_orbit(lam: ResiduePair) -> Tuple[CosetQuotient, Tuple[ResiduePair,
         index.setdefault(((l1 * a + l2 * c) % N, (l1 * b + l2 * d) % N), len(index))
         for a, b, c, d in table.elements
     ]
-    params = tuple(ResiduePair(N, m1, m2) for m1, m2 in index)
+    pairs = _residue_pairs(N)
+    params = tuple(pairs[m1 * N + m2] for m1, m2 in index)
     return CosetQuotient.closed(table, class_of), params
 
 

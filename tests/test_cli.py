@@ -234,16 +234,25 @@ SCALARS = STRINGS + [
 KEYS = ["a", "b", "Z", "é", 'k"q', "k\\b", "\x01", "", "records", "summary"]
 
 
-def seeded_report(seed: int) -> dict:
-    """A nested report with shared, empty and awkward members."""
+def seeded_report(seed: int, scalars=SCALARS) -> dict:
+    """A nested report with shared, empty and awkward members.  Like a
+    rationality report, it holds one shared list (per_class) in several
+    records at the depth of a per-class value, next to lists of its own.
+    The shape depends on the seed alone; scalars gives the leaves, each
+    drawn by its index."""
     rng = random.Random(seed)
-    shared_list = [rng.choice(SCALARS) for _ in range(3)] + [{"in": "shared", "e": []}]
+
+    def leaf():
+        return scalars[rng.randrange(len(scalars))]
+
+    shared_list = [leaf() for _ in range(3)] + [{"in": "shared", "e": []}]
     shared_dict = {"s": shared_list, "n": 7, "empty": {}}
+    per_class = [{"rational": leaf(), "symbols": [leaf()]}, leaf()]
 
     def node(depth):
         r = rng.random()
         if depth >= 7 or r < 0.25:
-            return rng.choice(SCALARS)
+            return leaf()
         if r < 0.4:
             return rng.choice([shared_list, shared_dict])
         if r < 0.45:
@@ -256,8 +265,12 @@ def seeded_report(seed: int) -> dict:
             return {rng.randint(-50, 50): node(depth + 1) for _ in range(rng.randint(1, 4))}
         return {rng.choice(KEYS): node(depth + 1) for _ in range(rng.randint(1, 4))}
 
+    def record():
+        values = [per_class if rng.random() < 0.5 else [leaf(), leaf()] for _ in range(4)]
+        return {"node": node(3), "values": values + [per_class], "modified": {"T": [per_class, leaf()]}}
+
     return {
-        "records": [node(2) for _ in range(6)],
+        "records": [node(2) for _ in range(6)] + [record() for _ in range(4)],
         "shared": [shared_list, shared_list, shared_dict, shared_dict],
         "deep": {"a": {"b": {"c": {"d": [shared_list, shared_dict]}}}},
         "summary": {"cells": 2 ** 70, "ok": True, "none": None, "empty": [], "text": STRINGS},
@@ -278,6 +291,18 @@ class TestReportWriter:
     def test_matches_json_dumps(self, seed):
         report = seeded_report(seed)
         assert written(report) == json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_memo_does_not_outlive_one_call(self, seed):
+        """The writer's memos are keyed by object id and made per call: a
+        second report of the same shape with other leaves, built after the
+        first is dropped so that ids may be reused, is written afresh."""
+        first = seeded_report(seed)
+        assert written(first) == json.dumps(first, sort_keys=True, indent=2, ensure_ascii=False)
+        del first
+        other = [f"leaf {i}" for i in range(len(SCALARS))]
+        second = seeded_report(seed, other)
+        assert written(second) == json.dumps(second, sort_keys=True, indent=2, ensure_ascii=False)
 
     @pytest.mark.parametrize("obj", [[], {}, (), "é\"", None, True, 2 ** 100, [[[[[]]]]], {"a": {}}])
     def test_matches_json_dumps_at_the_top(self, obj):
@@ -301,6 +326,24 @@ class TestReportWriter:
         assert capsys.readouterr().out == ""
         assert main(argv) == 0
         assert capsys.readouterr().out.encode("utf-8") == target.read_bytes()
+
+
+def test_closed_stdout_exits_141():
+    """A reader that closes the pipe early is not a bad configuration: no
+    usage text, no traceback, and the status of a process killed by
+    SIGPIPE."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(eisperiods.__path__[0])}
+    env.pop("EISP_PREC", None)
+    # about 11 MB of report, far more than a pipe buffer holds
+    argv = ["rationality", "--k-max", "8", "--N-max", "4", "--values"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "eisperiods.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(10) == b'{\n  "confi'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert (proc.wait(timeout=60), err) == (141, "")
 
 
 class TestEnvPrecision:
@@ -365,6 +408,10 @@ MALFORMED_DATA = {
     "norm_b_infinite": ("hecke", {"classes": [{"lattice": {"preset": "gaussian"}, "norm_b": 1e400}]}),
     # an assembly over no ideal class has no value
     "classes_empty": ("hecke", {"classes": []}),
+    # Fraction and mpf read a JSON boolean as 0 or 1
+    "omega2_boolean": ("invariant", {"minpoly": [1, 0, 1], "omega2": True, "N": 1}),
+    "norm_b_boolean": ("hecke", {"classes": [{"lattice": {"preset": "gaussian"}, "norm_b": True}]}),
+    "chi_boolean": ("hecke", {"classes": [{"lattice": {"preset": "gaussian"}, "chi": {"re": True}}]}),
 }
 
 

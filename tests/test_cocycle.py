@@ -21,6 +21,7 @@ from eisperiods.cocycle import (
     period_S,
     period_T,
     rationality_record,
+    relations_hold,
     shapiro_descend,
     verify_relations,
 )
@@ -526,6 +527,52 @@ class TestCoboundaryAndCertification:
             assert rationality_record(copy, per_coset, include_values=True) == rationality_record(
                 cochain, modified, include_values=True
             )
+
+
+class TestOrbitCaches:
+    """A sweep reads each modified value per (k, mu, N) and each relations
+    verdict per (k, N, orbit).  Both must equal a direct evaluation of the
+    cell, and a cochain handed to modify_and_certify is never read from a
+    cache."""
+
+    def test_cached_results_equal_a_direct_evaluation(self):
+        """Every admissible cell with N <= 6, k <= 8 (616 cells): the cached
+        verdict is verify_relations of the built cochain, and the cached
+        modified values are modify_and_certify of its discrete copy, coset by
+        coset."""
+        cells = 0
+        for N in range(1, 7):
+            for k in range(2, 9):
+                for lamv in index_set(N, k):
+                    direct = build_induced(k, lamv, N)
+                    assert relations_hold(k, lamv, N) == verify_relations(direct), (k, N, lamv)
+                    _, modified = certify_parameter(k, lamv, N)
+                    per_coset = modify_and_certify(direct.copy())
+                    assert modified.quotient.expand(modified.val_T) == per_coset.val_T, (k, N, lamv)
+                    assert modified.quotient.expand(modified.val_S) == per_coset.val_S, (k, N, lamv)
+                    cells += 1
+        assert cells == 616
+
+    @pytest.mark.parametrize("gen", ["T", "S"])
+    def test_edited_copy_is_modified_directly(self, gen):
+        """An edit to one coset of a copy comes back as the edit plus the
+        coboundary change there, while a rebuilt cell still reads the
+        unedited values."""
+        k, N, lamv, coset = 6, 4, lam(4, 2, 1), 5
+        cochain, modified = certify_parameter(k, lamv, N)
+        want = {
+            "T": modified.quotient.expand(modified.val_T),
+            "S": modified.quotient.expand(modified.val_S),
+        }
+        extra = rational_poly(k, ["0/1", "1/5", "0/1", "0/1", "0/1"])
+        bad = cochain.copy()
+        values = bad.val_T if gen == "T" else bad.val_S
+        values[coset] = values[coset] + extra
+        want[gen][coset] = want[gen][coset] + extra
+        got = modify_and_certify(bad)
+        assert got.val_T == want["T"] and got.val_S == want["S"]
+        _, again = certify_parameter(k, lamv, N)
+        assert again.val_T == modified.val_T and again.val_S == modified.val_S
 
 
 class TestFailureReport:

@@ -341,6 +341,9 @@ def test_every_cache_is_bounded():
     for name in (
         "eisperiods.cli.build_parser",
         "eisperiods.cocycle._action_matrix",
+        "eisperiods.cocycle._modified_periods",
+        "eisperiods.cocycle._orbit_relations_hold",
+        "eisperiods.cocycle._poly_json",
         "eisperiods.cocycle._t_run_matrix",
         "eisperiods.cocycle.coboundary_value",
         "eisperiods.cocycle.period_S",
@@ -351,6 +354,7 @@ def test_every_cache_is_bounded():
         "eisperiods.lseries._exp_mellin",
         "eisperiods.lseries._lvalue_terms",
         "eisperiods.lseries._mellin_row",
+        "eisperiods.modgroup._residue_pairs",
         "eisperiods.modgroup.parameter_orbit",
         "eisperiods.numerics._polylog_cached",
         "eisperiods.numerics.e_of",
