@@ -68,6 +68,9 @@ from .numerics import GUARD_BITS, mpc_json, mpf_hex, raw_scale, rational_reconst
 MAX_WEIGHT = 16
 MIN_PREC = 32
 MAX_PREC = 4096  # bits, for --prec and EISP_PREC; every documented run needs at most 256
+# ten times the largest default (--trunc 400, --radius 400): fourier --trunc M
+# builds M + 1 divisor lists before any output
+MAX_TRUNC = MAX_RADIUS = 4000
 MAX_LEVEL = 12
 MAX_ORDER = 6
 
@@ -88,8 +91,11 @@ class RunConfig:
     def validate(self):
         if not MIN_PREC <= self.prec <= MAX_PREC:
             raise ValueError(f"--prec (or EISP_PREC) must be in [{MIN_PREC}, {MAX_PREC}] bits, got {self.prec}")
-        if self.trunc < 1 or self.radius < 1:
-            raise ValueError("--trunc and --radius must be positive")
+        if not (1 <= self.trunc <= MAX_TRUNC and 1 <= self.radius <= MAX_RADIUS):
+            raise ValueError(
+                f"--trunc must be in [1, {MAX_TRUNC}] and --radius in [1, {MAX_RADIUS}], "
+                f"got {self.trunc} and {self.radius}"
+            )
         if not mp.isfinite(self.tol):
             raise ValueError(f"--tol must be a finite number, got {mp.nstr(self.tol)}")
         if self.tol < mpf(2) ** (16 - self.prec):
@@ -435,6 +441,7 @@ def _hecke_classes(payload: dict):
 def cmd_invariant(args, config: RunConfig) -> tuple[dict, int]:
     _check_weight(2 * args.m, 1, m=args.m)
     data = _load_lattice(args)
+    _check_weight(2 * args.m, data.N)
     gammas = [args.gamma] if args.gamma else ["T", "S", "ST"]
     den_bound = 10 ** 6
     records = []
@@ -480,6 +487,8 @@ def cmd_hecke(args, config: RunConfig) -> tuple[dict, int]:
         w_f = {"gaussian": 4, "eisenstein": 6}[args.preset]
     else:
         raise ValueError("need --preset or --data")
+    for term in classes:
+        _check_weight(2 * args.m, term.lattice.N)
     value = hecke_assemble(args.m, args.delta, classes, w_f, prec=config.prec, M=config.trunc)
     report = {
         "m": args.m,

@@ -18,16 +18,16 @@ ExtScalar coefficients appear only at the boundary: the constructor,
 .coeffs and the JSON and failure reports.
 
 A sweep does each piece of exact work once per orbit element, not once per
-cell.  The period values at T and S, the coboundary constant and the
-modified values (_modified_periods) are cached per (k, mu, N), so every cell
-whose orbit holds mu shares them; certify_parameter reads each class from
-there.  The orbits of SL2(Z/N) on (Z/N)^2 are the gcd(l1, l2, N) classes,
-and the cells of one orbit hold the same per-class values, so
-relations_hold caches one verify_relations verdict per (k, N, orbit).  Each
-polynomial value is serialized once (_poly_json) for the --values report.
-No cache is keyed on a cochain: modify_and_certify and verify_relations
-evaluate whatever cochain they are handed, an edited copy included,
-through the same per-class formula the cache applies.
+cell.  The period values at T and S are cached per (k, mu, N), and the
+coboundary constant is read from the S value, so every cell whose orbit
+holds mu shares them.  The modification of one class (_modified) is cached
+on its own arguments, the class's two values and mu: an unedited class of
+any cell of the orbit of mu hits one entry, and an edited copy misses, so
+no cache depends on which cochain was handed in.  The orbits of SL2(Z/N)
+on (Z/N)^2 are the gcd(l1, l2, N) classes, and the cells of one orbit hold
+the same per-class values, so relations_hold caches one verify_relations
+verdict per (k, N, orbit).  Each polynomial value is serialized once
+(_poly_json) for the --values report.
 
 Cocycles are stored by their values at T and S only; every other value is
 reconstructed through the cocycle rule along an S/T word.  T-power runs are
@@ -118,10 +118,6 @@ class PeriodPoly:
     @staticmethod
     def zero(k: int) -> "PeriodPoly":
         return _sum(k, ())
-
-    @staticmethod
-    def constant(k: int, value: Union[ExtScalar, QQ, int]) -> "PeriodPoly":
-        return PeriodPoly(k, [value] + [ExtScalar.zero()] * (k - 2))
 
     @property
     def coeffs(self) -> Tuple[ExtScalar, ...]:
@@ -406,15 +402,16 @@ def build_induced(k: int, lam: ResiduePair, N: int) -> InducedCochain:
     )
 
 
-@lru_cache(maxsize=1024)
 def coboundary_value(k: int, mu: ResiduePair, N: int) -> PeriodPoly:
     """The coboundary constant of the coset whose transported parameter is
-    mu: -v_{k-1} = i^{3-k} L*(mu, k-1) (lvalue_closed), which is the X^0
-    coefficient of period_S; for k = 2, zero when mu has first coordinate
-    other than 0.  Cached per (k, mu, N), like period_T and period_S."""
+    mu: -v_{k-1} = i^{3-k} L*(mu, k-1), the X^0 coefficient of the cached
+    period_S, read from its channels; for k = 2, zero when mu has first
+    coordinate other than 0."""
     if k == 2 and mu.l1 != 0:
         return PeriodPoly.zero(k)
-    return PeriodPoly.constant(k, -lvalue_closed(k, mu, N, k - 1).value)
+    p = period_S(k, mu, N)
+    pad = [0] * (k - 2)
+    return _sum(k, ((1, p.den, [p.rat[0], *pad], [(s, [v[0], *pad]) for s, v in p.syms]),))
 
 
 def _transport(values: List[PeriodPoly], sources: Sequence[int], matrix, sign: int = 1) -> List[Term]:
@@ -431,12 +428,16 @@ def _t_sources(quot: CosetQuotient, n: int) -> List[int]:
 _T_INV, _S_INV = T.inverse(), S.inverse()
 
 
-def _modified(val_T: PeriodPoly, val_S: PeriodPoly, k: int, mu: ResiduePair, N: int
-              ) -> Tuple[PeriodPoly, PeriodPoly]:
+@lru_cache(maxsize=256)
+def _modified(val_T: PeriodPoly, val_S: PeriodPoly, mu: ResiduePair) -> Tuple[PeriodPoly, PeriodPoly]:
     """The values at T and S of a class whose transported parameter is mu,
     plus the coboundary F|g - F: val_g + F(mu g^{-1})|g - F(mu) for g in
     (T, S), F the coboundary_value.  The class of sigma g^{-1} has parameter
-    mu g^{-1}, so the transport is read per parameter, with no coset table."""
+    mu g^{-1}, so the transport is read per parameter, with no coset table.
+    Cached on its arguments, which PeriodPoly hashes and compares by value:
+    the classes with parameter mu in every cell of its orbit share one
+    entry, and an edited value is a different key."""
+    k, N = val_T.k, mu.N
     f = _term(coboundary_value(k, mu, N), -1)
 
     def modified(value: PeriodPoly, g: Mat2, g_inv: Mat2) -> PeriodPoly:
@@ -446,35 +447,22 @@ def _modified(val_T: PeriodPoly, val_S: PeriodPoly, k: int, mu: ResiduePair, N: 
     return modified(val_T, T, _T_INV), modified(val_S, S, _S_INV)
 
 
-@lru_cache(maxsize=256)
-def _modified_periods(k: int, mu: ResiduePair, N: int) -> Tuple[PeriodPoly, PeriodPoly]:
-    """_modified of period_T and period_S at mu: the modified values of
-    every class with parameter mu in every cell of the orbit of mu.  Cached
-    per (k, mu, N), like period_T."""
-    return _modified(period_T(k, mu, N), period_S(k, mu, N), k, mu, N)
-
-
 def modify_and_certify(cochain: InducedCochain) -> InducedCochain:
     """Add the coboundary F|_gamma - F to the stored values at T and S,
     through _modified at each class with the transported parameter of its
     representative, looked up in the cached lambda-orbit.  F is constant on
     the classes of the cochain's quotient, which refines that orbit (it is
     the orbit, or the discrete quotient of a copy), so the sums run once per
-    class.  Nothing here is cached: the values of the cochain handed in, an
-    edited copy included, are the ones modified.  The modified cochain is
-    certified rational when no polylog-symbol coefficient survives in it,
+    class.  The values of the cochain handed in, an edited copy included,
+    are the ones modified: _modified is keyed by them.  The modified cochain
+    is certified rational when no polylog-symbol coefficient survives in it,
     which rationality_record reads."""
     quot = _classes_of(cochain)
-    k, N, lam = cochain.k, cochain.N, cochain.lam
-    orbit, params = parameter_orbit(lam)
-    return _with_values(cochain, [
-        _modified(a, b, k, params[orbit.class_of[r]], N)
+    orbit, params = parameter_orbit(cochain.lam)
+    pairs = [
+        _modified(a, b, params[orbit.class_of[r]])
         for a, b, r in zip(cochain.val_T, cochain.val_S, quot.representatives)
-    ])
-
-
-def _with_values(cochain: InducedCochain, pairs: Sequence[Tuple[PeriodPoly, PeriodPoly]]) -> InducedCochain:
-    """The cochain on the same quotient with one (T, S) value pair per class."""
+    ]
     return replace(cochain, val_T=[p[0] for p in pairs], val_S=[p[1] for p in pairs])
 
 
@@ -615,13 +603,13 @@ def shapiro_descend(cochain: InducedCochain, gamma: Mat2) -> PeriodPoly:
 
 
 def certify_parameter(k: int, lam: ResiduePair, N: int) -> Tuple[InducedCochain, InducedCochain]:
-    """Build and modify one (k, N, lambda) cell: the cochain and the
-    modified cochain, which rationality_record certifies.  The modified
-    value of each class is read from _modified_periods at its parameter, so
-    a sweep modifies each (k, mu, N) once, not once per cell of its orbit."""
+    """Build and modify one (k, N, lambda) cell: the cochain and
+    modify_and_certify of it, which rationality_record certifies.  Each
+    class holds period_T and period_S at its parameter mu, so a sweep
+    modifies each (k, mu, N) once (_modified), not once per cell of its
+    orbit."""
     cochain = build_induced(k, lam, N)
-    _, params = parameter_orbit(cochain.lam)
-    return cochain, _with_values(cochain, [_modified_periods(k, mu, N) for mu in params])
+    return cochain, modify_and_certify(cochain)
 
 
 @lru_cache(maxsize=1024)

@@ -127,7 +127,7 @@ class ResiduePair:
 
 
 class CosetTable:
-    """Enumeration of SL2(Z/N) with right-multiplication tables for T, T^-1
+    """Enumeration of SL2(Z/N) with right-multiplication tables for T^-1
     and S^-1; this indexes the cosets Gamma(N) \\ SL2(Z).
 
     Each element is its residue matrix (a, b, c, d) with entries in [0, N),
@@ -145,7 +145,6 @@ class CosetTable:
                             elems.append((a, b, c, d))
         self.elements: Tuple[Tuple[int, int, int, int], ...] = tuple(sorted(elems))
         self.lookup = {e: i for i, e in enumerate(self.elements)}
-        self.rmul_T = self._rmul_table(T)
         self.rmul_T_inv = self._rmul_table(t_power(-1))
         self.rmul_S_inv = self._rmul_table(S.inverse())
 
@@ -193,7 +192,6 @@ class CosetQuotient:
             if c == len(reps):
                 reps.append(i)
         quot.representatives = tuple(reps)
-        quot.rmul_T = tuple(classes[table.rmul_T[r]] for r in reps)
         quot.rmul_T_inv = tuple(classes[table.rmul_T_inv[r]] for r in reps)
         quot.rmul_S_inv = tuple(classes[table.rmul_S_inv[r]] for r in reps)
         return quot
@@ -202,10 +200,10 @@ class CosetQuotient:
         return len(self.representatives)
 
     def rmul_t_power(self, i: int, n: int) -> int:
-        """The class of sigma T^n for sigma in class i; T^N acts trivially."""
-        table = self.rmul_T if n >= 0 else self.rmul_T_inv
-        for _ in range(abs(n) % self.N if self.N > 1 else 0):
-            i = table[i]
+        """The class of sigma T^n for sigma in class i: (-n) mod N steps of
+        T^-1, since T^N acts trivially on SL2(Z/N)."""
+        for _ in range(-n % self.N):
+            i = self.rmul_T_inv[i]
         return i
 
     def expand(self, per_class: Sequence) -> list:

@@ -11,7 +11,7 @@ from mpmath import mp, mpf
 
 import eisperiods
 from eisperiods import cli
-from eisperiods.cli import MAX_PREC, main
+from eisperiods.cli import MAX_LEVEL, MAX_PREC, MAX_RADIUS, MAX_TRUNC, main
 
 
 def run(capsys, *argv):
@@ -374,6 +374,9 @@ REJECTED_INPUTS = {
     "out_dir_missing": "--out /no/such/dir/x.json periods --k 4 --N 1 --lambda 0,0",
     "l_with_holomorphic_kind": "--trunc 40 --radius 40 --tol 1e-3 fourier --kind g --k 12 "
     "--l 2 --N 1 --lambda 0,0 --tau 0.1,1.2 --check-lattice",
+    # fourier --trunc M allocates M + 1 divisor lists before any output
+    "trunc_above_cap": f"--trunc {MAX_TRUNC + 1} fourier --kind e --k 4 --N 1 --lambda 0,0",
+    "radius_above_cap": f"--radius {MAX_RADIUS + 1} fourier --kind e --k 4 --N 1 --lambda 0,0 --check-lattice",
 }
 
 # arguments that a subcommand's own parser rejects: name -> (command, argv)
@@ -400,6 +403,9 @@ MALFORMED_DATA = {
     "minpoly_boolean": ("invariant", {"minpoly": [True, 0, True], "N": 1}),
     "lambda_not_integer": ("invariant", {"minpoly": [1, 0, 1], "N": 2, "lambda": [0.5, 1]}),
     "hecke_level_not_integer": ("hecke", {"classes": [{"lattice": {"minpoly": [1, 0, 1], "N": 2.5}}]}),
+    # a level above MAX_LEVEL; hecke_assemble loops over N^2 parameters
+    "level_too_large": ("invariant", {"minpoly": [1, 0, 1], "N": 13}),
+    "hecke_level_too_large": ("hecke", {"classes": [{"lattice": {"minpoly": [1, 0, 1], "N": 13}}]}),
     # a non-finite chi would make the assembled value NaN
     "chi_nan": ("hecke", {"classes": [{"lattice": {"preset": "gaussian"}, "chi": {"re": "nan"}}]}),
     "chi_inf": ("hecke", {"classes": [{"lattice": {"preset": "gaussian"}, "chi": {"re": "1", "im": "inf"}}]}),
@@ -480,6 +486,18 @@ class TestBadConfiguration:
         monkeypatch.setenv("EISP_PREC", str(MAX_PREC + 1))
         assert "EISP_PREC" in self.exits_2(capsys, argv)
 
+    @pytest.mark.parametrize("flag, cap", [("--trunc", MAX_TRUNC), ("--radius", MAX_RADIUS)])
+    def test_trunc_and_radius_above_cap(self, capsys, monkeypatch, flag, cap):
+        def refuse(*args):
+            raise AssertionError("the command ran before --trunc and --radius were checked")
+
+        argv = ["periods", "--k", "4", "--N", "1", "--lambda", "0,0"]
+        code, _ = run(capsys, flag, str(cap), *argv)  # exact, reads neither
+        assert code == 0
+        monkeypatch.setattr(cli, "cmd_periods", refuse)
+        assert flag in self.exits_2(capsys, [flag, str(cap + 1)] + argv)
+        assert flag in self.exits_2(capsys, argv + [flag, "100000000"])
+
     def test_non_integer_env_precision(self, capsys, monkeypatch):
         monkeypatch.setenv("EISP_PREC", "xx")
         err = self.exits_2(capsys, ["periods", "--k", "4", "--N", "1", "--lambda", "0,0"])
@@ -505,6 +523,19 @@ class TestBadConfiguration:
         path.write_text(json.dumps(payload))
         err = self.exits_2(capsys, [command, "--m", "2", "--data", str(path)])
         assert err.count("eisp: error:") == 1
+
+    @pytest.mark.parametrize("name", ["level_too_large", "hecke_level_too_large"])
+    def test_data_level_checked_before_any_work(self, capsys, tmp_path, monkeypatch, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the command ran before the lattice level was checked")
+
+        for fn in ("psi_gamma_shift", "psi_value_ratio", "hecke_assemble"):
+            monkeypatch.setattr(cli, fn, refuse)
+        command, payload = MALFORMED_DATA[name]
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps(payload))
+        err = self.exits_2(capsys, [command, "--m", "2", "--data", str(path)])
+        assert f"level N must be in [1, {MAX_LEVEL}]" in err
 
     def test_hecke_data_lattice_without_level(self, capsys, tmp_path):
         path = tmp_path / "classes.json"

@@ -375,7 +375,7 @@ class TestPeriodValues:
             assert [parts(c) for c in got] == [parts(c) for c in reference_period_S(k, mu, N)]
             if k >= 3:
                 # the coboundary constant is the X^0 coefficient
-                assert coboundary_value(k, mu, N) == PeriodPoly.constant(k, got[0])
+                assert coboundary_value(k, mu, N) == PeriodPoly(k, [got[0]] + [0] * (k - 2))
 
     def test_period_S_against_lvalue_oracle(self):
         # numeric check of the coefficient formula
@@ -421,9 +421,7 @@ class TestInducedCochain:
         quot, table = d.quotient, d.table
         assert table is c.table and len(c.quotient) < len(quot) == len(table)
         assert quot.class_of == quot.representatives == tuple(range(len(table)))
-        assert (quot.rmul_T, quot.rmul_T_inv, quot.rmul_S_inv) == (
-            table.rmul_T, table.rmul_T_inv, table.rmul_S_inv
-        )
+        assert (quot.rmul_T_inv, quot.rmul_S_inv) == (table.rmul_T_inv, table.rmul_S_inv)
         assert d.val_T == c.quotient.expand(c.val_T) and d.val_S == c.quotient.expand(c.val_S)
         assert d.val_S is not c.val_S
 
@@ -532,14 +530,14 @@ class TestCoboundaryAndCertification:
 class TestOrbitCaches:
     """A sweep reads each modified value per (k, mu, N) and each relations
     verdict per (k, N, orbit).  Both must equal a direct evaluation of the
-    cell, and a cochain handed to modify_and_certify is never read from a
-    cache."""
+    cell, and an edited cochain handed to modify_and_certify is modified as
+    it stands: the modification cache is keyed by the values themselves."""
 
     def test_cached_results_equal_a_direct_evaluation(self):
         """Every admissible cell with N <= 6, k <= 8 (616 cells): the cached
-        verdict is verify_relations of the built cochain, and the cached
-        modified values are modify_and_certify of its discrete copy, coset by
-        coset."""
+        verdict is verify_relations of the built cochain, and the modified
+        values on the orbit are modify_and_certify of its discrete copy,
+        coset by coset."""
         cells = 0
         for N in range(1, 7):
             for k in range(2, 9):
@@ -552,6 +550,26 @@ class TestOrbitCaches:
                     assert modified.quotient.expand(modified.val_S) == per_coset.val_S, (k, N, lamv)
                     cells += 1
         assert cells == 616
+
+    def test_each_closed_lvalue_once_per_parameter(self, monkeypatch):
+        """certify_parameter over the 616 cells with N <= 6, k <= 8, from
+        cleared caches, evaluates each closed L-value L*(mu, r), r = 1..k-1,
+        once per distinct (k, mu, N): period_S evaluates them, and the
+        coboundary constant is read from period_S."""
+        for fn in vars(cocycle).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+        calls = []
+        closed = cocycle.lvalue_closed
+        monkeypatch.setattr(cocycle, "lvalue_closed", lambda *args: calls.append(args) or closed(*args))
+        keys = set()
+        for N in range(1, 7):
+            for k in range(2, 9):
+                for lamv in index_set(N, k):
+                    certify_parameter(k, lamv, N)
+                    keys.update((k, mu, N) for mu in parameter_orbit(lamv)[1])
+        assert len(keys) == 616
+        assert len(set(calls)) == len(calls) == sum(k - 1 for k, _, _ in keys)
 
     @pytest.mark.parametrize("gen", ["T", "S"])
     def test_edited_copy_is_modified_directly(self, gen):

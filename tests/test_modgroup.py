@@ -231,16 +231,17 @@ class TestCosetTable:
         for N in (2, 3, 4, 6):
             table = enumerate_sl2(N)
             n = len(table)
-            for perm in (table.rmul_T, table.rmul_T_inv, table.rmul_S_inv):
+            for perm in (table.rmul_T_inv, table.rmul_S_inv):
                 assert sorted(perm) == list(range(n))
 
     def test_rmul_consistency(self):
         for N in (2, 5):
             table = enumerate_sl2(N)
+            full = CosetQuotient.closed(table, range(len(table)))
             for i, sigma in enumerate(table.elements):
                 sigma_T = table.lookup[residue_product(sigma, T, N)]
                 sigma_S = table.lookup[residue_product(sigma, S, N)]
-                assert sigma_T == table.rmul_T[i]
+                assert sigma_T == full.rmul_t_power(i, 1)
                 assert table.rmul_T_inv[sigma_T] == i
                 assert table.rmul_S_inv[sigma_S] == i
 
@@ -251,7 +252,7 @@ class TestCosetTable:
         full = CosetQuotient.closed(table, range(len(table)))
         g = Mat2(1, 2, 2, 5)
         i = table.index_of(g)
-        for n in (-7, -1, 0, 1, 3, 9):
+        for n in (-7, -1, 0, 1, 3, 4, 9):
             assert full.rmul_t_power(i, n) == table.index_of(g * t_power(n))
             want = table.lookup[residue_product(table.elements[i], t_power(n), 4)]
             assert full.rmul_t_power(i, n) == want
@@ -282,16 +283,17 @@ class TestCosetQuotient:
         n = len(table)
         one = CosetQuotient.closed(table, [0] * n)
         assert len(one) == 1 and one.class_of == (0,) * n
-        assert one.rmul_T == one.rmul_T_inv == one.rmul_S_inv == (0,)
+        assert one.rmul_T_inv == one.rmul_S_inv == (0,)
         full = CosetQuotient.closed(table, range(n))
         assert full.class_of == tuple(range(n)) and full.representatives == tuple(range(n))
-        assert (full.rmul_T, full.rmul_T_inv, full.rmul_S_inv) == (
-            table.rmul_T, table.rmul_T_inv, table.rmul_S_inv
-        )
+        assert (full.rmul_T_inv, full.rmul_S_inv) == (table.rmul_T_inv, table.rmul_S_inv)
         for i, sigma in enumerate(table.elements):
-            for m in (-5, -1, 2, 7):
+            for m in (-5, -1, 1, 2, 7):
                 assert full.rmul_t_power(i, m) == table.lookup[residue_product(sigma, t_power(m), 3)]
                 assert one.rmul_t_power(0, m) == 0
+        # T acts trivially at level 1
+        level_one = CosetQuotient.closed(enumerate_sl2(1), [0])
+        assert all(level_one.rmul_t_power(0, m) == 0 for m in (-5, -1, 0, 1, 2, 7))
 
     def test_class_tables_follow_the_cosets(self):
         """On a closed quotient coarser than the table, right multiplication
@@ -302,8 +304,7 @@ class TestCosetQuotient:
         for i, c in enumerate(quot.class_of):
             assert quot.rmul_T_inv[c] == quot.class_of[table.rmul_T_inv[i]]
             assert quot.rmul_S_inv[c] == quot.class_of[table.rmul_S_inv[i]]
-            assert quot.rmul_T[c] == quot.class_of[table.rmul_T[i]]
-            for m in (-5, -1, 2, 7):
+            for m in (-5, -1, 1, 2, 7):
                 sigma_t = table.lookup[residue_product(table.elements[i], t_power(m), 4)]
                 assert quot.rmul_t_power(c, m) == quot.class_of[sigma_t]
 
@@ -317,7 +318,7 @@ class TestCosetQuotient:
                 orbit, params = parameter_orbit(lam)
                 refined = moore_refinement(table, [lam.act(sigma) for sigma in table.elements])
                 quot = CosetQuotient.closed(table, refined)
-                for attr in ("class_of", "representatives", "rmul_T", "rmul_T_inv", "rmul_S_inv"):
+                for attr in ("class_of", "representatives", "rmul_T_inv", "rmul_S_inv"):
                     assert getattr(orbit, attr) == getattr(quot, attr), (lam, attr)
                 assert params == tuple(lam.act(table.elements[r]) for r in quot.representatives)
                 assert len(params) <= N * N

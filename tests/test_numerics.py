@@ -341,11 +341,10 @@ def test_every_cache_is_bounded():
     for name in (
         "eisperiods.cli.build_parser",
         "eisperiods.cocycle._action_matrix",
-        "eisperiods.cocycle._modified_periods",
+        "eisperiods.cocycle._modified",
         "eisperiods.cocycle._orbit_relations_hold",
         "eisperiods.cocycle._poly_json",
         "eisperiods.cocycle._t_run_matrix",
-        "eisperiods.cocycle.coboundary_value",
         "eisperiods.cocycle.period_S",
         "eisperiods.cocycle.period_T",
         "eisperiods.exact._bernoulli_numbers",
