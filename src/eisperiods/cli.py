@@ -66,6 +66,9 @@ from .modgroup import S, T, ResiduePair, index_set
 from .numerics import GUARD_BITS, mpc_json, mpf_hex, raw_scale, rational_reconstruct
 
 MAX_WEIGHT = 16
+# |l| for the second weight of fourier --kind maass|elliptic: the double-index
+# kernel's work grows with l, and (-2i)^(w-1) overflows a Python complex
+MAX_SECOND_WEIGHT = MAX_WEIGHT
 MIN_PREC = 32
 MAX_PREC = 4096  # bits, for --prec and EISP_PREC; every documented run needs at most 256
 # ten times the largest default (--trunc 400, --radius 400): fourier --trunc M
@@ -258,6 +261,8 @@ def cmd_fourier(args, config: RunConfig) -> tuple[dict, int]:
     if kind in ("e", "g") and args.l is not None:
         raise ValueError(f"--l applies only to --kind maass or elliptic, not {kind!r}")
     l = args.l or 0
+    if abs(l) > MAX_SECOND_WEIGHT:
+        raise ValueError(f"second weight --l must be in [-{MAX_SECOND_WEIGHT}, {MAX_SECOND_WEIGHT}]")
     scale = mpc(1)
     if kind == "e":
         series = e_fourier(args.k, lam, args.N, config.trunc)

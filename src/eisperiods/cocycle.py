@@ -31,8 +31,12 @@ verdict per (k, N, orbit).  Each polynomial value is serialized once
 
 Cocycles are stored by their values at T and S only; every other value is
 reconstructed through the cocycle rule along an S/T word.  T-power runs are
-evaluated in closed form (Bernoulli sums over arithmetic progressions), so
-evaluation cost is logarithmic in the matrix entries.
+evaluated in closed form (integer power sums over arithmetic progressions,
+from Stirling numbers and binomials), so evaluation cost is logarithmic in
+the matrix entries; one helper (_t_run_at) gives a run's value at one
+class, and the all-class evaluation maps it over the classes.  Descent
+reads the word's path only: the value at the identity class needs each
+letter's value at one class, the one its suffix reaches from there.
 
 A cochain holds a quotient of the coset set that right multiplication by
 T and S maps class to class, and one value at T and one at S per class of
@@ -279,22 +283,33 @@ def _action_matrix(k: int, g: Mat2) -> Tuple[Channel, ...]:
     return tuple(zip(*images))
 
 
-def _ap_power_sum(r: int, step: int, terms: int, p: int) -> int:
-    """sum_{i=0}^{terms-1} (r + i step)^p, exactly, via Bernoulli polynomials;
-    a sum of integer powers, so an integer."""
+def _ap_power_sums(r: int, step: int, terms: int, top: int) -> List[int]:
+    """sum_{i=0}^{terms-1} (r + i step)^p for p = 0..top, in integers.
+
+    sum_{i<n} i^q = sum_j S(q, j) j! C(n, j+1), S the Stirling numbers of
+    the second kind, and (r + i step)^p expands binomially into these.
+    F[j] = S(q, j) j! follows F(q, j) = j (F(q-1, j) + F(q-1, j-1))."""
     if terms <= 0:
-        return 0
-    x = QQ(r, step)
-    val = (bernoulli_value(p + 1, x + terms) - bernoulli_value(p + 1, x)) / (p + 1)
-    return int(val * step ** p)
+        return [0] * (top + 1)
+    chooses = [comb(terms, j + 1) for j in range(top + 1)]
+    surj = [1]  # F(0, j): only F(0, 0) = 1
+    isums = [terms]  # sum_{i<terms} i^0, with 0^0 = 1
+    for q in range(1, top + 1):
+        surj = [0] + [j * (surj[j] + surj[j - 1]) for j in range(1, q)] + [q * surj[q - 1]]
+        isums.append(sum(map(mul, surj, chooses)))
+    return [
+        sum(comb(p, q) * r ** (p - q) * step ** q * isums[q] for q in range(p + 1))
+        for p in range(top + 1)
+    ]
 
 
 @lru_cache(maxsize=256)
 def _t_run_matrix(k: int, r: int, step: int, terms: int) -> Tuple[Channel, ...]:
     """The map P -> sum_{i=0}^{terms-1} P(X + r + i step): X^m adds
     C(m, l) sum_i (r + i step)^{m-l} to the coefficient of X^l.  The power
-    sums are integers, so the common denominator of the matrix is 1."""
-    psums = [_ap_power_sum(r, step, terms, p) for p in range(k - 1)]
+    sums are sums of integer powers, taken in integer arithmetic
+    (_ap_power_sums), so the matrix is an integer matrix."""
+    psums = _ap_power_sums(r, step, terms, k - 2)
     return tuple(
         tuple(comb(m, l) * psums[m - l] if l <= m else 0 for m in range(k - 1))
         for l in range(k - 1)
@@ -513,38 +528,49 @@ def rationality_record(
 
 
 # ---------------------------------------------------------------------------
-# cocycle evaluation along S/T words, one value per class of the quotient
+# cocycle evaluation along S/T words, one value per class of the quotient,
+# or at one class along the word's path (descent)
 
 
 def _zero_values(cochain: InducedCochain) -> List[PeriodPoly]:
     return [PeriodPoly.zero(cochain.k) for _ in range(len(cochain.quotient))]
 
 
-def _t_run_value(cochain: InducedCochain, n: int) -> List[PeriodPoly]:
-    """c(T^n) in closed form: group the cocycle sum over j < n by the residue
-    of j mod N; each class contributes an arithmetic-progression shift sum."""
+def _t_run_at(cochain: InducedCochain, i: int, n: int) -> PeriodPoly:
+    """c(T^n) at class i in closed form: group the cocycle sum over j < n by
+    the residue r of j mod N; each residue contributes one
+    arithmetic-progression shift sum of the value at the class of
+    sigma T^{-r}, so at most N images.  For n < 0,
+    c(T^n)(sigma) = -c(T^{-n})(sigma T^{-n})|T^n."""
+    k, N, quot = cochain.k, cochain.N, cochain.quotient
     if n == 0:
-        return _zero_values(cochain)
+        return PeriodPoly.zero(k)
     if n == 1:
-        return list(cochain.val_T)
-    quot = cochain.quotient
-    k, N = cochain.k, cochain.N
+        return cochain.val_T[i]
     if n < 0:
-        # c(T^n) = -c(T^{-n})|_{T^n}
-        back = _t_run_value(cochain, -n)
-        moved = _transport(back, _t_sources(quot, n), _action_matrix(k, t_power(n)), -1)
-        return [_sum(k, (m,)) for m in moved]
+        back = _t_run_at(cochain, quot.rmul_t_power(i, -n), -n)
+        return _sum(k, (_image(_action_matrix(k, t_power(n)), back, -1),))
+    terms = []
     # residue class r of j < n holds (n - 1 - r) // N + 1 terms
-    runs = [_t_run_matrix(k, r, N, (n - 1 - r) // N + 1) for r in range(min(N, n))]
+    for r in range(min(N, n)):
+        # i now points at sigma T^{-r}
+        terms.append(_image(_t_run_matrix(k, r, N, (n - 1 - r) // N + 1), cochain.val_T[i]))
+        i = quot.rmul_T_inv[i]
+    return _sum(k, terms)
+
+
+def _t_run_value(cochain: InducedCochain, n: int) -> List[PeriodPoly]:
+    """c(T^n) at every class of the quotient."""
+    return [_t_run_at(cochain, i, n) for i in range(len(cochain.quotient))]
+
+
+def _letters(tokens) -> List[Tuple[str, int]]:
+    """The steps of a token word: S^n as n letters S, a T-run as one step."""
     out = []
-    for i in range(len(quot)):
-        terms = []
-        idx = i
-        for run in runs:
-            # idx now points at sigma T^{-r}
-            terms.append(_image(run, cochain.val_T[idx]))
-            idx = quot.rmul_T_inv[idx]
-        out.append(_sum(k, terms))
+    for kind, n in tokens:
+        if kind not in ("S", "T"):
+            raise ValueError(f"unknown token {kind!r}")
+        out += [("S", 1)] * n if kind == "S" else [("T", n)]
     return out
 
 
@@ -553,20 +579,39 @@ def _evaluate_classes(cochain: InducedCochain, tokens) -> List[PeriodPoly]:
     step per T-run and per letter S, one value per class of the quotient."""
     quot = _classes_of(cochain)
     acc: Optional[List[PeriodPoly]] = None
-    for kind, n in tokens:
-        if kind not in ("S", "T"):
-            raise ValueError(f"unknown token {kind!r}")
-        for _ in range(n if kind == "S" else 1):
-            if kind == "S":
-                value, sources, g = cochain.val_S, quot.rmul_S_inv, S
-            else:
-                value, sources, g = _t_run_value(cochain, n), _t_sources(quot, n), t_power(n)
-            if acc is None:
-                acc = list(value)
-            else:
-                moved = _transport(acc, sources, _action_matrix(cochain.k, g))
-                acc = [_sum(cochain.k, (m, _term(v))) for m, v in zip(moved, value)]
+    for kind, n in _letters(tokens):
+        if kind == "S":
+            value, sources, g = cochain.val_S, quot.rmul_S_inv, S
+        else:
+            value, sources, g = _t_run_value(cochain, n), _t_sources(quot, n), t_power(n)
+        if acc is None:
+            acc = list(value)
+        else:
+            moved = _transport(acc, sources, _action_matrix(cochain.k, g))
+            acc = [_sum(cochain.k, (m, _term(v))) for m, v in zip(moved, value)]
     return acc if acc is not None else _zero_values(cochain)
+
+
+def _evaluate_at(cochain: InducedCochain, tokens, i: int) -> PeriodPoly:
+    """Cocycle value along a token word at class i alone.  With
+    c(uv)(sigma) = c(u)(sigma v^{-1})|v + c(v)(sigma), the value at sigma
+    needs each letter's value only at one class: sigma times the inverse of
+    the suffix that follows the letter.  Those classes are read walking
+    back from i, and the values summed forward, one image per letter."""
+    quot, k = _classes_of(cochain), cochain.k
+    steps = _letters(tokens)
+    at = []
+    for kind, n in reversed(steps):
+        at.append(i)
+        i = quot.rmul_S_inv[i] if kind == "S" else quot.rmul_t_power(i, -n)
+    acc: Optional[PeriodPoly] = None
+    for (kind, n), j in zip(steps, reversed(at)):
+        if kind == "S":
+            value, g = cochain.val_S[j], S
+        else:
+            value, g = _t_run_at(cochain, j, n), t_power(n)
+        acc = value if acc is None else _sum(k, (_image(_action_matrix(k, g), acc), _term(value)))
+    return acc if acc is not None else PeriodPoly.zero(k)
 
 
 def evaluate_word(cochain: InducedCochain, tokens) -> List[PeriodPoly]:
@@ -596,10 +641,13 @@ def verify_relations(cochain: InducedCochain) -> bool:
 
 def shapiro_descend(cochain: InducedCochain, gamma: Mat2) -> PeriodPoly:
     """Read the descended cocycle on the congruence subgroup: the value at
-    the identity coset.  Requires gamma = Id mod N."""
+    the identity coset, evaluated along gamma's word at the classes its
+    suffixes reach from the identity class only (_evaluate_at), not at
+    every class.  Requires gamma = Id mod N."""
     if not gamma.is_congruent_to_identity(cochain.N):
         raise ValueError(f"{gamma} is not congruent to the identity mod {cochain.N}")
-    return evaluate_cocycle(cochain, gamma)[cochain.table.identity_index()]
+    identity = cochain.quotient.class_of[cochain.table.identity_index()]
+    return _evaluate_at(cochain, decompose_ST(gamma), identity)
 
 
 def certify_parameter(k: int, lam: ResiduePair, N: int) -> Tuple[InducedCochain, InducedCochain]:

@@ -11,7 +11,7 @@ from mpmath import mp, mpf
 
 import eisperiods
 from eisperiods import cli
-from eisperiods.cli import MAX_LEVEL, MAX_PREC, MAX_RADIUS, MAX_TRUNC, main
+from eisperiods.cli import MAX_LEVEL, MAX_PREC, MAX_RADIUS, MAX_SECOND_WEIGHT, MAX_TRUNC, main
 
 
 def run(capsys, *argv):
@@ -377,6 +377,10 @@ REJECTED_INPUTS = {
     # fourier --trunc M allocates M + 1 divisor lists before any output
     "trunc_above_cap": f"--trunc {MAX_TRUNC + 1} fourier --kind e --k 4 --N 1 --lambda 0,0",
     "radius_above_cap": f"--radius {MAX_RADIUS + 1} fourier --kind e --k 4 --N 1 --lambda 0,0 --check-lattice",
+    # (-2i)^(w-1) overflows a Python complex in the double-index expansion
+    "second_weight_overflow": "--trunc 5 fourier --k 3 --l 100000 --N 1 --lambda 0,0 --kind maass --tau 0,1",
+    "second_weight_above_cap": f"--trunc 5 fourier --k 3 --l {MAX_SECOND_WEIGHT + 1} --N 1 --lambda 0,0 "
+    "--kind elliptic",
 }
 
 # arguments that a subcommand's own parser rejects: name -> (command, argv)
@@ -497,6 +501,18 @@ class TestBadConfiguration:
         monkeypatch.setattr(cli, "cmd_periods", refuse)
         assert flag in self.exits_2(capsys, [flag, str(cap + 1)] + argv)
         assert flag in self.exits_2(capsys, argv + [flag, "100000000"])
+
+    @pytest.mark.parametrize("kind, builder", [("maass", "maass_fourier"), ("elliptic", "elliptic_maass_fourier")])
+    def test_second_weight_above_cap(self, capsys, monkeypatch, kind, builder):
+        def refuse(*args):
+            raise AssertionError("the expansion was built before --l was checked")
+
+        argv = ["--trunc", "5", "fourier", "--kind", kind, "--k", "3", "--N", "1", "--lambda", "0,0"]
+        code, _ = run(capsys, *argv, "--l", str(MAX_SECOND_WEIGHT))
+        assert code == 0
+        monkeypatch.setattr(cli, builder, refuse)
+        for l in (MAX_SECOND_WEIGHT + 1, -MAX_SECOND_WEIGHT - 1, 100000):
+            assert "--l" in self.exits_2(capsys, argv + ["--l", str(l)])
 
     def test_non_integer_env_precision(self, capsys, monkeypatch):
         monkeypatch.setenv("EISP_PREC", "xx")

@@ -262,6 +262,49 @@ class TestPeriodPolyAction:
                 assert _apply(_t_run_matrix(p.k, r, step, terms), p) == want
 
 
+def bernoulli_power_sum(r, step, terms, p):
+    """sum_{i<terms} (r + i step)^p through Bernoulli polynomials over QQ,
+    (B_{p+1}(x + terms) - B_{p+1}(x)) step^p / (p + 1) with x = r / step:
+    the reference for the integer power sums."""
+    if terms <= 0:
+        return 0
+    x = QQ(r, step)
+    val = (bernoulli_value(p + 1, x + terms) - bernoulli_value(p + 1, x)) / (p + 1) * step ** p
+    assert val.denominator == 1
+    return int(val)
+
+
+class TestIntegerPowerSums:
+    """_t_run_matrix takes its power sums sum_i (r + i step)^p in integer
+    arithmetic (Stirling numbers and binomials); they must equal the
+    Bernoulli-polynomial formula."""
+
+    def test_matches_the_bernoulli_formula(self):
+        from eisperiods.cli import MAX_WEIGHT
+        from eisperiods.cocycle import _ap_power_sums
+
+        rng = random.Random(26)
+        cases = [(k, r, step, terms) for k in (2, MAX_WEIGHT) for r, step in ((0, 1), (3, 7))
+                 for terms in (0, 1, 2, 10 ** 4)]
+        cases += [
+            (rng.randint(2, MAX_WEIGHT), rng.randrange(0, 13), rng.randint(1, 12),
+             rng.choice((0, 1, rng.randint(2, 50), rng.randint(51, 10 ** 4))))
+            for _ in range(400)
+        ]
+        for k, r, step, terms in cases:
+            got = _ap_power_sums(r, step, terms, k - 2)
+            assert all(type(x) is int for x in got)
+            assert got == [bernoulli_power_sum(r, step, terms, p) for p in range(k - 1)]
+
+    def test_matches_direct_sums(self):
+        from eisperiods.cocycle import _ap_power_sums
+
+        for r, step in ((0, 1), (2, 3), (-4, 5), (1, 12)):
+            for terms in range(0, 9):
+                want = [sum((r + i * step) ** p for i in range(terms)) for p in range(15)]
+                assert _ap_power_sums(r, step, terms, 14) == want
+
+
 class TestSymbolChannels:
     """Polynomials that carry polylog symbols: the channel representation
     must agree with per-coefficient ExtScalar arithmetic."""
@@ -944,6 +987,89 @@ class TestShapiro:
                     for j in range(k - 1):
                         coeffs.append(ExtScalar(f_inf / (k - 1) * _binom(k - 1, j) * N ** (k - 1 - j)))
                     assert got == PeriodPoly(k, coeffs)
+
+
+class TestPathEvaluation:
+    """shapiro_descend evaluates the word at the classes its suffixes reach
+    from the identity class only; every value must be the one the
+    all-class evaluation reads at that class."""
+
+    CELLS = [(k, N, lamv) for N in range(1, 7) for k in range(2, 9) for lamv in index_set(N, k)]
+
+    def test_descent_at_t_power_n_on_every_cell(self):
+        assert len(self.CELLS) == 616
+        for k, N, lamv in self.CELLS:
+            c = build_induced(k, lamv, N)
+            want = evaluate_cocycle(c, t_power(N))[c.table.identity_index()]
+            assert shapiro_descend(c, t_power(N)) == want
+
+    @staticmethod
+    def scrambled(c, rng):
+        """A copy of c with a seeded rational polynomial added to its value
+        at T and at S on every coset: the built values are constant along
+        T-orbits (period_T reads l1 alone), and these are not."""
+        bad = c.copy()
+
+        def noise():
+            return rational_poly(c.k, [QQ(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(c.k - 1)])
+
+        bad.val_T = [v + noise() for v in bad.val_T]
+        bad.val_S = [v + noise() for v in bad.val_S]
+        return bad
+
+    @staticmethod
+    def gamma_n_word(rng, N):
+        """A product of three conjugates sigma T^{aN} sigma^-1, which lie in
+        Gamma(N), with |a| up to 40; times -Id where that is in Gamma(N)."""
+        g = IDENTITY
+        for _ in range(3):
+            sigma = random_gamma(rng, 12)
+            g = g * sigma * t_power(N * rng.choice((-1, 1)) * rng.randint(1, 40)) * sigma.inverse()
+        return Mat2(-g.a, -g.b, -g.c, -g.d) if N <= 2 and rng.random() < 0.5 else g
+
+    def test_descent_along_long_gamma_n_words(self):
+        rng = random.Random(2601)
+        seen = set()
+        for _ in range(40):
+            k, N, lamv = rng.choice(self.CELLS)
+            c = build_induced(k, lamv, N)
+            if rng.random() < 0.5:
+                c = self.scrambled(c, rng)
+            gamma = self.gamma_n_word(rng, N)
+            assert gamma.is_congruent_to_identity(N)
+            tokens = decompose_ST(gamma)
+            seen.update(
+                "-Id" if t == ("S", 2) else "negative run" if t[1] < 0 else "long run"
+                for t in tokens if t == ("S", 2) or (t[0] == "T" and (t[1] < 0 or t[1] > N))
+            )
+            want = evaluate_cocycle(c, gamma)[c.table.identity_index()]
+            assert shapiro_descend(c, gamma) == want
+        assert seen == {"-Id", "negative run", "long run"}
+
+    def test_one_class_values_match_every_class(self):
+        """_t_run_at and _evaluate_at at each class against
+        _evaluate_classes, on seeded words with long and negative T-runs
+        and S^2 = -Id, on the orbit quotient and on scrambled copies; on
+        these, the T-runs also against naive_evaluate."""
+        from eisperiods.cocycle import _evaluate_at, _evaluate_classes, _t_run_at
+
+        rng = random.Random(2602)
+        for _ in range(30):
+            k, N, lamv = rng.choice(self.CELLS)
+            c = build_induced(k, lamv, N)
+            scramble = rng.random() < 0.5
+            if scramble:
+                c = self.scrambled(c, rng)
+            n = rng.choice((-1, 1)) * rng.randint(0, 5 * N + 3)
+            runs = _evaluate_classes(c, [("T", n)])
+            assert [_t_run_at(c, i, n) for i in range(len(c.quotient))] == runs
+            if scramble:  # one class per coset, against the letters one at a time
+                assert runs == naive_evaluate(c, [("T", n)])
+            tokens = []
+            for _ in range(rng.randint(1, 5)):
+                tokens += [("T", rng.choice((-1, 1)) * rng.randint(1, 5 * N + 3)), ("S", rng.randint(1, 3))]
+            every = _evaluate_classes(c, tokens)
+            assert [_evaluate_at(c, tokens, i) for i in range(len(c.quotient))] == every
 
 
 def _fact(n):
