@@ -350,13 +350,25 @@ def cmd_periods(args, config: RunConfig) -> tuple[dict, int]:
 EMPTY_SWEEP = "empty sweep: no admissible parameters in the requested range"
 
 
+def _sweep_axis(one, top, low: int, cap: int, flag: str) -> range:
+    """One axis of a sweep: the single value --flag when given, which must
+    lie in [low, cap], else low..top, where top (--flag-max) is at most cap
+    and may lie below low, an empty sweep.  Each value is checked before any
+    range is built."""
+    if one is not None:
+        if not low <= one <= cap:
+            raise ValueError(f"--{flag} must be in [{low}, {cap}]")
+        return range(one, one + 1)
+    if top > cap:
+        raise ValueError(f"--{flag}-max must be at most {cap}")
+    return range(low, top + 1)
+
+
 def _sweep_cells(args):
-    ks = [args.k] if args.k is not None else list(range(2, args.k_max + 1))
-    ns = [args.N] if args.N is not None else list(range(1, args.N_max + 1))
-    for k in ks:
-        for N in ns:
-            _check_weight(k, N)
-    return ks, ns
+    return (
+        _sweep_axis(args.k, args.k_max, 2, MAX_WEIGHT, "k"),
+        _sweep_axis(args.N, args.N_max, 1, MAX_LEVEL, "N"),
+    )
 
 
 def cmd_rationality(args, config: RunConfig) -> tuple[dict, int]:
@@ -406,14 +418,17 @@ def cmd_relations(args, config: RunConfig) -> tuple[dict, int]:
 
 def _load_data(path: str, build):
     """build(payload) for the JSON payload of a --data file; a missing file,
-    malformed JSON or a bad entry (a zero denominator or an infinite
-    rational included) is a configuration error."""
+    malformed JSON (nesting too deep to decode included) or a bad entry (a
+    zero denominator or an infinite rational included) is a configuration
+    error."""
     if not os.path.exists(path):
         raise ValueError(f"data file not found: {path}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return build(json.load(fh))
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (
+        AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError, ZeroDivisionError
+    ) as exc:
         raise ValueError(f"bad data file {path}: {type(exc).__name__}: {exc}") from exc
 
 

@@ -34,9 +34,10 @@ reconstructed through the cocycle rule along an S/T word.  T-power runs are
 evaluated in closed form (integer power sums over arithmetic progressions,
 from Stirling numbers and binomials), so evaluation cost is logarithmic in
 the matrix entries; one helper (_t_run_at) gives a run's value at one
-class, and the all-class evaluation maps it over the classes.  Descent
-reads the word's path only: the value at the identity class needs each
-letter's value at one class, the one its suffix reaches from there.
+class.  One evaluator (_evaluate_at) reads every value along the word's
+path: the value at a class needs each letter's value at one class only,
+the one its suffix reaches from there.  evaluate_word and verify_relations
+ask it for every class, and descent for the identity class alone.
 
 A cochain holds a quotient of the coset set that right multiplication by
 T and S maps class to class, and one value at T and one at S per class of
@@ -60,7 +61,7 @@ from functools import lru_cache
 from itertools import chain
 from math import comb, factorial, gcd, lcm
 from operator import add, mul
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 from .exact import QQ, ExtScalar, PolylogSymbol, bernoulli_value
 from .lseries import lvalue_closed
@@ -429,17 +430,6 @@ def coboundary_value(k: int, mu: ResiduePair, N: int) -> PeriodPoly:
     return _sum(k, ((1, p.den, [p.rat[0], *pad], [(s, [v[0], *pad]) for s, v in p.syms]),))
 
 
-def _transport(values: List[PeriodPoly], sources: Sequence[int], matrix, sign: int = 1) -> List[Term]:
-    """Right transport by g, times sign, as one term for _sum per sigma:
-    (F|g)(sigma) = F(sigma g^{-1})|g, given the index of sigma g^{-1} for
-    each sigma and the action matrix of g."""
-    return [_image(matrix, values[j], sign) for j in sources]
-
-
-def _t_sources(quot: CosetQuotient, n: int) -> List[int]:
-    return [quot.rmul_t_power(i, -n) for i in range(len(quot))]
-
-
 _T_INV, _S_INV = T.inverse(), S.inverse()
 
 
@@ -528,12 +518,8 @@ def rationality_record(
 
 
 # ---------------------------------------------------------------------------
-# cocycle evaluation along S/T words, one value per class of the quotient,
-# or at one class along the word's path (descent)
-
-
-def _zero_values(cochain: InducedCochain) -> List[PeriodPoly]:
-    return [PeriodPoly.zero(cochain.k) for _ in range(len(cochain.quotient))]
+# cocycle evaluation along S/T words, at the requested classes of the
+# quotient, each along the word's path
 
 
 def _t_run_at(cochain: InducedCochain, i: int, n: int) -> PeriodPoly:
@@ -559,11 +545,6 @@ def _t_run_at(cochain: InducedCochain, i: int, n: int) -> PeriodPoly:
     return _sum(k, terms)
 
 
-def _t_run_value(cochain: InducedCochain, n: int) -> List[PeriodPoly]:
-    """c(T^n) at every class of the quotient."""
-    return [_t_run_at(cochain, i, n) for i in range(len(cochain.quotient))]
-
-
 def _letters(tokens) -> List[Tuple[str, int]]:
     """The steps of a token word: S^n as n letters S, a T-run as one step."""
     out = []
@@ -574,50 +555,38 @@ def _letters(tokens) -> List[Tuple[str, int]]:
     return out
 
 
-def _evaluate_classes(cochain: InducedCochain, tokens) -> List[PeriodPoly]:
-    """Cocycle value along a token word via c(uv) = c(u)|_v + c(v), one
-    step per T-run and per letter S, one value per class of the quotient."""
-    quot = _classes_of(cochain)
-    acc: Optional[List[PeriodPoly]] = None
-    for kind, n in _letters(tokens):
-        if kind == "S":
-            value, sources, g = cochain.val_S, quot.rmul_S_inv, S
-        else:
-            value, sources, g = _t_run_value(cochain, n), _t_sources(quot, n), t_power(n)
-        if acc is None:
-            acc = list(value)
-        else:
-            moved = _transport(acc, sources, _action_matrix(cochain.k, g))
-            acc = [_sum(cochain.k, (m, _term(v))) for m, v in zip(moved, value)]
-    return acc if acc is not None else _zero_values(cochain)
-
-
-def _evaluate_at(cochain: InducedCochain, tokens, i: int) -> PeriodPoly:
-    """Cocycle value along a token word at class i alone.  With
+def _evaluate_at(cochain: InducedCochain, tokens, classes: Iterable[int]) -> List[PeriodPoly]:
+    """Cocycle value along a token word at each given class, in their order
+    (zero for the empty word).  With
     c(uv)(sigma) = c(u)(sigma v^{-1})|v + c(v)(sigma), the value at sigma
     needs each letter's value only at one class: sigma times the inverse of
-    the suffix that follows the letter.  Those classes are read walking
-    back from i, and the values summed forward, one image per letter."""
+    the suffix that follows the letter.  The letters and their matrices are
+    read once per call; per class, the path is read walking back from it
+    and the values summed forward, one image per letter."""
     quot, k = _classes_of(cochain), cochain.k
-    steps = _letters(tokens)
-    at = []
-    for kind, n in reversed(steps):
-        at.append(i)
-        i = quot.rmul_S_inv[i] if kind == "S" else quot.rmul_t_power(i, -n)
-    acc: Optional[PeriodPoly] = None
-    for (kind, n), j in zip(steps, reversed(at)):
-        if kind == "S":
-            value, g = cochain.val_S[j], S
-        else:
-            value, g = _t_run_at(cochain, j, n), t_power(n)
-        acc = value if acc is None else _sum(k, (_image(_action_matrix(k, g), acc), _term(value)))
-    return acc if acc is not None else PeriodPoly.zero(k)
+    steps = [
+        (kind, n, _action_matrix(k, S if kind == "S" else t_power(n)) if pos else None)
+        for pos, (kind, n) in enumerate(_letters(tokens))
+    ]
+    back_S, val_S, out = quot.rmul_S_inv, cochain.val_S, []
+    for i in classes:
+        at = []
+        for kind, n, _ in reversed(steps):
+            at.append(i)
+            i = back_S[i] if kind == "S" else quot.rmul_t_power(i, -n)
+        at.reverse()
+        acc = None
+        for (kind, n, matrix), j in zip(steps, at):
+            value = val_S[j] if kind == "S" else _t_run_at(cochain, j, n)
+            acc = value if matrix is None else _sum(k, (_image(matrix, acc), _term(value)))
+        out.append(PeriodPoly.zero(k) if acc is None else acc)
+    return out
 
 
 def evaluate_word(cochain: InducedCochain, tokens) -> List[PeriodPoly]:
     """Cocycle value along a token word, one polynomial per coset (cosets of
     one class share the object)."""
-    return cochain.quotient.expand(_evaluate_classes(cochain, tokens))
+    return cochain.quotient.expand(_evaluate_at(cochain, tokens, range(len(cochain.quotient))))
 
 
 def evaluate_cocycle(cochain: InducedCochain, gamma: Mat2) -> List[PeriodPoly]:
@@ -629,14 +598,15 @@ def verify_relations(cochain: InducedCochain) -> bool:
     """Exact well-definedness: the values along S^4 must vanish and the
     values along (ST)^3 must equal those along S^2."""
     k, back = cochain.k, cochain.quotient.rmul_S_inv
-    s2 = _evaluate_classes(cochain, [("S", 2)])
-    # c(S^4) = c(S^2)|S^2 + c(S^2): one transport by S^2 = -I, whose source
-    # for sigma is sigma S^-2
-    moved = _transport(s2, [back[back[i]] for i in range(len(back))], _action_matrix(k, S * S))
-    if not all(_sum(k, (m, _term(v))).is_zero() for m, v in zip(moved, s2)):
+    classes = range(len(back))
+    s2 = _evaluate_at(cochain, [("S", 2)], classes)
+    # c(S^4)(sigma) = c(S^2)(sigma S^-2)|S^2 + c(S^2)(sigma), one image by
+    # S^2 = -I per class
+    minus_id = _action_matrix(k, S * S)
+    s4 = (_sum(k, (_image(minus_id, s2[back[back[i]]]), _term(v))) for i, v in enumerate(s2))
+    if not all(v.is_zero() for v in s4):
         return False
-    st3 = _evaluate_classes(cochain, [("S", 1), ("T", 1)] * 3)
-    return all(a == b for a, b in zip(st3, s2))
+    return _evaluate_at(cochain, [("S", 1), ("T", 1)] * 3, classes) == s2
 
 
 def shapiro_descend(cochain: InducedCochain, gamma: Mat2) -> PeriodPoly:
@@ -647,7 +617,7 @@ def shapiro_descend(cochain: InducedCochain, gamma: Mat2) -> PeriodPoly:
     if not gamma.is_congruent_to_identity(cochain.N):
         raise ValueError(f"{gamma} is not congruent to the identity mod {cochain.N}")
     identity = cochain.quotient.class_of[cochain.table.identity_index()]
-    return _evaluate_at(cochain, decompose_ST(gamma), identity)
+    return _evaluate_at(cochain, decompose_ST(gamma), [identity])[0]
 
 
 def certify_parameter(k: int, lam: ResiduePair, N: int) -> Tuple[InducedCochain, InducedCochain]:

@@ -11,7 +11,7 @@ from mpmath import mp, mpf
 
 import eisperiods
 from eisperiods import cli
-from eisperiods.cli import MAX_LEVEL, MAX_PREC, MAX_RADIUS, MAX_SECOND_WEIGHT, MAX_TRUNC, main
+from eisperiods.cli import MAX_LEVEL, MAX_PREC, MAX_RADIUS, MAX_SECOND_WEIGHT, MAX_TRUNC, MAX_WEIGHT, main
 
 
 def run(capsys, *argv):
@@ -113,6 +113,13 @@ class TestRationalityCommand:
         assert code == 0
         assert "warning" in doc
         assert doc["summary"]["cells"] == 0
+
+    @pytest.mark.parametrize("argv", ["--N 2 --k-max 1", "--k 4 --N-max 0"])
+    def test_max_below_range_is_an_empty_sweep(self, capsys, argv):
+        # a sweep maximum is capped from above only
+        code, doc = run(capsys, "rationality", *argv.split())
+        assert code == 0
+        assert doc["warning"].startswith("empty sweep: ") and doc["summary"]["cells"] == 0
 
 
 class TestRelationsCommand:
@@ -381,6 +388,13 @@ REJECTED_INPUTS = {
     "second_weight_overflow": "--trunc 5 fourier --k 3 --l 100000 --N 1 --lambda 0,0 --kind maass --tau 0,1",
     "second_weight_above_cap": f"--trunc 5 fourier --k 3 --l {MAX_SECOND_WEIGHT + 1} --N 1 --lambda 0,0 "
     "--kind elliptic",
+    # each sweep value is bounded before any range is built: a huge maximum
+    # ran out of memory, and a fixed value out of range passed unchecked
+    # beside an empty range of the other axis
+    "sweep_level_max_huge": "relations --N-max 1000000000000",
+    "sweep_weight_max_huge": "rationality --N 2 --k-max 1000000000000",
+    "sweep_weight_above_cap": f"relations --k {MAX_WEIGHT + 1} --N-max 0",
+    "sweep_level_above_cap": f"rationality --N {MAX_LEVEL + 1} --k-max 1",
 }
 
 # arguments that a subcommand's own parser rejects: name -> (command, argv)
@@ -523,6 +537,15 @@ class TestBadConfiguration:
         path = tmp_path / "lattice.json"
         path.write_text("not json")
         self.exits_2(capsys, ["invariant", "--m", "2", "--data", str(path)])
+
+    @pytest.mark.parametrize("command", ["invariant", "hecke"])
+    def test_data_nested_too_deep(self, capsys, tmp_path, command):
+        # the JSON decoder recurses once per level of nesting
+        nested = "[" * 100_000 + "]" * 100_000
+        path = tmp_path / "data.json"
+        path.write_text(nested if command == "invariant" else f'{{"classes": {nested}}}')
+        err = self.exits_2(capsys, [command, "--m", "2", "--data", str(path)])
+        assert err.count("eisp: error:") == 1 and "RecursionError" in err
 
     @pytest.mark.parametrize("command", ["invariant", "hecke"])
     def test_preset_with_data(self, capsys, tmp_path, command):
