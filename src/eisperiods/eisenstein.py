@@ -211,10 +211,11 @@ def g_fourier(k: int, lam: ResiduePair, N: int, M: int, prec: int = DEFAULT_PREC
 
 @dataclass(frozen=True)
 class MaassFourier:
-    """Truncated double expansion in (q_N, conj(q_N)) with Laurent-in-1/v
-    coefficients: A[j-1] multiplies q_N^j, C[j-1] multiplies conj(q_N)^j,
-    C0 is the pure v^{1-w} term."""
+    """Truncated double expansion in (q_N, conj(q_N)) of kind "maass" or
+    "elliptic", with Laurent-in-1/v coefficients: A[j-1] multiplies q_N^j,
+    C[j-1] multiplies conj(q_N)^j, C0 is the pure v^{1-w} term."""
 
+    kind: str
     k: int
     l: int
     N: int
@@ -231,7 +232,7 @@ class MaassFourier:
 
     def to_json(self) -> dict:
         return {
-            "kind": "maass",
+            "kind": self.kind,
             "k": self.k,
             "l": self.l,
             "N": self.N,
@@ -275,7 +276,7 @@ def _double_index_fourier(
         if c0val != 0:
             C0[1 - w] = c0val
     A, C = _kernel_divisor_sums(k, l, lam, M, prec, elliptic)
-    return MaassFourier(k, l, N, lam, M, A0, C0, A, C)
+    return MaassFourier("elliptic" if elliptic else "maass", k, l, N, lam, M, A0, C0, A, C)
 
 
 @prec_guard
@@ -609,6 +610,23 @@ def _fixed_cpow(xr: int, xi: int, n: int, P: int):
         xr, xi = (xr * xr - xi * xi) >> P, (xr * xi) >> (P - 1)
 
 
+def q_series(acc: mpc, tau: mpc, N: int, modes) -> mpc:
+    """acc + sum_j (a_j q^j + b_j conj(q^j)), q = e(tau/N), over the modes
+    (a_j,) or (a_j, b_j), j = 1, 2, ...: the one loop over q_N-modes.  A term
+    of None is skipped, its power still taken.  Each term is added on its own
+    to the running power, so every product and sum keeps its order; conj(q^j)
+    has the bits of conj(q)^j, as mpc products round symmetrically."""
+    q = mp.expjpi(2 * tau / N)
+    qp = mpc(1)
+    for mode in modes:
+        qp *= q
+        if mode[0] is not None:
+            acc += mode[0] * qp
+        if mode[1:] and mode[1] is not None:
+            acc += mode[1] * mp.conj(qp)
+    return acc
+
+
 @prec_guard
 def eval_fourier(series, tau, prec: int = DEFAULT_PREC) -> mpc:
     """Numeric value of a truncated expansion at tau (v = Im tau,
@@ -619,28 +637,15 @@ def eval_fourier(series, tau, prec: int = DEFAULT_PREC) -> mpc:
     v = tau.imag
     if isinstance(series, HoloFourier):
         # kind "e" holds exact values: embed each through cyclo_value
-        exact = series.kind == "e"
-        q = mp.expjpi(2 * tau / series.N)
-        acc = mpc(_to_mp(series.const))
-        qp = mpc(1)
-        for c in series.coeffs:
-            qp *= q
-            acc += (cyclo_value(c, prec) if exact else c) * qp
+        modes = ((cyclo_value(c, prec) if series.kind == "e" else c,) for c in series.coeffs)
+        acc = q_series(mpc(_to_mp(series.const)), tau, series.N, modes)
         if series.nonholo != 0:
             acc += _to_mp(series.nonholo) / (4 * mp.pi * v)
         return acc
     if isinstance(series, MaassFourier):
-        q = mp.expjpi(2 * tau / series.N)
-        qb = mp.conj(q)
-        acc = mpc(series.A0)
-        for ex, cf in series.C0.items():
-            acc += cf * v ** ex
-        qp = mpc(1)
-        qbp = mpc(1)
-        for j in range(series.M):
-            qp *= q
-            qbp *= qb
-            acc += sum(cf * v ** ex for ex, cf in series.A[j].items()) * qp
-            acc += sum(cf * v ** ex for ex, cf in series.C[j].items()) * qbp
-        return acc
+        def laurent(d):  # a coefficient's value at v; C0 has one term at most, added whole
+            return sum(cf * v ** ex for ex, cf in d.items())
+
+        acc = mpc(series.A0) + laurent(series.C0)
+        return q_series(acc, tau, series.N, zip(map(laurent, series.A), map(laurent, series.C)))
     raise TypeError(f"cannot evaluate series of type {type(series)!r}")

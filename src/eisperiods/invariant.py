@@ -3,9 +3,10 @@ integrals with base point at infinity, and the lattice invariant attached to
 an imaginary quadratic order, with numeric rationality certification.
 
 The composite operator of order m acts on polynomials through an exact
-closed-form coefficient array and on Fourier modes through a Laurent
-multiplier; both routes are exposed so they can be checked against each
-other.
+closed-form coefficient array and on each Fourier mode of the Eichler
+integral through a Laurent multiplier; both routes are exposed so they can be
+checked against each other.  Every q-series here, psi's modes included, is
+summed by `eisenstein.q_series`.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from .eisenstein import (
     elliptic_maass_fourier,
     elliptic_tail_bound,
     eval_fourier,
+    q_series,
 )
 from .lseries import lvalue_closed
 from .modgroup import Mat2, ResiduePair, admissible
@@ -258,17 +260,16 @@ def _raw_fourier_coeffs(k: int, lam: ResiduePair, N: int, M: int, prec: int):
     return scale * a0, tuple(scale * c for c in coeffs)
 
 
-def _eichler_q_series(acc: mpc, k: int, p: int, N: int, tau: mpc, coeffs) -> mpc:
-    """acc + (k-2)! sum_j A_j N^p/(2 pi i j)^p e(j tau/N): the q-series shared
-    by the Eichler integral (p = k-1) and its derivative (p = k-2)."""
+def _eichler_modes(k: int, p: int, N: int, coeffs, mult=None):
+    """The q_N-modes (k-2)! A_j N^p/(2 pi i j)^p [* mult(j)] of the Eichler
+    integral (p = k-1) and its derivative (p = k-2), in the form `q_series`
+    takes; None where A_j = 0."""
     fac = mp.factorial(k - 2)
-    q = mp.expjpi(2 * tau / N)
-    qp = mpc(1)
+    n_power = mpf(N) ** p
+    two_pi_i = 2j * mp.pi
     for j, aj in enumerate(coeffs, start=1):
-        qp *= q
-        if aj != 0:
-            acc += fac * aj * mpf(N) ** p / (2j * mp.pi * j) ** p * qp
-    return acc
+        term = None if aj == 0 else fac * aj * n_power / (two_pi_i * j) ** p
+        yield (term if term is None or mult is None else term * mult(j),)
 
 
 @prec_guard
@@ -277,7 +278,7 @@ def eichler_integral(k: int, lam: ResiduePair, N: int, tau, M: int, prec: int = 
     A_0 tau^{k-1}/(k-1) + (k-2)! sum_j A_j N^{k-1}/(2 pi i j)^{k-1} e(j tau/N)."""
     a0, coeffs = _raw_fourier_coeffs(k, lam, N, M, prec)
     tau = mpc(tau)
-    return _eichler_q_series(a0 * tau ** (k - 1) / (k - 1), k, k - 1, N, tau, coeffs)
+    return q_series(a0 * tau ** (k - 1) / (k - 1), tau, N, _eichler_modes(k, k - 1, N, coeffs))
 
 
 @prec_guard
@@ -285,7 +286,7 @@ def eichler_integral_dtau(k: int, lam: ResiduePair, N: int, tau, M: int, prec: i
     """Holomorphic tau-derivative of the Eichler integral (termwise)."""
     a0, coeffs = _raw_fourier_coeffs(k, lam, N, M, prec)
     tau = mpc(tau)
-    return _eichler_q_series(a0 * tau ** (k - 2), k, k - 2, N, tau, coeffs)
+    return q_series(a0 * tau ** (k - 2), tau, N, _eichler_modes(k, k - 2, N, coeffs))
 
 
 @dataclass
@@ -347,12 +348,12 @@ def psi(
     integral of the raw weight-2m series, scaled by
     i |D|^{(m-1)/2} / (pi^m (tau - conj tau)^{m-1}).
 
-    The polynomial part goes through the closed-form coefficient array, each
-    Fourier mode through the Laurent multiplier, and the anchoring constant
-    through the action on constants.  The modes are summed to J = min(J_bound,
-    M), J_bound being the first order at which `psi_tail_bound` is below the
-    working precision (`tail_cutoff`); PrecisionError is raised when the bound
-    at M itself exceeds tol.
+    The polynomial part goes through the closed-form coefficient array, the
+    modes are the Eichler integral's modes times the Laurent multiplier, and
+    the anchoring constant goes through the action on constants.  The modes
+    are summed to J = min(J_bound, M), J_bound being the first order at which
+    `psi_tail_bound` is below the working precision (`tail_cutoff`);
+    PrecisionError is raised when the bound at M itself exceeds tol.
     """
     if m < 2:
         raise ValueError("order must be >= 2")
@@ -376,25 +377,18 @@ def psi(
     vdiff = tau - taubar  # 2 i v
     # polynomial piece: A0/(2m-1) * dd_m(tau^{2m-1})
     acc = a0 / (k - 1) * dd_m_poly(m, k - 1).substitute(tau, taubar, prec)
-    # Fourier modes: multiplier (m-1)! sum_r C(-m, r) vdiff^{m-1-r} (2 pi i j/N)^{m-1-r}/(m-1-r)!
-    fac = mp.factorial(k - 2)
+    # Eichler modes times (m-1)! sum_r C(-m, r) vdiff^{m-1-r} (2 pi i j/N)^{m-1-r}/(m-1-r)!
     fm1 = mp.factorial(m - 1)
-    q = mp.expjpi(2 * tau / N)
-    qp = mpc(1)
     binoms = [_to_mp(formal_binomial(-m, r)) for r in range(m)]
     facs = [mp.factorial(m - 1 - r) for r in range(m)]
-    n_power = mpf(N) ** (k - 1)
     two_pi_i = 2j * mp.pi
-    for j, aj in enumerate(coeffs, start=1):
-        qp *= q
-        if aj == 0:
-            continue
+
+    def mult(j):
         x = vdiff * (two_pi_i * j / N)
-        mult = mpc(0)
-        for r in range(m):
-            mult += binoms[r] * x ** (m - 1 - r) / facs[r]
-        mult *= fm1
-        acc += fac * aj * n_power / (two_pi_i * j) ** (k - 1) * mult * qp
+        terms = (binoms[r] * x ** (m - 1 - r) / facs[r] for r in range(m))
+        return sum(terms, mpc(0)) * fm1
+
+    acc = q_series(acc, tau, N, _eichler_modes(k, k - 1, N, coeffs, mult))
     # anchoring constant
     acc += _lvalue_shift(m, lam, N, prec) * _to_mp(dd_m_constant(m))
     front = mpc(1j) * mp.power(-data.disc, mpf(m - 1) / 2) / (

@@ -5,8 +5,11 @@ import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 import eisperiods
@@ -581,6 +584,70 @@ class TestBadConfiguration:
         path.write_text(json.dumps({"classes": [{"lattice": {"minpoly": [1, 0, 1]}}]}))
         err = self.exits_2(capsys, ["hecke", "--m", "2", "--data", str(path)])
         assert "KeyError" in err
+
+
+def _number_text():
+    """A decimal as argv carries it: small and huge, signed, non-finite, or
+    not a number at all."""
+    return st.one_of(
+        st.integers(min_value=-30, max_value=30).map(str),
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.sampled_from(["0", "-0.0", "1e-300", "1e300", "2e-9", "x", ""]),
+    )
+
+
+@st.composite
+def fourier_argv(draw):
+    """argv for `fourier` over its whole grammar, with --trunc and --radius at
+    most 20 so that each run stays cheap.  Each option is drawn from its
+    documented range, and then at most one of them from anything argv can
+    carry, so that most runs reach the command."""
+    fields = {
+        "kind": draw(st.sampled_from([None, "e", "g", "maass", "elliptic"])),
+        "k": draw(st.integers(2, MAX_WEIGHT)),
+        "l": draw(st.one_of(st.none(), st.integers(-MAX_SECOND_WEIGHT, MAX_SECOND_WEIGHT))),
+        "N": draw(st.integers(1, MAX_LEVEL)),
+        "lambda": "{},{}".format(*draw(st.tuples(st.integers(-30, 30), st.integers(-30, 30)))),
+        "tau": draw(st.one_of(st.none(), st.tuples(st.floats(-50, 50), st.floats(1e-3, 50)))),
+    }
+    if fields["tau"] is not None:
+        fields["tau"] = "{!r},{!r}".format(*fields["tau"])
+    bad = draw(st.sampled_from([None, "k", "l", "N", "lambda", "tau"]))
+    if bad in ("k", "l", "N"):
+        fields[bad] = draw(st.one_of(st.integers(), st.integers(-40, 40)))
+    elif bad is not None:
+        odd = st.sampled_from(["1", "1,2,3", "a,b", "", ","])
+        fields[bad] = draw(st.one_of(odd, st.tuples(_number_text(), _number_text()).map(",".join)))
+    argv = ["--trunc", str(draw(st.integers(1, 20))), "--radius", str(draw(st.integers(1, 20))), "fourier"]
+    for name, value in fields.items():
+        if value is not None:
+            argv.append(f"--{name}={value}")
+    if draw(st.booleans()):
+        argv.append("--check-lattice")
+    return argv
+
+
+class TestFourierGrammar:
+    """The exit-code contract over argv drawn from the `fourier` grammar:
+    exit 0, 1 or 2 and never a traceback; on exit 2, one error line and no
+    report."""
+
+    @given(argv=fourier_argv())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_exit_code_contract(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert len([line for line in err.getvalue().splitlines() if "error:" in line]) == 1, argv
+            assert out.getvalue() == ""
+        else:
+            assert "series" in json.loads(out.getvalue())
 
 
 def test_every_command_takes_args_and_config():

@@ -1046,6 +1046,27 @@ class TestPathEvaluation:
             assert shapiro_descend(c, gamma) == want
         assert seen == {"-Id", "negative run", "long run"}
 
+    def test_descent_against_naive_at_levels_five_and_six(self):
+        """shapiro_descend at the identity coset against naive_evaluate, which
+        shares no code with the path evaluator: T^N on a seeded sample of
+        cells with N = 5, 6, and short Gamma(N) conjugates sigma T^{+-N}
+        sigma^-1 on scrambled copies."""
+        rng = random.Random(2801)
+        cells = [cell for cell in self.CELLS if cell[1] in (5, 6)]
+        for k, N, lamv in rng.sample(cells, 12):
+            c = build_induced(k, lamv, N)
+            want = naive_evaluate(c, [("T", N)])[c.table.identity_index()]
+            assert shapiro_descend(c, t_power(N)) == want
+        for _ in range(6):
+            k, N, lamv = rng.choice(cells)
+            c = self.scrambled(build_induced(k, lamv, N), rng)
+            sigma = random_gamma(rng, 4)
+            gamma = sigma * t_power(rng.choice((-1, 1)) * N) * sigma.inverse()
+            tokens = decompose_ST(gamma)
+            assert gamma.is_congruent_to_identity(N) and word_matrix(tokens) == gamma
+            want = naive_evaluate(c, tokens)[c.table.identity_index()]
+            assert shapiro_descend(c, gamma) == want
+
     def test_one_class_values_match_every_class(self):
         """_t_run_at and _evaluate_at at every class, expanded to cosets,
         against naive_evaluate, which goes one letter at a time on every

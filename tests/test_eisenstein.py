@@ -17,6 +17,7 @@ from eisperiods.eisenstein import (
     g_fourier,
     lattice_sum,
     maass_fourier,
+    q_series,
 )
 from eisperiods.eisenstein import _divisor_pairs, _fb, _i_times_int_power
 from eisperiods.modgroup import S, T, ResiduePair
@@ -467,6 +468,61 @@ def test_divisor_pairs_cached_value_is_immutable():
     assert _divisor_pairs(12) is pairs
 
 
+class TestQSeries:
+    """q_series, the one loop over the q_N-modes of a series."""
+
+    @staticmethod
+    def grid(rng, count):
+        """Seeded (tau, N) pairs: Re tau in [-1, 1], Im tau in [0.3, 2]."""
+        for _ in range(count):
+            tau = mpc(rng.uniform(-1, 1), rng.uniform(0.3, 2))
+            yield tau, rng.randint(1, 7)
+
+    def test_matches_a_direct_sum(self):
+        """acc + sum_j (a_j e(j tau/N) + b_j conj(e(j tau/N))) against the
+        same sum with each power taken directly at PREC + 64 bits."""
+        rng = random.Random(2803)
+        for tau, N in self.grid(rng, 12):
+            modes = [
+                tuple(mpc(rng.uniform(-9, 9), rng.uniform(-9, 9)) for _ in range(rng.randint(1, 2)))
+                for _ in range(30)
+            ]
+            got = q_series(mpc(1, -2), tau, N, modes)
+            with mp.workprec(PREC + 64):
+                want, size = mpc(1, -2), mpf(3)
+                for j, mode in enumerate(modes, start=1):
+                    qj = mp.expjpi(2 * j * mpc(tau) / N)
+                    for c, power in zip(mode, (qj, mp.conj(qj))):
+                        want += c * power
+                        size += abs(c) * abs(qj)
+            assert abs(got - want) <= mpf(2) ** (8 - PREC) * size
+
+    @pytest.mark.parametrize("prec", [53, 192, 256])
+    def test_conjugate_power_is_the_running_conjugate_product(self, prec):
+        """conj(q^j), as q_series takes it, has the bits of the running
+        product conj(q)^j; and q^j those of the running product q^j."""
+        rng = random.Random(prec)
+        with mp.workprec(prec):
+            for tau, N in self.grid(rng, 8):
+                qb = mp.conj(mp.expjpi(2 * tau / N))
+                qp, qbp = mpc(1), mpc(1)
+                for j in range(1, 41):
+                    qp *= mp.conj(qb)
+                    qbp *= qb
+                    lead = [(None, None)] * (j - 1)
+                    assert q_series(mpc(0), tau, N, lead + [(None, 1)]) == qbp
+                    assert q_series(mpc(0), tau, N, lead + [(1,)]) == qp
+
+    def test_none_is_skipped_and_its_power_taken(self):
+        tau, N = mpc(0.25, 0.75), 3
+        q = mp.expjpi(2 * tau / N)
+        a, b = mpc(2, 1), mpc(-1, 3)
+        got = q_series(mpc(5), tau, N, [(None,), (a, None), (None, b)])
+        assert got == mpc(5) + a * (q * q) + b * mp.conj(q * q * q)
+        assert got == q_series(mpc(5), tau, N, [(0,), (a, 0), (0, b)])
+        assert q_series(mpc(5), tau, N, [(None,), (None, None)]) == mpc(5)
+
+
 class TestSerialization:
     def test_holo_json_round_data(self):
         f = e_fourier(4, lam(2, 0, 1), 2, 3)
@@ -481,3 +537,7 @@ class TestSerialization:
         doc = m.to_json()
         assert doc["kind"] == "maass" and doc["l"] == 1
         assert "-3" in doc["nonholo"]
+
+    def test_elliptic_json_names_its_kind(self):
+        e = elliptic_maass_fourier(3, 1, lam(2, 0, 1), 2, 2, PREC)
+        assert e.kind == "elliptic" and e.to_json()["kind"] == "elliptic"

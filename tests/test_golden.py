@@ -41,6 +41,18 @@ CASES = {
         "--tol 1e-6 --trunc 60 --radius 20 fourier --kind e --k 5 --N 5 --lambda 1,2 "
         "--tau=-0.3,1.5 --check-lattice",
     ),
+    # the MaassFourier branch of eval_fourier, with a constant and a v^(1-w) term
+    "check_lattice_maass": (
+        0,
+        "--tol 1e-6 --trunc 12 --radius 20 fourier --kind maass --k 5 --l 3 --N 3 --lambda 0,1 "
+        "--tau=0.2,1.3 --check-lattice",
+    ),
+    # the holomorphic branch on numeric (kind g) coefficients
+    "check_lattice_g": (
+        0,
+        "--tol 1e-6 --trunc 12 --radius 20 fourier --kind g --k 8 --N 3 --lambda 0,1 "
+        "--tau=0.2,1.3 --check-lattice",
+    ),
     "fourier_maass": (0, "--trunc 60 fourier --kind maass --k 7 --l 5 --N 3 --lambda 1,2"),
     "fourier_elliptic": (0, "--trunc 60 fourier --kind elliptic --k 7 --l 5 --N 3 --lambda 1,2"),
     "invariant": (0, "invariant --m 2 --preset gaussian"),
