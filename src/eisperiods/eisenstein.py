@@ -20,7 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Dict, List, Tuple, Union
+from typing import Dict, Iterator, List, Tuple, Union
 
 from mpmath import mp, mpc, mpf
 
@@ -50,6 +50,33 @@ def _divisor_pairs(M: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
         for j in range(m, M + 1, m):
             pairs[j].append((m, j // m))
     return tuple(map(tuple, pairs))
+
+
+def _twisted_divisor_sums(
+    M: int, N: int, l1: int, l2: int, w: int, elliptic: bool, side: int = 1
+) -> Iterator[List[int]]:
+    """Yield, for j = 1..M, the integer buckets raw[t], t mod N, of the
+    twisted divisor sum
+
+        S_j = sum sgn^w n0^(w-1) mu_N^t
+
+    over the pairs (m, n) = sgn (m0, n0), m0 n0 = j, sgn = +-1, that a
+    double-index series keeps: the congruence series (elliptic false) keeps
+    m = l1 mod N and twists by t = side n l2, the elliptic series keeps
+    side n = l1 mod N and twists by t = m l2.  The elliptic sum at side 1
+    and w = k is the q_N^j sum of the weight-k holomorphic series."""
+    sign = (-1) ** w
+    for pairs in _divisor_pairs(M)[1:]:
+        raw = [0] * N
+        for m0, n0 in pairs:
+            # keep sgn p = l1, twist sgn q l2
+            p, q = (side * n0, m0) if elliptic else (m0, side * n0)
+            x = n0 ** (w - 1)
+            if p % N == l1:
+                raw[q * l2 % N] += x
+            if -p % N == l1:
+                raw[-q * l2 % N] += sign * x
+        yield raw
 
 
 def bilinear_exponent(lam: ResiduePair, theta: ResiduePair) -> int:
@@ -105,9 +132,10 @@ class HoloFourier:
 def e_fourier(k: int, lam: ResiduePair, N: int, M: int) -> HoloFourier:
     """Exact normalized holomorphic Eisenstein expansion at parameter lam.
 
-    Constant term -B_k(l1/N)/k!; the q_N^j coefficient collects the two
-    divisor sums with congruence condition on n and opposite twists by
-    mu_N^{m l2}; only k = 2 at lam = 0 carries the 1/(4 pi v) term.
+    Constant term -B_k(l1/N)/k!; the q_N^j coefficient is the twisted
+    divisor sum S_j of `_twisted_divisor_sums` (condition on n, twist
+    mu_N^{m l2}) over (k-1)! N^(k-1); only k = 2 at lam = 0 carries the
+    1/(4 pi v) term.
     """
     if lam.N != N:
         lam = ResiduePair(N, lam.l1, lam.l2)
@@ -120,18 +148,11 @@ def e_fourier(k: int, lam: ResiduePair, N: int, M: int) -> HoloFourier:
     l1, l2 = lam.l1, lam.l2
     const = -bernoulli_value(k, QQ(l1, N)) / factorial(k)
     scale = QQ(1, factorial(k - 1) * N ** (k - 1))
-    sign = (-1) ** k
-    pairs = _divisor_pairs(M)
-    coeffs = []
-    for j in range(1, M + 1):
-        raw = [0] * N
-        for m, n in pairs[j]:
-            if n % N == l1:
-                raw[(m * l2) % N] += n ** (k - 1)
-            if (-n) % N == l1:
-                raw[(-m * l2) % N] += sign * n ** (k - 1)
-        coeffs.append(cyclo_canonical(N, [x * scale for x in raw]))
-    return HoloFourier("e", k, N, lam, M, const, tuple(coeffs), nonholo)
+    coeffs = tuple(
+        cyclo_canonical(N, [x * scale for x in raw])
+        for raw in _twisted_divisor_sums(M, N, l1, l2, k, True)
+    )
+    return HoloFourier("e", k, N, lam, M, const, coeffs, nonholo)
 
 
 @prec_guard
@@ -258,7 +279,7 @@ def _double_index_fourier(
 
         C0 = -2 pi i [C(-l, k-1) z+ + C(-k, l-1) z-] / (D (-2i)^{w-1})
 
-    and the divisor-pair kernel.  head(w, l1, l2) gives the series' own
+    and the twisted-divisor-sum kernel.  head(w, l1, l2) gives the series' own
     constant A0, its pair (z+, z-) (None when it has no v^{1-w} term) and
     D."""
     w = k + l
@@ -301,86 +322,62 @@ def _fb(t: int, n: int) -> mpf:
     return _to_mp(formal_binomial(t, n))
 
 
-def _i_times_int_power(a: int, p: int) -> mpc:
-    """(a i)^p from the exact integer a^p, rounded once to the working
-    precision; a Python complex power would round it to 53 bits."""
-    x = a ** p
-    re, im = ((x, 0), (0, x), (-x, 0), (0, -x))[p % 4]
-    return mpc(re, im)
-
-
 @prec_guard
 def _kernel_divisor_sums(k, l, lam: ResiduePair, M, prec, elliptic: bool):
-    """Shared (m, n) divisor-pair sums for both double-index expansions.
+    """The q_N^j and conj(q_N)^j coefficients of both double-index
+    expansions, as one exact twisted divisor sum per mode.
 
-    The congruence series (elliptic false) keeps the pairs with m = l1 mod N
-    and twists the root of unity by n l2; the elliptic series keeps those
-    with n = l1 mod N, twists by m l2 and drops one power of N (e = 1, else
-    e = 0).
+    The pair (m, n) = sgn (m0, n0), m0 n0 = j, adds to the v^-(l+r) term of
+    A_j the value -2 pi i sgn C(-l, r) (-2 pi i n)^(k-1-r) e(t/N) /
+    (N^(k-r-e) (-2m i)^(l+r) (k-1-r)!), with e = 1 for the elliptic series
+    and 0 for the congruence one, and t the twist of `_twisted_divisor_sums`.
+    Since 1/m0 = n0/j, the r-dependence leaves the sum over the pairs:
 
-    The pair (m, n) = sgn (m0, n0), m0 n0 = j, adds to the v^-(l+r) term of A_j
+        A_j[-(l+r)] = K_r S_j / j^(l+r),
+        K_r = (-2 pi i)^(k-r) C(-l, r) / (N^(k-r-e) (-2i)^(l+r) (k-1-r)!),
 
-        -2 pi i sgn / N^(k-r-e) C(-l, r) (-2 pi i n)^(k-1-r) phase
-            / ((-2m i)^(l+r) (k-1-r)!),
+    S_j = sum sgn^w n0^(w-1) e(t/N) in Z[mu_N].  C_j is the same with k and
+    l swapped, the sign of 2 pi i and of 2i flipped and S_j taken at side
+    -1.  S_j is summed in integers, reduced by `cyclo_canonical` (so S_j = 0
+    leaves no term, exactly) and embedded once by `cyclo_value`; K_r is one
+    mpc per r, its power of 2 and its unit applied exactly.  A zero binomial
+    is the only other way a term vanishes.
 
-    and to the v^-(k+r) term of C_j the same with k and l, the sign of
-    2 pi i and the sign of 2m swapped.  Each term is evaluated as
-    prepow[n][r] * phase / den[m][r], the left-to-right order of the
-    expression above, from tables built once per call: prepow folds the
-    prefix of (sgn, r) into the power of n, den is the denominator of m and
-    the phase is e(.) of one exact rational.  Running m0 in the outer loop
-    adds the terms of each A_j and C_j in the same order as walking the
-    divisor pairs of j, so every sum keeps its bits; it also leaves one row
-    of den live at a time.
+    Rounding bound, at wp = prec + GUARD_BITS bits, h = |k| + |l| and s_i
+    the canonical coefficients of S_j: each stored term is within
+
+        (4 N + h + 16) 2^-wp |K_r| j^-(l+r) sum_i |s_i|
+
+    of its exact value (C_j with k and l swapped).  The embedding of S_j is
+    within 4 N 2^-wp sum |s_i| (Horner over at most N - 1 coefficients, at
+    a root of unity rounded once per part), K_r within (h + 8) 2^-wp |K_r|
+    (one rounded power of 2 pi, the rest single roundings), and the product
+    and the division by j^(l+r) add three roundings of 2^-wp each.
     """
     N, l1, l2 = lam.N, lam.l1, lam.l2
     e = 1 if elliptic else 0
-    two_pi_i = 2j * mp.pi
-    small = M // 8  # a row of prepow past it serves at most seven pairs
-    phases: Dict[int, mpc] = {}
-    A: List[Dict[int, mpc]] = [{} for _ in range(M)]
-    C: List[Dict[int, mpc]] = [{} for _ in range(M)]
-    # A, then C: side -1 swaps k and l and flips the sign of 2 pi i, of 2m
-    # and of n in the elliptic condition and the maass twist
-    for out, side, base, a, c in ((A, 1, -two_pi_i, k, l), (C, -1, two_pi_i, l, k)):
-        prefix = {
-            sgn: [base * sgn / mpf(N) ** (a - r - e) * _fb(-c, r) for r in range(a)]
-            for sgn in (1, -1)
-        }
-        # a zero binomial is the only way a term vanishes
-        live = [r for r in range(a) if prefix[1][r] != 0]
-        prepows: Dict[int, list] = {}
-        for m0 in range(1, M + 1):
-            for sgn in (1, -1):
-                m = sgn * m0
-                # maass: condition on m, twist by n; elliptic: the reverse
-                if not elliptic and m % N != l1:
-                    continue
-                den = [
-                    _i_times_int_power(-side * 2 * m, c + r) * mp.factorial(a - 1 - r)
-                    for r in range(a)
-                ]
-                for n0 in range(1, M // m0 + 1):
-                    n = sgn * n0
-                    if elliptic and (side * n) % N != l1:
-                        continue
-                    t = (m if elliptic else side * n) * l2
-                    phase = phases.get(t)
-                    if phase is None:
-                        phase = phases[t] = e_of(QQ(t, N), prec)
-                    row = prepows.get(n)
-                    if row is None:
-                        row = [p * (base * n) ** (a - 1 - r) for r, p in enumerate(prefix[sgn])]
-                        if n0 <= small:
-                            prepows[n] = row
-                    d = out[m0 * n0 - 1]
-                    for r in live:
-                        coeff = row[r] * phase / den[r]
-                        ex = -(c + r)
-                        d[ex] = d[ex] + coeff if ex in d else coeff
-        for j, d in enumerate(out):
-            out[j] = {ex: v for ex, v in d.items() if v != 0}
-    return tuple(A), tuple(C)
+    two_pi = 2 * mp.pi
+    out = []
+    # A, then C: side -1 swaps k and l and flips the sign of 2 pi i and of 2i
+    for side, a, c in ((1, k, l), (-1, l, k)):
+        # (-side 2 pi i)^(a-r) / (-side 2i)^(c+r) is (2 pi)^(a-r) 2^-(c+r),
+        # a power of 2 applied exactly, times the unit (-side i)^(a-c-2r)
+        K = [
+            mp.ldexp(two_pi ** (a - r) * _fb(-c, r) / (mpf(N) ** (a - r - e) * mp.factorial(a - 1 - r)), -(c + r))
+            * (1, 1j, -1, -1j)[side * (c + 2 * r - a) % 4]
+            for r in range(a)
+        ]
+        live = [(-(c + r), K_r) for r, K_r in enumerate(K) if K_r != 0]
+        coeffs: List[Dict[int, mpc]] = []
+        for j, raw in enumerate(_twisted_divisor_sums(M, N, l1, l2, k + l, elliptic, side), 1):
+            S = cyclo_canonical(N, raw)
+            sv = cyclo_value(S, prec) if live and any(S.coeffs) else None
+            coeffs.append(
+                {} if sv is None
+                else {ex: K_r * sv / j ** -ex if ex <= 0 else K_r * sv * j ** ex for ex, K_r in live}
+            )
+        out.append(tuple(coeffs))
+    return tuple(out)
 
 
 @prec_guard
@@ -407,12 +404,14 @@ def elliptic_tail_bound(k: int, l: int, N: int, M: int, v) -> mpf:
     """Bound on |eval_fourier(elliptic_maass_fourier(k, l, lam, N, M), tau)
     - E(tau)| at v = Im tau, for total weight w = k + l >= 3 and any lam.
 
-    It assumes the coefficients the divisor-pair kernel builds: the pair
-    (m, n) = +-(m0, n0), m0 n0 = j, adds to the v^-(l+r) term of A_j at
-    most 2 pi |C(-l, r)| (2 pi n0 / N)^(k-1-r) / ((2 m0)^(l+r) (k-1-r)!),
-    and to C_j the same with k and l swapped.  Over the pairs of j,
-    sum n0^(k-1-r) m0^-(l+r) = j^(k-1-r) sum_{m0 | j} m0^(1-w) <= zeta(2)
-    j^(k-1-r) < 2 j^(k-1-r), and both signs count, so mode j adds at most
+    It reads the closed form `_kernel_divisor_sums` builds: the v^-(l+r)
+    term of A_j is K_r S_j / j^(l+r), |K_r| = 2 pi |C(-l, r)| (2 pi /
+    N)^(k-1-r) / (2^(l+r) (k-1-r)!), and |S_j| is at most the sum of
+    n0^(w-1) over both signs of each pair (m0, n0), m0 n0 = j; C_j is the
+    same with k and l swapped.  Since n0^(w-1) / j^(l+r) = n0^(k-1-r)
+    m0^-(l+r), the pairs of j give sum n0^(k-1-r) m0^-(l+r) = j^(k-1-r)
+    sum_{m0 | j} m0^(1-w) <= zeta(2) j^(k-1-r) < 2 j^(k-1-r), and both
+    signs count, so mode j adds at most
     t_j = 8 pi (P_A(j) + P_C(j)) y^j with y = e^{-2 pi v / N} and
 
         P_A(j) = sum_{r<k} |C(-l, r)| (2 pi j / N)^(k-1-r) / ((2v)^(l+r) (k-1-r)!),
@@ -643,8 +642,11 @@ def eval_fourier(series, tau, prec: int = DEFAULT_PREC) -> mpc:
             acc += _to_mp(series.nonholo) / (4 * mp.pi * v)
         return acc
     if isinstance(series, MaassFourier):
+        # one power of v per exponent: a series has at most k + l of them
+        vp = {ex: v ** ex for ex in set().union(series.C0, *series.A, *series.C)}
+
         def laurent(d):  # a coefficient's value at v; C0 has one term at most, added whole
-            return sum(cf * v ** ex for ex, cf in d.items())
+            return sum(cf * vp[ex] for ex, cf in d.items())
 
         acc = mpc(series.A0) + laurent(series.C0)
         return q_series(acc, tau, series.N, zip(map(laurent, series.A), map(laurent, series.C)))

@@ -1050,15 +1050,17 @@ class TestPathEvaluation:
         """shapiro_descend at the identity coset against naive_evaluate, which
         shares no code with the path evaluator: T^N on a seeded sample of
         cells with N = 5, 6, and short Gamma(N) conjugates sigma T^{+-N}
-        sigma^-1 on scrambled copies."""
+        sigma^-1 on scrambled copies, three words at each level."""
         rng = random.Random(2801)
         cells = [cell for cell in self.CELLS if cell[1] in (5, 6)]
-        for k, N, lamv in rng.sample(cells, 12):
+        sample = rng.sample(cells, 12)
+        assert {N for _, N, _ in sample} == {5, 6}
+        for k, N, lamv in sample:
             c = build_induced(k, lamv, N)
             want = naive_evaluate(c, [("T", N)])[c.table.identity_index()]
             assert shapiro_descend(c, t_power(N)) == want
-        for _ in range(6):
-            k, N, lamv = rng.choice(cells)
+        for level in (5, 6) * 3:
+            k, N, lamv = rng.choice([cell for cell in cells if cell[1] == level])
             c = self.scrambled(build_induced(k, lamv, N), rng)
             sigma = random_gamma(rng, 4)
             gamma = sigma * t_power(rng.choice((-1, 1)) * N) * sigma.inverse()

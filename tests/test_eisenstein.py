@@ -19,9 +19,10 @@ from eisperiods.eisenstein import (
     maass_fourier,
     q_series,
 )
-from eisperiods.eisenstein import _divisor_pairs, _fb, _i_times_int_power
+from eisperiods.eisenstein import _divisor_pairs, _fb
+from eisperiods.exact import cyclo_canonical
 from eisperiods.modgroup import S, T, ResiduePair
-from eisperiods.numerics import GUARD_BITS, cyclo_value, e_of, raw_scale
+from eisperiods.numerics import GUARD_BITS, _to_mp, cyclo_value, e_of, raw_scale
 
 PREC = 192
 
@@ -256,40 +257,71 @@ class TestEllipticMaassFourier:
             assert abs(got - want) < mpf(2) ** -180 * abs(want)
 
 
+REF_BITS = 64
+
+
 def divisor_pair_loop(k, l, N, M, prec, m_class, twist, twist_on, extra_N_power):
     """The kernel's reference: each divisor pair of each j in turn, every
-    term written out in full, at the precision the kernel runs at."""
-    A, C = [], []
+    term written out in full, at prec + REF_BITS.  Beside the sums it gives
+    the integer buckets of each mode's twisted divisor sum, raw[t] the
+    total of sgn^w n0^(w-1) over the kept pairs twisted by mu_N^t."""
+    A, C, raw_A, raw_C = [], [], [], []
     two_pi_i = 2j * mp.pi
-    with mp.workprec(prec + GUARD_BITS):
+    ref = prec + REF_BITS
+    w = k + l
+    with mp.workprec(ref + GUARD_BITS):
         for j in range(1, M + 1):
-            dA, dC = {}, {}
+            dA, dC, bA, bC = {}, {}, [0] * N, [0] * N
             for m0 in (d for d in range(1, j + 1) if j % d == 0):
                 for sgn in (1, -1):
                     m, n = sgn * m0, sgn * (j // m0)
+                    weight = sgn ** w * (j // m0) ** (w - 1)
                     if (m if twist_on == "n" else n) % N == m_class:
-                        phase = e_of(QQ((n if twist_on == "n" else m) * twist, N), prec)
+                        t = (n if twist_on == "n" else m) * twist
+                        bA[t % N] += weight
+                        phase = e_of(QQ(t, N), ref)
                         for r in range(k):
                             coeff = (
                                 -two_pi_i * sgn / mpf(N) ** (k - r - extra_N_power) * _fb(-l, r)
                                 * (-two_pi_i * n) ** (k - 1 - r) * phase
-                                / (_i_times_int_power(-2 * m, l + r) * mp.factorial(k - 1 - r))
+                                / (mpc(0, -2 * m) ** (l + r) * mp.factorial(k - 1 - r))
                             )
                             if coeff != 0:
                                 dA[-(l + r)] = dA.get(-(l + r), mpc(0)) + coeff
                     if (m if twist_on == "n" else -n) % N == m_class:
-                        phase = e_of(QQ(-(n if twist_on == "n" else -m) * twist, N), prec)
+                        t = -(n if twist_on == "n" else -m) * twist
+                        bC[t % N] += weight
+                        phase = e_of(QQ(t, N), ref)
                         for r in range(l):
                             coeff = (
                                 two_pi_i * sgn / mpf(N) ** (l - r - extra_N_power) * _fb(-k, r)
                                 * (two_pi_i * n) ** (l - 1 - r) * phase
-                                / (_i_times_int_power(2 * m, k + r) * mp.factorial(l - 1 - r))
+                                / (mpc(0, 2 * m) ** (k + r) * mp.factorial(l - 1 - r))
                             )
                             if coeff != 0:
                                 dC[-(k + r)] = dC.get(-(k + r), mpc(0)) + coeff
             A.append({ex: c for ex, c in dA.items() if c != 0})
             C.append({ex: c for ex, c in dC.items() if c != 0})
-    return A, C
+            raw_A.append(bA)
+            raw_C.append(bC)
+    return A, C, raw_A, raw_C
+
+
+def kernel_bound(k, l, N, e, a, c, r, j, raw):
+    """The kernel's stated rounding bound on the v^-(c+r) term of mode j on
+    the side of weights (a, c): (4 N + h + 16) 2^-wp |K_r| j^-(c+r)
+    sum |s_i|, with s_i the canonical coefficients of S_j."""
+    size = sum(abs(x) for x in cyclo_canonical(N, raw).coeffs)
+    K = (2 * mp.pi) ** (a - r) * abs(_fb(-c, r)) / (mpf(N) ** (a - r - e) * 2 ** (c + r) * mp.factorial(a - 1 - r))
+    return (4 * N + abs(k) + abs(l) + 16) * mpf(2) ** -(PREC + GUARD_BITS) * K * mpf(j) ** -(c + r) * _to_mp(size)
+
+
+def reference_series(kind, k, l, N, l1, l2, M):
+    """The series of one kind, the power e of N it drops, and its
+    divisor-pair reference."""
+    if kind == "maass":
+        return maass_fourier(k, l, lam(N, l1, l2), N, M, PREC), 0, divisor_pair_loop(k, l, N, M, PREC, l1, l2, "n", 0)
+    return elliptic_maass_fourier(k, l, lam(N, l1, l2), N, M, PREC), 1, divisor_pair_loop(k, l, N, M, PREC, l1, l2, "m", 1)
 
 
 @pytest.mark.parametrize(
@@ -299,24 +331,42 @@ def divisor_pair_loop(k, l, N, M, prec, m_class, twist, twist_on, extra_N_power)
         ("elliptic", 7, 5, 3, 1, 2),
         ("maass", 6, 0, 3, 1, 2),  # C(0, r) = 0 for r >= 1: the terms that vanish
         ("elliptic", 3, 3, 1, 0, 0),
+        ("maass", 5, -1, 4, 1, 3),  # l + r = -1: a power of 2i below zero
+        ("maass", 5, 2, 3, 1, 2),  # odd total weight: the pairs -(m0, n0) count with sign -1
+        ("elliptic", 4, 3, 3, 1, 2),
     ],
 )
 def test_kernel_matches_divisor_pair_loop(kind, k, l, N, l1, l2):
-    """The tabulated kernel gives the divisor-pair loop's sums bit for bit,
-    with the same Laurent terms in the same order.  M = 40 puts pairs on
-    both sides of the prepow table's bound M // 8."""
+    """The closed-form kernel against the divisor-pair loop run REF_BITS
+    higher: the same Laurent terms in the same order per mode, and every
+    coefficient within the kernel's stated rounding bound."""
     M = 40
-    if kind == "maass":
-        series = maass_fourier(k, l, lam(N, l1, l2), N, M, PREC)
-        want = divisor_pair_loop(k, l, N, M, PREC, l1, l2, "n", 0)
-    else:
-        series = elliptic_maass_fourier(k, l, lam(N, l1, l2), N, M, PREC)
-        want = divisor_pair_loop(k, l, N, M, PREC, l1, l2, "m", 1)
-    assert any(series.A) and (l == 0 or any(series.C))
-    for got, ref in ((series.A, want[0]), (series.C, want[1])):
-        assert [[(ex, c._mpc_) for ex, c in d.items()] for d in got] == [
-            [(ex, c._mpc_) for ex, c in d.items()] for d in ref
-        ]
+    with mp.workprec(PREC + GUARD_BITS + REF_BITS):
+        series, e, (want_A, want_C, raw_A, raw_C) = reference_series(kind, k, l, N, l1, l2, M)
+        assert any(series.A) and (l <= 0 or any(series.C))
+        worst = mpf(0)
+        for got, want, raws, a, c in ((series.A, want_A, raw_A, k, l), (series.C, want_C, raw_C, l, k)):
+            assert [list(d) for d in got] == [list(d) for d in want]
+            for j, (d, ref, raw) in enumerate(zip(got, want, raws), 1):
+                for ex, coeff in d.items():
+                    bound = kernel_bound(k, l, N, e, a, c, -ex - c, j, raw)
+                    worst = max(worst, abs(coeff - ref[ex]) / bound)
+        assert worst <= 1
+
+
+def test_kernel_drops_a_mode_whose_sum_is_zero_in_the_field():
+    """At N = 4, lambda = (0, 1), w = 4 the buckets of S_4 are mu_4 +
+    mu_4^3, nonzero as integers and zero in Q(mu_4): mode 4 has no term,
+    and the reference's sums there vanish to its own precision."""
+    k, l, N, M, j = 3, 1, 4, 8, 4
+    with mp.workprec(PREC + GUARD_BITS + REF_BITS):
+        series, _, (want_A, want_C, raw_A, raw_C) = reference_series("maass", k, l, N, 0, 1, M)
+        assert any(series.A) and any(series.C)
+        for got, want, raws in ((series.A, want_A, raw_A), (series.C, want_C, raw_C)):
+            raw = raws[j - 1]
+            assert any(raw) and not any(cyclo_canonical(N, raw).coeffs)
+            assert got[j - 1] == {}
+            assert all(abs(value) < mpf(2) ** -(PREC + REF_BITS) for value in want[j - 1].values())
 
 
 class TestLatticeSum:
