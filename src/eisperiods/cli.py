@@ -57,6 +57,7 @@ from .invariant import (
     IdealClassTerm,
     QuadLatticeData,
     json_number,
+    json_shape,
     psi_gamma_shift,
     psi_value_ratio,
     hecke_assemble,
@@ -443,8 +444,8 @@ def _load_lattice(args) -> QuadLatticeData:
 def _hecke_classes(payload: dict):
     """The ideal-class terms and w_f of a hecke --data payload."""
     classes = []
-    for entry in payload["classes"]:
-        chi = entry.get("chi", {})
+    for entry in json_shape(payload, "hecke data")["classes"]:
+        chi = json_shape(json_shape(entry, "classes entry").get("chi", {}), "chi")
         classes.append(
             IdealClassTerm(
                 QuadLatticeData.from_json(entry["lattice"]),

@@ -4,9 +4,14 @@ Three expansions are produced:
   * e_fourier    -- the normalized holomorphic series (division by (-2 pi i)^k
                     puts every coefficient in Q(mu_N); the weight-2 parameter-0
                     member keeps a rational multiple of 1/(4 pi v)),
-  * g_fourier    -- the classical congruence series with numeric coefficients,
+  * g_fourier    -- the classical congruence series, numeric: the l = 0
+                    member of the congruence double-index series,
   * maass_fourier / elliptic_maass_fourier -- the nonholomorphic double-index
                     series, whose coefficients are Laurent polynomials in 1/v.
+
+Every kind's q_N^j coefficient is one twisted divisor sum S_j in Z[mu_N],
+summed in integer buckets by `_twisted_divisor_sums` (the one loop over
+divisor pairs) and reduced in Z by `cyclo_canonical`.
 
 lattice_sum is the independent oracle: direct truncated summation of the
 defining series over 0 < max(|c|,|d|) <= R, with tail bound O(R^{2-w}) for
@@ -94,8 +99,8 @@ class HoloFourier:
     kind "e": exact normalized series; const is rational, coeffs live in
     Q(mu_N), nonholo is the rational coefficient of 1/(4 pi v) (nonzero only
     for weight 2 at parameter 0).
-    kind "g": numeric congruence series; coefficients are mpc, nonholo is the
-    mpc coefficient of 1/(4 pi v).
+    kind "g": numeric congruence series, the congruence kernel at l = 0;
+    coefficients are mpc, nonholo the mpc coefficient of 1/(4 pi v).
     """
 
     kind: str
@@ -147,11 +152,8 @@ def e_fourier(k: int, lam: ResiduePair, N: int, M: int) -> HoloFourier:
             raise IndexSetError(f"parameter {lam} not admissible for weight {k}")
     l1, l2 = lam.l1, lam.l2
     const = -bernoulli_value(k, QQ(l1, N)) / factorial(k)
-    scale = QQ(1, factorial(k - 1) * N ** (k - 1))
-    coeffs = tuple(
-        cyclo_canonical(N, [x * scale for x in raw])
-        for raw in _twisted_divisor_sums(M, N, l1, l2, k, True)
-    )
+    den = factorial(k - 1) * N ** (k - 1)
+    coeffs = tuple(cyclo_canonical(N, raw, den) for raw in _twisted_divisor_sums(M, N, l1, l2, k, True))
     return HoloFourier("e", k, N, lam, M, const, coeffs, nonholo)
 
 
@@ -199,35 +201,20 @@ def _two_sided_class_sum(l2: int, N: int, w: int, prec: int) -> mpc:
 
 @prec_guard
 def g_fourier(k: int, lam: ResiduePair, N: int, M: int, prec: int = DEFAULT_PREC) -> HoloFourier:
-    """Numeric congruence Eisenstein expansion: A_0 as a congruence zeta sum
-    (two-sided over n = l2 mod N), divisor-sum A_j, and for k = 2 the
-    nonholomorphic -pi/(N^2 v) term."""
+    """Numeric congruence Eisenstein expansion, the l = 0 congruence series:
+    A_0 a congruence zeta sum (two-sided over n = l2 mod N), A_j the v^0 term
+    of `_kernel_divisor_sums` at l = 0, and for k = 2 the nonholomorphic
+    -pi/(N^2 v) term.  For k >= 3 these are the bits of maass_fourier(k, 0),
+    and each A_j inherits the kernel's stated rounding bound."""
     if k < 2:
         raise ValueError("weight must be >= 2")
     if lam.N != N:
         lam = ResiduePair(N, lam.l1, lam.l2)
-    l1, l2 = lam.l1, lam.l2
-    if l1 == 0:
-        const = _two_sided_class_sum(l2, N, k, prec)
-    else:
-        const = mpc(0)
-    front = (-2j * mp.pi) ** k / (mp.factorial(k - 1) * mpf(N) ** k)
-    pairs = _divisor_pairs(M)
-    coeffs = []
-    for j in range(1, M + 1):
-        acc = mpc(0)
-        for m, n in pairs[j]:
-            # n runs over divisors of j with j/n = m; both signs of n
-            if m % N == l1:
-                acc += n ** (k - 1) * e_of(QQ(n * l2, N), prec)
-            if (-m) % N == l1:
-                acc += (-1) ** k * n ** (k - 1) * e_of(QQ(-n * l2, N), prec)
-        coeffs.append(front * acc)
-    nonholo = mpc(0)
-    if k == 2:
-        # C_0 = -pi/(N^2 v) expressed against the unit 1/(4 pi v)
-        nonholo = mpc(-4 * mp.pi ** 2 / mpf(N) ** 2)
-    return HoloFourier("g", k, N, lam, M, const, tuple(coeffs), nonholo)
+    const = _two_sided_class_sum(lam.l2, N, k, prec) if lam.l1 == 0 else mpc(0)
+    A, _ = _kernel_divisor_sums(k, 0, lam, M, prec, False)
+    # C_0 = -pi/(N^2 v) expressed against the unit 1/(4 pi v)
+    nonholo = mpc(-4 * mp.pi ** 2 / mpf(N) ** 2) if k == 2 else mpc(0)
+    return HoloFourier("g", k, N, lam, M, const, tuple(d.get(0, mpc(0)) for d in A), nonholo)
 
 
 @dataclass(frozen=True)
@@ -341,7 +328,8 @@ def _kernel_divisor_sums(k, l, lam: ResiduePair, M, prec, elliptic: bool):
     -1.  S_j is summed in integers, reduced by `cyclo_canonical` (so S_j = 0
     leaves no term, exactly) and embedded once by `cyclo_value`; K_r is one
     mpc per r, its power of 2 and its unit applied exactly.  A zero binomial
-    is the only other way a term vanishes.
+    is the only other way a term vanishes.  A side with no nonzero K_r (C_j
+    at l <= 0) is skipped, as is a mode whose buckets are all zero.
 
     Rounding bound, at wp = prec + GUARD_BITS bits, h = |k| + |l| and s_i
     the canonical coefficients of S_j: each stored term is within
@@ -368,14 +356,12 @@ def _kernel_divisor_sums(k, l, lam: ResiduePair, M, prec, elliptic: bool):
             for r in range(a)
         ]
         live = [(-(c + r), K_r) for r, K_r in enumerate(K) if K_r != 0]
-        coeffs: List[Dict[int, mpc]] = []
-        for j, raw in enumerate(_twisted_divisor_sums(M, N, l1, l2, k + l, elliptic, side), 1):
-            S = cyclo_canonical(N, raw)
-            sv = cyclo_value(S, prec) if live and any(S.coeffs) else None
-            coeffs.append(
-                {} if sv is None
-                else {ex: K_r * sv / j ** -ex if ex <= 0 else K_r * sv * j ** ex for ex, K_r in live}
-            )
+        coeffs: List[Dict[int, mpc]] = [{} for _ in range(M)]
+        for j, raw in enumerate(_twisted_divisor_sums(M, N, l1, l2, k + l, elliptic, side) if live else (), 1):
+            S = cyclo_canonical(N, raw) if any(raw) else None
+            if S is not None and any(S.coeffs):
+                sv = cyclo_value(S, prec)
+                coeffs[j - 1] = {ex: K_r * sv / j ** -ex if ex <= 0 else K_r * sv * j ** ex for ex, K_r in live}
         out.append(tuple(coeffs))
     return tuple(out)
 

@@ -167,22 +167,23 @@ class Cyclo:
         return [qq_str(c) for c in self.coeffs]
 
 
-def cyclo_canonical(N: int, coeffs: Sequence) -> Cyclo:
-    """Canonical element of Q(mu_N) from coefficients over mu_N^0..mu_N^{N-1}:
-    the polynomial in mu_N reduced modulo Phi_N.  The reduction is linear, so
-    scaling the input scales the result."""
+def cyclo_canonical(N: int, coeffs: Sequence, den: int = 1) -> Cyclo:
+    """Canonical element of Q(mu_N) from coefficients over mu_N^0..mu_N^{N-1},
+    divided by den: the polynomial in mu_N reduced modulo Phi_N.  Phi_N is
+    monic, so the reduction stays in the ring of the input (integers in Z),
+    and the phi(N) results are divided by den once (the reduction is linear)."""
     if len(coeffs) != N:
         raise ValueError(f"expected {N} coefficients over the N power basis")
     phi = cyclotomic_polynomial(N)
     deg = len(phi) - 1
-    work = [qq(c) for c in coeffs]
+    work = list(coeffs)
     for i in range(N - 1, deg - 1, -1):
         c = work[i]
         if c == 0:
             continue
         for j in range(deg):
             work[i - deg + j] -= c * phi[j]
-    return Cyclo(N, work[:deg])
+    return Cyclo(N, work[:deg] if den == 1 else [QQ(x, den) for x in work[:deg]])
 
 
 # ---------------------------------------------------------------------------

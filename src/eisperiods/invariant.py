@@ -10,6 +10,7 @@ summed by `eisenstein.q_series`.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, gcd
@@ -187,6 +188,15 @@ def json_number(value, name: str):
     return value
 
 
+def json_shape(value, name: str, size: Optional[int] = None):
+    """A JSON object (size None) or array of size entries read from an
+    input, as given; any other value is rejected by its field name."""
+    if type(value) is not (dict if size is None else list) or size not in (None, len(value)):
+        want = "a JSON object" if size is None else f"a JSON array of {size} entries"
+        raise ValueError(f"{name} must be {want}, got {json.dumps(value)[:40]}")
+    return value
+
+
 @dataclass(frozen=True)
 class QuadLatticeData:
     """Imaginary quadratic lattice input: primitive minimal polynomial
@@ -233,10 +243,10 @@ class QuadLatticeData:
 
     @staticmethod
     def from_json(obj: dict) -> "QuadLatticeData":
-        if "preset" in obj:
+        if "preset" in json_shape(obj, "lattice"):
             return QuadLatticeData.preset(obj["preset"])
-        a, b, c = obj["minpoly"]
-        lam = obj.get("lambda", [0, 0])
+        a, b, c = json_shape(obj["minpoly"], "minpoly", 3)
+        lam = json_shape(obj.get("lambda", [0, 0]), "lambda", 2)
         omega2 = qq(json_number(obj.get("omega2", "1/1"), "omega2"))
         return QuadLatticeData(a, b, c, omega2, obj["N"], ResiduePair(obj["N"], *lam))
 

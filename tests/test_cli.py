@@ -439,6 +439,31 @@ MALFORMED_DATA = {
     "omega2_boolean": ("invariant", {"minpoly": [1, 0, 1], "omega2": True, "N": 1}),
     "norm_b_boolean": ("hecke", {"classes": [{"lattice": {"preset": "gaussian"}, "norm_b": True}]}),
     "chi_boolean": ("hecke", {"classes": [{"lattice": {"preset": "gaussian"}, "chi": {"re": True}}]}),
+    # a payload of the wrong shape, rejected by the name of its field
+    "lambda_three_entries": ("invariant", {"minpoly": [1, 0, 1], "N": 2, "lambda": [0, 1, 1]}),
+    "minpoly_four_entries": ("invariant", {"minpoly": [1, 0, 1, 0], "N": 1}),
+    "minpoly_number": ("invariant", {"minpoly": 5, "N": 1}),
+    "lattice_array": ("invariant", [1, 2]),
+    "lattice_null": ("invariant", None),
+    "hecke_data_array": ("hecke", [1, 2]),
+    "hecke_data_null": ("hecke", None),
+    "classes_entry_string": ("hecke", {"classes": ["gaussian"]}),
+    "hecke_lattice_null": ("hecke", {"classes": [{"lattice": None}]}),
+    "chi_number": ("hecke", {"classes": [{"lattice": {"preset": "gaussian"}, "chi": 5}]}),
+}
+
+# the field each wrong-shape payload above is rejected by
+MALFORMED_FIELD = {
+    "lambda_three_entries": "lambda",
+    "minpoly_four_entries": "minpoly",
+    "minpoly_number": "minpoly",
+    "lattice_array": "lattice",
+    "lattice_null": "lattice",
+    "hecke_data_array": "hecke data",
+    "hecke_data_null": "hecke data",
+    "classes_entry_string": "classes entry",
+    "hecke_lattice_null": "lattice",
+    "chi_number": "chi",
 }
 
 
@@ -565,6 +590,14 @@ class TestBadConfiguration:
         path.write_text(json.dumps(payload))
         err = self.exits_2(capsys, [command, "--m", "2", "--data", str(path)])
         assert err.count("eisp: error:") == 1
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_FIELD))
+    def test_malformed_data_names_its_field(self, capsys, tmp_path, name):
+        command, payload = MALFORMED_DATA[name]
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps(payload))
+        err = self.exits_2(capsys, [command, "--m", "2", "--data", str(path)])
+        assert f"{MALFORMED_FIELD[name]} must be a JSON " in err
 
     @pytest.mark.parametrize("name", ["level_too_large", "hecke_level_too_large"])
     def test_data_level_checked_before_any_work(self, capsys, tmp_path, monkeypatch, name):

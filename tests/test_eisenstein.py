@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import time
+from math import factorial
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -10,6 +11,7 @@ from eisperiods.eisenstein import (
     HoloFourier,
     IndexSetError,
     LatticeParams,
+    MaassFourier,
     bilinear_exponent,
     e_fourier,
     elliptic_maass_fourier,
@@ -21,7 +23,7 @@ from eisperiods.eisenstein import (
 )
 from eisperiods.eisenstein import _divisor_pairs, _fb
 from eisperiods.exact import cyclo_canonical
-from eisperiods.modgroup import S, T, ResiduePair
+from eisperiods.modgroup import S, T, ResiduePair, in_index_set
 from eisperiods.numerics import GUARD_BITS, _to_mp, cyclo_value, e_of, raw_scale
 
 PREC = 192
@@ -132,11 +134,42 @@ class TestEFourier:
         for tau in (mpc(0, 1), mpc("0.7", "0.2")):
             assert eval_fourier(f, tau, PREC) == mpf(1) / 720
 
+    def test_reduce_then_divide_matches_scale_then_reduce(self):
+        """e_fourier reduces its integer buckets and then divides, exactly as
+        the former formula that scaled each of the N buckets first."""
+        rng = random.Random(30)
+        for _ in range(24):
+            k, N, M = rng.randrange(2, 13), rng.randrange(1, 13), rng.randrange(1, 61)
+            params = [(l1, l2) for l1 in range(N) for l2 in range(N) if in_index_set(lam(N, l1, l2), k)]
+            if not params:
+                continue
+            l1, l2 = rng.choice(params)
+            f = e_fourier(k, lam(N, l1, l2), N, M)
+            assert [c.coeffs for c in f.coeffs] == e_coeffs_scale_then_reduce(k, N, l1, l2, M)
+
     def test_expansion_is_frozen(self):
         f = e_fourier(4, lam(3, 1, 2), 3, 4)
         assert isinstance(f.coeffs, tuple)
         with pytest.raises(dataclasses.FrozenInstanceError):
             f.coeffs = ()
+
+
+def e_coeffs_scale_then_reduce(k, N, l1, l2, M):
+    """The normalized q_N^j coefficients the former way: each divisor pair
+    (m, n) = sgn (j/n0, n0) with n = l1 mod N adds sgn n^(k-1) to bucket
+    m l2 mod N, every bucket is scaled by 1/((k-1)! N^(k-1)) in Q, and then
+    reduced modulo Phi_N."""
+    scale = QQ(1, factorial(k - 1) * N ** (k - 1))
+    out = []
+    for j in range(1, M + 1):
+        raw = [QQ(0)] * N
+        for n0 in (d for d in range(1, j + 1) if j % d == 0):
+            for sgn in (1, -1):
+                m, n = sgn * (j // n0), sgn * n0
+                if n % N == l1:
+                    raw[m * l2 % N] += sgn * n ** (k - 1)
+        out.append(cyclo_canonical(N, [x * scale for x in raw]).coeffs)
+    return out
 
 
 class TestGFourier:
@@ -167,20 +200,22 @@ class TestMaassFourier:
         assert all(not d for d in m.A) and all(not d for d in m.C)
 
     def test_l_zero_reduces_to_g(self):
-        N, k, M = 2, 4, 6
-        for l1, l2 in ((0, 1), (1, 0)):
-            m = maass_fourier(k, 0, lam(N, l1, l2), N, M, PREC)
-            g = g_fourier(k, lam(N, l1, l2), N, M, PREC)
-            assert not m.C0 and all(not d for d in m.C)
-            assert abs(m.A0 - g.const) < mpf(2) ** -150
-            for j in range(M):
-                gc = g.coeffs[j]
-                mc = m.A[j]
-                if gc == 0:
-                    assert not mc
-                else:
-                    assert set(mc) == {0}
-                    assert abs(mc[0] - gc) < mpf(2) ** -140
+        """g is the l = 0 congruence series: the same bits, constant and
+        coefficients, over a seeded grid of admissible parameters."""
+        rng = random.Random(30)
+        M = 30
+        for k in range(3, 11):
+            for N in range(1, 7):
+                params = [(l1, l2) for l1 in range(N) for l2 in range(N) if in_index_set(lam(N, l1, l2), k)]
+                if not params:
+                    continue
+                l1, l2 = rng.choice(params)
+                m = maass_fourier(k, 0, lam(N, l1, l2), N, M, PREC)
+                g = g_fourier(k, lam(N, l1, l2), N, M, PREC)
+                assert not m.C0 and all(not d for d in m.C)
+                assert g.const == m.A0
+                assert all(set(d) <= {0} for d in m.A)
+                assert list(g.coeffs) == [d.get(0, 0) for d in m.A]
 
     def test_total_weight_floor(self):
         with pytest.raises(ValueError):
@@ -319,6 +354,11 @@ def kernel_bound(k, l, N, e, a, c, r, j, raw):
 def reference_series(kind, k, l, N, l1, l2, M):
     """The series of one kind, the power e of N it drops, and its
     divisor-pair reference."""
+    if kind == "g":  # the l = 0 congruence series, its coefficients at v^0
+        g = g_fourier(k, lam(N, l1, l2), N, M, PREC)
+        A = tuple({0: c} if c else {} for c in g.coeffs)
+        series = MaassFourier("maass", k, l, N, g.lam, M, g.const, {}, A, ({},) * M)
+        return series, 0, divisor_pair_loop(k, l, N, M, PREC, l1, l2, "n", 0)
     if kind == "maass":
         return maass_fourier(k, l, lam(N, l1, l2), N, M, PREC), 0, divisor_pair_loop(k, l, N, M, PREC, l1, l2, "n", 0)
     return elliptic_maass_fourier(k, l, lam(N, l1, l2), N, M, PREC), 1, divisor_pair_loop(k, l, N, M, PREC, l1, l2, "m", 1)
@@ -334,6 +374,7 @@ def reference_series(kind, k, l, N, l1, l2, M):
         ("maass", 5, -1, 4, 1, 3),  # l + r = -1: a power of 2i below zero
         ("maass", 5, 2, 3, 1, 2),  # odd total weight: the pairs -(m0, n0) count with sign -1
         ("elliptic", 4, 3, 3, 1, 2),
+        ("g", 2, 0, 3, 1, 2),  # weight 2, which maass_fourier does not take
     ],
 )
 def test_kernel_matches_divisor_pair_loop(kind, k, l, N, l1, l2):

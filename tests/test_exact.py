@@ -143,6 +143,18 @@ class TestCyclo:
         assert cyclo_canonical(3, [1, 1, 1]).coeffs == (0, 0)
         assert cyclo_canonical(1, [QQ(5, 7)]).coeffs == (QQ(5, 7),)
 
+    def test_integer_reduction_matches_the_rational_path(self):
+        # Phi_N is monic: integer buckets reduce in Z, and dividing the phi(N)
+        # results by den gives the canonical form of the divided input
+        rng = random.Random(30)
+        for N in range(1, 13):
+            for _ in range(6):
+                raw = [rng.randrange(-10 ** 6, 10 ** 6) for _ in range(N)]
+                den = rng.choice([1, 2, 6, 720 * N ** 3])
+                got = cyclo_canonical(N, raw, den)
+                assert got.coeffs == cyclo_canonical(N, [QQ(x, den) for x in raw]).coeffs
+                assert all(type(c) is QQ for c in got.coeffs)
+
     def test_cyclotomic_polynomials(self):
         assert cyclotomic_polynomial(1) == (-1, 1)
         assert cyclotomic_polynomial(2) == (1, 1)

@@ -31,6 +31,8 @@ CASES = {
     "periods_k6_n2": (0, "periods --k 6 --N 2 --lambda 0,0"),
     "fourier_e": (0, "--trunc 24 fourier --kind e --k 4 --N 3 --lambda 1,2"),
     "fourier_g": (0, "--trunc 24 fourier --kind g --k 4 --N 3 --lambda 1,2"),
+    # weight 2 at lambda = (0, 1): the nonholomorphic term beside the kernel's
+    "fourier_g_k2": (0, "--trunc 24 fourier --kind g --k 2 --N 2 --lambda 0,1"),
     "check_lattice": (
         0,
         "--tol 1e-6 --trunc 12 --radius 30 fourier --kind elliptic --k 7 --l 5 "

@@ -52,11 +52,15 @@ def definitions(node: ast.AST, prefix: str = ""):
             yield from definitions(child, prefix)
 
 
+def source_trees() -> list:
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
+
+
 def reference_counts() -> dict:
     """The number of references in src/ to each definition there, dunders
     excluded, by qualified name; references inside the definition's own
     body, such as a recursive call, do not count."""
-    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
+    trees = source_trees()
     everywhere = sum((references(tree) for tree in trees), Counter())
     return {
         qualname: everywhere[node.name] - references(node)[node.name]
@@ -75,3 +79,16 @@ def test_allowed_names_are_unreferenced_definitions():
     # an entry whose definition went, or gained a reference, is dropped
     counts = reference_counts()
     assert {name: counts.get(name) for name in ALLOWED} == dict.fromkeys(ALLOWED, 0)
+
+
+def test_divisor_pairs_have_one_reader():
+    """Every Fourier kind sums its divisor pairs through the one twisted-
+    divisor kernel: `_twisted_divisor_sums` is the only reader of
+    `_divisor_pairs` in src/, so no second per-pair loop can come back."""
+    inside = sum(
+        references(node)["_divisor_pairs"]
+        for tree in source_trees()
+        for name, node in definitions(tree)
+        if name == "_twisted_divisor_sums"
+    )
+    assert reference_counts()["_divisor_pairs"] == inside >= 1
